@@ -2,6 +2,8 @@ PYTHON ?= python3
 OUT ?= out
 GOOD = scenarios/good_network.yaml
 WEAK = scenarios/weak_network.yaml
+# runs from the source tree, installed or not
+GRIDDETECT = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m griddetect.cli
 
 .PHONY: install test acceptance reproduce clean
 
@@ -17,20 +19,20 @@ acceptance:
 # Regenerate every benchmark table analytically and by simulation.
 reproduce:
 	mkdir -p $(OUT)
-	griddetect errors   --scenario $(GOOD) --out $(OUT)/errors_good.txt
-	griddetect errors   --scenario $(WEAK) --out $(OUT)/errors_weak.txt
-	griddetect bayes    --scenario $(GOOD) --out $(OUT)/bayes_good.txt
-	griddetect bayes    --scenario $(WEAK) --out $(OUT)/bayes_weak.txt
-	griddetect mp       --scenario $(GOOD) --out $(OUT)/mp_good.txt
-	griddetect mp       --scenario $(WEAK) --out $(OUT)/mp_weak.txt
-	griddetect errors   --scenario $(GOOD) --format csv --out $(OUT)/errors_good.csv
-	griddetect errors   --scenario $(WEAK) --format csv --out $(OUT)/errors_weak.csv
-	griddetect bayes    --scenario $(GOOD) --format csv --out $(OUT)/bayes_good.csv
-	griddetect bayes    --scenario $(WEAK) --format csv --out $(OUT)/bayes_weak.csv
-	griddetect mp       --scenario $(GOOD) --format csv --out $(OUT)/mp_good.csv
-	griddetect mp       --scenario $(WEAK) --format csv --out $(OUT)/mp_weak.csv
-	griddetect simulate --scenario $(GOOD) --format csv --out $(OUT)/simulation_good.csv
-	griddetect simulate --scenario $(WEAK) --format csv --out $(OUT)/simulation_weak.csv
+	$(GRIDDETECT) errors   --scenario $(GOOD) --out $(OUT)/errors_good.txt
+	$(GRIDDETECT) errors   --scenario $(WEAK) --out $(OUT)/errors_weak.txt
+	$(GRIDDETECT) bayes    --scenario $(GOOD) --out $(OUT)/bayes_good.txt
+	$(GRIDDETECT) bayes    --scenario $(WEAK) --out $(OUT)/bayes_weak.txt
+	$(GRIDDETECT) mp       --scenario $(GOOD) --out $(OUT)/mp_good.txt
+	$(GRIDDETECT) mp       --scenario $(WEAK) --out $(OUT)/mp_weak.txt
+	$(GRIDDETECT) errors   --scenario $(GOOD) --format csv --out $(OUT)/errors_good.csv
+	$(GRIDDETECT) errors   --scenario $(WEAK) --format csv --out $(OUT)/errors_weak.csv
+	$(GRIDDETECT) bayes    --scenario $(GOOD) --format csv --out $(OUT)/bayes_good.csv
+	$(GRIDDETECT) bayes    --scenario $(WEAK) --format csv --out $(OUT)/bayes_weak.csv
+	$(GRIDDETECT) mp       --scenario $(GOOD) --format csv --out $(OUT)/mp_good.csv
+	$(GRIDDETECT) mp       --scenario $(WEAK) --format csv --out $(OUT)/mp_weak.csv
+	$(GRIDDETECT) simulate --scenario $(GOOD) --format csv --out $(OUT)/simulation_good.csv
+	$(GRIDDETECT) simulate --scenario $(WEAK) --format csv --out $(OUT)/simulation_weak.csv
 	@echo "tables written to $(OUT)/"
 
 clean:

@@ -164,7 +164,10 @@ def cmd_mp(
         mode = _effective_mode(sf, weight_mode)
         sizes = sf.sizes
         if sizes_arg is not None:
-            sizes = tuple(float(s) for s in sizes_arg.split(","))
+            try:
+                sizes = tuple(float(s) for s in sizes_arg.split(","))
+            except ValueError:
+                raise DomainError(f"--sizes must be comma-separated numbers, got {sizes_arg!r}") from None
         if not sizes:
             raise DomainError("no test sizes given (scenario sizes: or --sizes)")
         k = len(sf.scenario.topology.classes)

@@ -185,7 +185,11 @@ def write_log_file(path: str | Path, logs: Iterable[TrialLog]) -> None:
 def read_log_file(path: str | Path) -> list[TrialLog]:
     """Parse a CSV log file; records sharing a trial id form one log."""
     trials: dict[int, tuple[Condition, list[SensorRecord]]] = {}
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot read log file {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != LOG_FIELDS:

@@ -14,6 +14,14 @@ Draw-order contract within one trial (fixed; changing it changes results):
    detection is impossible), then one uniform for the response;
 3. for each evaluated test, in order: at most one uniform for the
    boundary coin of a randomized decision.
+
+``simulate_trial`` is the reference: it replays one trial with its own
+Generator. ``run_trials`` computes the same streams in blocks of trial
+indices with numpy (``_streams``), reads the world from them in the order
+above with the same comparisons, evaluates each rule once per distinct
+count tuple of the block, and takes the coin of a boundary decision from
+the column the contract assigns it. Its counts equal a trial-by-trial
+run's.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _streams
 from .decision_tests import BayesTest, Decision, MPTest, Observation, bayes_decide, mp_decide
 from .model import DomainError, Prior, ValidatedScenario
 
@@ -45,6 +54,9 @@ __all__ = [
 # Pinned RNG wiring; reports carry it so reported numbers stay re-derivable.
 # Trial i draws from Generator(PCG64(SeedSequence((master_seed, i)))).
 GENERATOR_NAME = "pcg64/per-trial-seedseq"
+
+# Trials per block in run_trials; keeps a block's arrays to a few MB.
+_CHUNK = 4096
 
 TestSpec = tuple[str, MPTest | BayesTest]
 
@@ -207,6 +219,85 @@ class SimReport:
     test_stats: tuple[TestSimStats, ...]
 
 
+class _ProbeCoin:
+    """A boundary coin for probing a rule; whether it was drawn shows in Decision.randomized."""
+
+    def random(self) -> float:
+        return 0.0
+
+
+def _verdict_table(tests: Sequence[TestSpec], tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per distinct count tuple and test: (declares the event, draws a boundary coin)."""
+    probe = _ProbeCoin()
+    rows = []
+    for row in tuples.tolist():
+        obs = Observation(tuple(row))
+        for _, test in tests:
+            d = mp_decide(test, obs, probe) if isinstance(test, MPTest) else bayes_decide(test, obs)
+            rows.append((d.declared_event, d.randomized))
+    table = np.array(rows, dtype=bool).reshape(len(tuples), len(tests), 2)
+    return table[..., 0], table[..., 1]
+
+
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(counts, axis=0, return_inverse=True), without its slow row sort."""
+    order = np.lexsort(counts.T)
+    ordered = counts[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _count_block(
+    scenario: ValidatedScenario,
+    prior: Prior,
+    tests: Sequence[TestSpec],
+    master_seed: int,
+    indices: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Every SimReport count over one block of trial indices, as integer arrays.
+
+    Reads each trial's stream in the module draw order; the comparisons
+    are the ones draw_world and _boundary_decision make on the same doubles.
+    """
+    sizes = np.array(scenario.topology.counts)
+    n = int(sizes.sum())
+    p_c, p_w = scenario.channel.p_c, scenario.channel.p_w
+    u = _streams.uniforms(master_seed, indices, 1 + 2 * n + len(tests))
+
+    event = u[:, 0] < prior.event_prob
+    # event trials interleave (detection, response) per sensor; normal trials
+    # draw responses only
+    detected = u[:, 1 : 2 * n : 2] < np.repeat(scenario.topology.detect_probs, sizes)
+    alarm = np.where(
+        event[:, None], u[:, 2 : 2 * n + 1 : 2] < np.where(detected, p_c, p_w), u[:, 1 : n + 1] < p_w
+    )
+    first = np.cumsum(sizes) - sizes
+    counts = np.add.reduceat(alarm.astype(np.int64), first, axis=1)
+
+    tuples, inverse = _distinct_rows(counts)
+    declared, randomized = (a[inverse] for a in _verdict_table(tests, tuples))
+    # a test's coin follows the world draws and the coins of earlier tests
+    coin_col = np.where(event, 1 + 2 * n, 1 + n)[:, None] + np.cumsum(randomized, axis=1) - randomized
+    coins = np.take_along_axis(u, coin_col, axis=1)
+    boundary = np.array([t.boundary_prob if isinstance(t, MPTest) else 0.0 for _, t in tests])
+    declared = np.where(randomized, coins >= boundary, declared)
+
+    ev = event[:, None]
+    first_alarm = alarm[:, first]
+    return (
+        event.sum(),
+        (sizes - counts)[event].sum(axis=0),
+        first_alarm.sum(axis=0),
+        (first_alarm & ~ev).sum(axis=0),
+        (~first_alarm & ev).sum(axis=0),
+        (declared & ev).sum(axis=0),
+        (~(declared | ev)).sum(axis=0),
+    )
+
+
 def run_trials(
     scenario: ValidatedScenario,
     prior: Prior,
@@ -218,45 +309,22 @@ def run_trials(
 
     Trial i uses the stream from derive_trial_seed(master_seed, i), so a
     report is a pure function of its arguments and single trials can be
-    replayed in isolation.
+    replayed in isolation with simulate_trial. Trials are computed in
+    blocks of _CHUNK indices; the counts are the same as a trial-by-trial
+    run.
     """
     if int(n_trials) != n_trials or n_trials < 1:
         raise DomainError(f"n_trials must be a positive integer, got {n_trials}")
+    n_trials = int(n_trials)
     master_seed = _check_master_seed(master_seed)
-    classes = scenario.topology.classes
-    k = len(classes)
 
-    n_event = 0
-    ev_silent = [0] * k
-    first_silent = [0] * k
-    first_silent_event = [0] * k
-    first_alarm = [0] * k
-    first_alarm_normal = [0] * k
-    accept_event = [0] * len(tests)
-    reject_normal = [0] * len(tests)
-
-    for i in range(n_trials):
-        outcome = simulate_trial(scenario, prior, derive_trial_seed(master_seed, i), tests)
-        event = outcome.truth is Truth.EVENT
-        if event:
-            n_event += 1
-        for ci in range(k):
-            xs = outcome.responses[ci]
-            if event:
-                ev_silent[ci] += len(xs) - sum(xs)
-            if xs[0]:
-                first_alarm[ci] += 1
-                if not event:
-                    first_alarm_normal[ci] += 1
-            else:
-                first_silent[ci] += 1
-                if event:
-                    first_silent_event[ci] += 1
-        for ti, decision in enumerate(outcome.decisions):
-            if event and decision.declared_event:
-                accept_event[ti] += 1
-            if not event and not decision.declared_event:
-                reject_normal[ti] += 1
+    totals = None
+    for start in range(0, n_trials, _CHUNK):
+        indices = np.arange(start, min(start + _CHUNK, n_trials), dtype=np.uint64)
+        part = _count_block(scenario, prior, tests, master_seed, indices)
+        totals = part if totals is None else tuple(a + b for a, b in zip(totals, part))
+    (n_event, ev_silent, first_alarm, first_alarm_normal, first_silent_event,
+     accept_event, reject_normal) = (t.tolist() for t in totals)
 
     n_normal = n_trials - n_event
     class_stats = tuple(
@@ -266,11 +334,11 @@ def run_trials(
             n_event_silent=ev_silent[ci],
             n_event_records=n_event * cls.count,
             n_first_silent_event=first_silent_event[ci],
-            n_first_silent=first_silent[ci],
+            n_first_silent=n_trials - first_alarm[ci],
             n_first_alarm_normal=first_alarm_normal[ci],
             n_first_alarm=first_alarm[ci],
         )
-        for ci, cls in enumerate(classes)
+        for ci, cls in enumerate(scenario.topology.classes)
     )
     test_stats = tuple(
         TestSimStats(

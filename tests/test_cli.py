@@ -134,6 +134,13 @@ class TestMPCommand:
         assert result.exit_code == 1
         assert "sizes" in result.output
 
+    def test_non_numeric_size_is_an_error(self, runner):
+        result = runner.invoke(main, ["mp", "--scenario", GOOD, "--sizes", "0.1,abc"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ") and "abc" in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
     def test_weight_mode_flag_overrides_file(self, runner):
         result = invoke(
             runner, "mp", "--scenario", GOOD, "--weight-mode", "exact", "--format", "csv"
@@ -246,6 +253,15 @@ class TestEstimateCommand:
         result = runner.invoke(main, ["estimate", str(path)])
         assert result.exit_code == 1
         assert "header" in result.output
+
+
+    def test_missing_log_file(self, runner, tmp_path):
+        path = tmp_path / "absent.csv"
+        result = runner.invoke(main, ["estimate", str(path)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: cannot read log file")
+        assert len(result.output.strip().splitlines()) == 1
 
 
 class TestTextRendering:

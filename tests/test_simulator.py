@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 import griddetect as g
-from griddetect import DomainError, Truth
-from griddetect.simulator import GENERATOR_NAME
+from griddetect import DomainError, Truth, _streams
+from griddetect.simulator import _CHUNK, GENERATOR_NAME, trial_rng
 
-from cases import good_scenario, weak_scenario
+from cases import GOOD_APPROX, degenerate_scenario, good_scenario, weak_scenario
 
 
 def standard_tests(sc, prior):
@@ -14,6 +15,84 @@ def standard_tests(sc, prior):
         ("bayes l=5", g.bayes_test(sc, prior, g.LossRatio(5))),
         ("mp size=0.1", g.solve_mp_test(sc, 0.1)),
     ]
+
+
+def _good_replay_case():
+    sc = good_scenario()
+    prior = g.Prior(0.25)
+    tests = standard_tests(sc, prior) + [("mp approx", g.solve_mp_test(sc, 0.05, **GOOD_APPROX))]
+    return sc, prior, tests
+
+
+def _weak_replay_case():
+    sc = weak_scenario()
+    prior = g.Prior(0.3)
+    tests = [
+        ("mp size=0.1", g.solve_mp_test(sc, 0.1)),
+        ("bayes l=20", g.bayes_test(sc, prior, g.LossRatio(20))),  # not applicable
+        ("mp size=0.02", g.solve_mp_test(sc, 0.02)),
+    ]
+    return sc, prior, tests
+
+
+def _degenerate_replay_case():
+    # p_w = 0: both rules reject only the all-silent observation, the MP
+    # rule with a boundary coin
+    sc = degenerate_scenario()
+    prior = g.Prior(0.4)
+    tests = [
+        ("mp size=0.001", g.solve_mp_test(sc, 0.001)),
+        ("bayes l=5", g.bayes_test(sc, prior, g.LossRatio(5))),
+    ]
+    assert all(test.degenerate for _, test in tests)
+    return sc, prior, tests
+
+
+REPLAY_CASES = {
+    "good": _good_replay_case,
+    "weak": _weak_replay_case,
+    "degenerate": _degenerate_replay_case,
+}
+
+
+def _report_counts(report):
+    return (
+        report.n_trials, report.n_event, report.n_normal,
+        [(c.n_event_silent, c.n_event_records, c.n_first_silent_event, c.n_first_silent,
+          c.n_first_alarm_normal, c.n_first_alarm) for c in report.class_stats],
+        [(t.n_accept_event, t.n_event, t.n_reject_normal, t.n_normal) for t in report.test_stats],
+    )
+
+
+def _replay_counts(sc, prior, tests, n, seed):
+    """_report_counts of a run re-aggregated from single-trial replays, and the coins drawn."""
+    n_event = coins = 0
+    classes = [[0] * 6 for _ in sc.topology.classes]
+    decisions = [[0, 0] for _ in tests]
+    for i in range(n):
+        outcome = g.simulate_trial(sc, prior, g.derive_trial_seed(seed, i), tests)
+        event = outcome.truth is Truth.EVENT
+        n_event += event
+        for c, xs in zip(classes, outcome.responses):
+            if event:
+                c[0] += len(xs) - sum(xs)
+                c[1] += len(xs)
+            if xs[0]:
+                c[4] += not event
+                c[5] += 1
+            else:
+                c[2] += event
+                c[3] += 1
+        for d, decision in zip(decisions, outcome.decisions):
+            coins += decision.randomized
+            d[0] += event and decision.declared_event
+            d[1] += not (event or decision.declared_event)
+    counts = (
+        n, n_event, n - n_event,
+        [tuple(c) for c in classes],
+        [(a, n_event, r, n - n_event) for a, r in decisions],
+    )
+    return counts, coins
 
 
 class TestSimulateTrial:
@@ -90,38 +169,35 @@ class TestRunTrials:
         assert a != b
 
     def test_matches_per_trial_replay(self):
-        # aggregation re-derived independently from single-trial outcomes
-        sc = good_scenario()
-        prior = g.Prior(0.25)
-        tests = standard_tests(sc, prior)
-        n = 300
-        report = g.run_trials(sc, prior, tests, n, 77)
+        # every count re-derived from single-trial outcomes, for three rule
+        # sets, over a run that crosses a block boundary
+        n = _CHUNK + 3
+        for name, case in REPLAY_CASES.items():
+            sc, prior, tests = case()
+            replayed, coins = _replay_counts(sc, prior, tests, n, 77)
+            assert 0 < replayed[1] < n and coins > 0, name  # both worlds and boundary coins occur
+            assert _report_counts(g.run_trials(sc, prior, tests, n, 77)) == replayed, name
 
-        n_event = 0
-        silent = [0, 0, 0]
-        accept_event = [0, 0]
-        reject_normal = [0, 0]
-        for i in range(n):
-            outcome = g.simulate_trial(sc, prior, g.derive_trial_seed(77, i), tests)
-            event = outcome.truth is Truth.EVENT
-            n_event += event
-            for ci, xs in enumerate(outcome.responses):
-                if event:
-                    silent[ci] += len(xs) - sum(xs)
-            for ti, decision in enumerate(outcome.decisions):
-                if event and decision.declared_event:
-                    accept_event[ti] += 1
-                if not event and not decision.declared_event:
-                    reject_normal[ti] += 1
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_block_stream_matches_generator(self, seed):
+        indices = [0, 2**32 - 1, 2**32, 2**40 + 3]
+        draws = 25
+        block = _streams.uniforms(seed, np.array(indices, dtype=np.uint64), draws)
+        for row, i in zip(block, indices):
+            expected = trial_rng(g.derive_trial_seed(seed, i)).random(draws)
+            assert np.array_equal(row, expected), (seed, i)
 
-        assert report.n_event == n_event
-        assert report.n_normal == n - n_event
-        for ci, cs in enumerate(report.class_stats):
-            assert cs.n_event_silent == silent[ci]
-            assert cs.n_event_records == n_event * cs.count
-        for ti, ts in enumerate(report.test_stats):
-            assert ts.n_accept_event == accept_event[ti]
-            assert ts.n_reject_normal == reject_normal[ti]
+    def test_wide_cell_replay(self):
+        # 64 one-sensor classes: 2**64 possible count tuples and 129 world
+        # draws per event trial
+        probs = [0.95 - 0.01 * i for i in range(64)]
+        sc = g.validate(g.ChannelModel(0.9, 0.1), g.builtin_topology("custom", probs, counts=[1] * 64))
+        prior = g.Prior(0.5)
+        tests = [("bayes l=1", g.bayes_test(sc, prior, g.LossRatio(1)))]
+        replayed, _ = _replay_counts(sc, prior, tests, 40, 5)
+        accept_event, _, reject_normal, _ = replayed[4][0]
+        assert accept_event > 0 and reject_normal > 0  # both verdicts occur
+        assert _report_counts(g.run_trials(sc, prior, tests, 40, 5)) == replayed
 
     def test_bookkeeping(self):
         sc = weak_scenario()
