@@ -3,7 +3,8 @@ OUT ?= out
 GOOD = scenarios/good_network.yaml
 WEAK = scenarios/weak_network.yaml
 # runs from the source tree, installed or not
-GRIDDETECT = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m griddetect.cli
+RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
+GRIDDETECT = $(RUN) -m griddetect.cli
 
 .PHONY: install test acceptance reproduce clean
 
@@ -11,10 +12,10 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	$(PYTHON) -m pytest -q
+	$(RUN) -m pytest -q
 
 acceptance:
-	$(PYTHON) -m pytest tests/test_acceptance.py -v -s
+	$(RUN) -m pytest tests/test_acceptance.py -v -s
 
 # Regenerate every benchmark table analytically and by simulation.
 reproduce:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .decision_tests import (
     BayesTest,
     MPTest,
@@ -52,19 +53,6 @@ _WEIGHT_MODE = click.option(
 )
 
 
-def _effective_mode(sf: ScenarioFile, flag: str | None) -> str:
-    mode = sf.weight_mode if flag is None else flag.replace("-", "_")
-    if mode == "paper_approx" and sf.approx_weights is None:
-        raise DomainError("weight mode paper-approx needs an approx: block in the scenario file")
-    return mode
-
-
-def _mode_overrides(sf: ScenarioFile, mode: str) -> dict:
-    if mode == "exact":
-        return {}
-    return {"weights": sf.approx_weights, "event_alarm_probs": sf.approx_alarm_probs}
-
-
 def _emit(tables: list[Table], fmt: str, out: Path | None) -> None:
     text = render(tables, fmt)
     if out is None:
@@ -79,7 +67,7 @@ def _fail(exc: Exception) -> None:
 
 
 @click.group()
-@click.version_option(package_name="griddetect")
+@click.version_option(version=__version__, prog_name="griddetect")
 def main() -> None:
     """Exact decision tests and simulation for sensor-grid event detection."""
 
@@ -160,8 +148,7 @@ def cmd_mp(
 ) -> None:
     """Most-powerful tests for each size; alpha column shows 1 - size."""
     try:
-        sf = load_scenario(scenario_path)
-        mode = _effective_mode(sf, weight_mode)
+        sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
         sizes = sf.sizes
         if sizes_arg is not None:
             try:
@@ -173,7 +160,7 @@ def cmd_mp(
         k = len(sf.scenario.topology.classes)
         rows = []
         for size in sizes:
-            test = solve_mp_test(sf.scenario, size, **_mode_overrides(sf, mode))
+            test = solve_mp_test(sf.scenario, size, **sf.mp_overrides())
             ops = operating_characteristics(test, sf.scenario)
             rows.append(
                 (1.0 - size, size)
@@ -182,7 +169,7 @@ def cmd_mp(
                    test.exact_power, ops.type1, ops.power)
             )
         table = Table(
-            title=f"mp-tests ({mode})",
+            title=f"mp-tests ({sf.weight_mode})",
             columns=("alpha_printed", "size")
             + tuple(f"weight_{i + 1}" for i in range(k))
             + ("threshold", "boundary_prob", "solved_size", "solved_power",
@@ -206,16 +193,12 @@ def cmd_dist(
 ) -> None:
     """Dump the exact score distribution for debugging."""
     try:
-        sf = load_scenario(scenario_path)
-        mode = _effective_mode(sf, weight_mode)
+        sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
         stats = sf.scenario.derived()
         counts = sf.scenario.topology.counts
-        if mode == "paper_approx":
-            weights = sf.approx_weights
-            q_event = sf.approx_alarm_probs or stats.alarm_probs
-        else:
-            weights = stats.weights
-            q_event = stats.alarm_probs
+        overrides = sf.mp_overrides()
+        weights = overrides.get("weights") or stats.weights
+        q_event = overrides.get("event_alarm_probs") or stats.alarm_probs
         q = q_event if under == "event" else (sf.scenario.channel.p_w,) * len(counts)
         dist = score_distribution(weights, ClassAlarmLaw(counts, q))
         rows = []
@@ -224,7 +207,7 @@ def cmd_dist(
             cum += atom.prob
             rows.append((atom.value, atom.prob, cum, len(atom.support)))
         table = Table(
-            title=f"score-distribution under {under} ({mode})",
+            title=f"score-distribution under {under} ({sf.weight_mode})",
             columns=("value", "prob", "cumulative", "n_count_tuples"),
             rows=tuple(rows),
         )
@@ -233,15 +216,13 @@ def cmd_dist(
         _fail(exc)
 
 
-def _sim_tests(
-    sf: ScenarioFile, prior: Prior, mode: str
-) -> list[tuple[str, MPTest | BayesTest]]:
+def _sim_tests(sf: ScenarioFile, prior: Prior) -> list[tuple[str, MPTest | BayesTest]]:
     tests: list[tuple[str, MPTest | BayesTest]] = []
     for l in sf.loss_ratios:
         tests.append((f"bayes l={l:g}", bayes_test(sf.scenario, prior, LossRatio(l))))
     for size in sf.sizes:
         tests.append(
-            (f"mp size={size:g}", solve_mp_test(sf.scenario, size, **_mode_overrides(sf, mode)))
+            (f"mp size={size:g}", solve_mp_test(sf.scenario, size, **sf.mp_overrides()))
         )
     return tests
 
@@ -259,15 +240,14 @@ def cmd_simulate(
 ) -> None:
     """Monte Carlo runs per prior with empirical vs exact columns."""
     try:
-        sf = load_scenario(scenario_path)
-        mode = _effective_mode(sf, weight_mode)
+        sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
         if not sf.event_priors:
             raise DomainError("simulation needs a prior sweep (prior.p_e)")
         n_trials = trials if trials is not None else sf.simulation.n_trials
         master_seed = seed if seed is not None else sf.simulation.master_seed
         rows = []
         for prior in sf.priors():
-            tests = _sim_tests(sf, prior, mode)
+            tests = _sim_tests(sf, prior)
             report = run_trials(sf.scenario, prior, tests, n_trials, master_seed)
             errors = node_error_report(sf.scenario, prior)
             for i, cs in enumerate(report.class_stats):
@@ -294,7 +274,7 @@ def cmd_simulate(
         table = Table(
             title=(
                 f"simulation n_trials={n_trials} master_seed={master_seed} "
-                f"rng={GENERATOR_NAME} weights={mode}"
+                f"rng={GENERATOR_NAME} weights={sf.weight_mode}"
             ),
             columns=("p_e", "statistic", "target", "empirical", "exact",
                      "abs_delta", "numerator", "denominator"),

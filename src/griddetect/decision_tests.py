@@ -1,10 +1,15 @@
 """Most-powerful and Bayes decision rules for the base station.
 
-Both rules reduce to comparing the weighted alarm score against a
-threshold, rejecting the event hypothesis when the score is small (few
-alarms point at a normal cell). The most-powerful rule calibrates an
-exact size by randomizing on the boundary atom; the Bayes rule derives
-its threshold from the prior and the loss ratio and never randomizes.
+Every rule here has one form: reject the event hypothesis when the
+weighted alarm score is below a threshold t, reject with probability k
+when the score equals t, accept above it (few alarms point at a normal
+cell). The most-powerful rule calibrates an exact size through k; the
+Bayes rule derives t from the prior and the loss ratio and takes k = 0.
+When p_w = 0 both are the same rule on unit weights with t = 0: reject
+only the all-silent observation, with the MP rule's k, or with k = 1 for
+an applicable Bayes rule and k = 0 otherwise. Deciding one observation,
+deciding a block of count tuples and computing the exact error rates all
+go through that (weights, t, k) form.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is
@@ -18,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Protocol
+
+import numpy as np
 
 from .model import DomainError, LossRatio, Prior, ValidatedScenario
 from .score_dist import (
@@ -246,13 +253,48 @@ def solve_mp_test(
     )
 
 
-def _boundary_decision(k: float, coin: UniformSource) -> Decision:
-    if k >= 1.0:
-        return Decision(Verdict.REJECT_H0, randomized=False)
-    if k <= 0.0:
-        return Decision(Verdict.ACCEPT_H0, randomized=False)
-    verdict = Verdict.REJECT_H0 if coin.random() < k else Verdict.ACCEPT_H0
-    return Decision(verdict, randomized=True)
+class _ThresholdRule(NamedTuple):
+    """Reject H0 when the score is below ``threshold``; on it, with probability ``boundary_prob``."""
+
+    weights: tuple[float, ...]
+    threshold: float
+    boundary_prob: float
+
+
+def _threshold_rule(rule: MPTest | BayesTest) -> _ThresholdRule:
+    """The (weights, threshold, boundary coin) form every rule is applied through."""
+    mp = isinstance(rule, MPTest)
+    if rule.degenerate:
+        # p_w = 0: the all-silent tuple is the only one scoring 0 on unit weights
+        k = rule.boundary_prob if mp else float(rule.applicable)
+        return _ThresholdRule((1.0,) * len(rule.class_counts), 0.0, k)
+    return _ThresholdRule(rule.weights, rule.threshold, rule.boundary_prob if mp else 0.0)
+
+
+def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray) -> np.ndarray:
+    """Per row of an (N, K) array of count tuples: the probability that ``rule`` rejects H0.
+
+    1 below the threshold, the boundary probability within atom tolerance
+    of it, 0 above. Scores are summed class by class, so a row's verdict is
+    the same alone or in a block.
+    """
+    weights, t, k = _threshold_rule(rule)
+    score = np.zeros(len(counts))
+    for i, w in enumerate(weights):
+        score += w * counts[:, i]
+    tol = atom_tolerance(t)
+    # a threshold of -inf has infinite tolerance: t - tol is -inf and t + tol
+    # nan, so no score rejects
+    return np.where(score < t - tol, 1.0, np.where(score <= t + tol, k, 0.0))
+
+
+def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:
+    _check_observation(obs, rule.class_counts)
+    p = float(_reject_probs(rule, np.array([obs.counts]))[0])
+    if 0.0 < p < 1.0:
+        verdict = Verdict.REJECT_H0 if coin.random() < p else Verdict.ACCEPT_H0
+        return Decision(verdict, randomized=True)
+    return Decision(Verdict.REJECT_H0 if p >= 1.0 else Verdict.ACCEPT_H0)
 
 
 def mp_decide(test: MPTest, obs: Observation, coin: UniformSource) -> Decision:
@@ -260,20 +302,10 @@ def mp_decide(test: MPTest, obs: Observation, coin: UniformSource) -> Decision:
 
     ``coin`` supplies the single uniform draw used on the boundary atom;
     the caller owns it, so decisions stay reproducible under seeded use.
+    It is drawn only when the boundary probability lies strictly inside
+    (0, 1).
     """
-    _check_observation(obs, test.class_counts)
-    if test.degenerate:
-        if all(x == 0 for x in obs.counts):
-            return _boundary_decision(test.boundary_prob, coin)
-        return Decision(Verdict.ACCEPT_H0)
-    if test.threshold == -math.inf:
-        return Decision(Verdict.ACCEPT_H0)
-    score = math.fsum(w * x for w, x in zip(test.weights, obs.counts))
-    if abs(score - test.threshold) <= atom_tolerance(test.threshold):
-        return _boundary_decision(test.boundary_prob, coin)
-    if score < test.threshold:
-        return Decision(Verdict.REJECT_H0)
-    return Decision(Verdict.ACCEPT_H0)
+    return _decide(test, obs, coin)
 
 
 def bayes_test(scenario: ValidatedScenario, prior: Prior, loss: LossRatio) -> BayesTest:
@@ -326,16 +358,7 @@ def bayes_decide(test: BayesTest, obs: Observation) -> Decision:
     A score within atom tolerance of the threshold counts as equal and is
     accepted; equality has probability zero for generic real weights.
     """
-    _check_observation(obs, test.class_counts)
-    if not test.applicable:
-        return Decision(Verdict.ACCEPT_H0)
-    if test.degenerate:
-        verdict = Verdict.REJECT_H0 if all(x == 0 for x in obs.counts) else Verdict.ACCEPT_H0
-        return Decision(verdict)
-    score = math.fsum(w * x for w, x in zip(test.weights, obs.counts))
-    if test.threshold - score > atom_tolerance(test.threshold):
-        return Decision(Verdict.REJECT_H0)
-    return Decision(Verdict.ACCEPT_H0)
+    return _decide(test, obs, None)
 
 
 def operating_characteristics(
@@ -353,36 +376,24 @@ def operating_characteristics(
         raise DomainError(
             f"rule was built for class counts {rule.class_counts}, scenario has {counts}"
         )
-    stats = scenario.derived()
-    p_w = scenario.channel.p_w
-
-    if isinstance(rule, BayesTest) and not rule.applicable:
-        return OperatingCharacteristics(type1=0.0, power=0.0)
-
-    if rule.degenerate:
-        k = rule.boundary_prob if isinstance(rule, MPTest) else 1.0
-        silent_h0 = math.prod(q**n for q, n in zip(stats.silence_probs, counts))
-        silent_h1 = math.prod((1.0 - p_w) ** n for n in counts)
-        return OperatingCharacteristics(type1=k * silent_h0, power=k * silent_h1)
-
-    h0 = score_distribution(rule.weights, _event_law(scenario))
-    h1 = score_distribution(rule.weights, _normal_law(scenario))
-    if isinstance(rule, MPTest):
-        if rule.threshold == -math.inf:
-            return OperatingCharacteristics(type1=0.0, power=0.0)
-        k = rule.boundary_prob
-        type1 = h0.prob_below(rule.threshold) + k * h0.prob_at(rule.threshold)
-        power = h1.prob_below(rule.threshold) + k * h1.prob_at(rule.threshold)
-    else:
-        type1 = h0.prob_below(rule.threshold)
-        power = h1.prob_below(rule.threshold)
-    return OperatingCharacteristics(type1=type1, power=power)
+    weights, t, k = _threshold_rule(rule)
+    h0 = score_distribution(weights, _event_law(scenario))
+    h1 = score_distribution(weights, _normal_law(scenario))
+    return OperatingCharacteristics(
+        type1=h0.prob_below(t) + k * h0.prob_at(t),
+        power=h1.prob_below(t) + k * h1.prob_at(t),
+    )
 
 
 def _response_vector_masses(
     scenario: ValidatedScenario,
 ) -> list[tuple[float, float, float]]:
-    """Per response vector: (log likelihood ratio of normal vs event, event mass, normal mass)."""
+    """Per response vector possible under the normal hypothesis:
+    (log likelihood ratio of normal vs event, event mass, normal mass).
+
+    A vector of normal mass 0 would add no power wherever the greedy fill
+    placed it, so it is left out.
+    """
     counts = scenario.topology.counts
     stats = scenario.derived()
     p_w = scenario.channel.p_w
@@ -395,11 +406,8 @@ def _response_vector_masses(
             p0 *= q0 if b else 1.0 - q0
             p1 *= p_w if b else 1.0 - p_w
         if p1 <= 0.0:
-            llr = -math.inf
-        elif p0 <= 0.0:
-            llr = math.inf
-        else:
-            llr = math.log(p1) - math.log(p0)
+            continue
+        llr = math.inf if p0 <= 0.0 else math.log(p1) - math.log(p0)
         out.append((llr, p0, p1))
     return out
 

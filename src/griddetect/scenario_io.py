@@ -25,7 +25,7 @@ Schema (version 1)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -40,6 +40,8 @@ from .model import (
     builtin_topology,
     validate,
 )
+from .score_dist import ClassAlarmLaw
+from .simulator import _check_master_seed
 
 __all__ = ["ScenarioError", "SimulationSettings", "ScenarioFile", "load_scenario", "parse_scenario"]
 
@@ -73,6 +75,15 @@ class ScenarioFile:
 
     def priors(self) -> tuple[Prior, ...]:
         return tuple(Prior(p) for p in self.event_priors)
+
+    def with_weight_mode(self, flag: str | None) -> ScenarioFile:
+        """This file under a --weight-mode flag ("exact" or "paper-approx"); None keeps the file's mode."""
+        if flag is None:
+            return self
+        mode = flag.replace("-", "_")
+        if mode == "paper_approx" and self.approx_weights is None:
+            raise ScenarioError("weight mode paper-approx needs an approx: block in the scenario file")
+        return replace(self, weight_mode=mode)
 
     def mp_overrides(self) -> dict:
         """Keyword overrides for solve_mp_test honoring the weight mode."""
@@ -238,6 +249,10 @@ def parse_scenario(data: dict) -> ScenarioFile:
         )
         if simulation.n_trials < 1:
             raise ScenarioError(f"simulation.n_trials: must be positive, got {simulation.n_trials}")
+        try:
+            _check_master_seed(simulation.master_seed)
+        except DomainError as exc:
+            raise ScenarioError(f"simulation.master_seed: {exc}") from exc
 
     try:
         scenario = validate(channel, topology)
@@ -248,6 +263,11 @@ def parse_scenario(data: dict) -> ScenarioFile:
     for name, values in (("approx.weights", approx_weights), ("approx.alarm_probs", approx_alarm_probs)):
         if values is not None and len(values) != n_classes:
             raise ScenarioError(f"{name}: expected {n_classes} entries, got {len(values)}")
+    if approx_alarm_probs is not None:
+        try:
+            ClassAlarmLaw(scenario.topology.counts, approx_alarm_probs)
+        except DomainError as exc:
+            raise ScenarioError(f"approx.alarm_probs: {exc}") from exc
 
     return ScenarioFile(
         scenario=scenario,

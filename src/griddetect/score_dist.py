@@ -90,9 +90,9 @@ class ScoreDistribution:
         return math.fsum(a.prob for a in self.atoms if a.value < cut)
 
     def prob_at(self, value: float) -> float:
-        """Mass of the atom matching ``value`` within tolerance, else 0."""
+        """Mass of the atom matching ``value`` within tolerance, else 0 (also for value = -inf)."""
         tol = atom_tolerance(value)
-        return math.fsum(a.prob for a in self.atoms if abs(a.value - value) <= tol)
+        return math.fsum(a.prob for a in self.atoms if value - tol <= a.value <= value + tol)
 
     def mean(self) -> float:
         return math.fsum(a.value * a.prob for a in self.atoms)

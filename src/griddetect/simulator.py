@@ -18,10 +18,11 @@ Draw-order contract within one trial (fixed; changing it changes results):
 ``simulate_trial`` is the reference: it replays one trial with its own
 Generator. ``run_trials`` computes the same streams in blocks of trial
 indices with numpy (``_streams``), reads the world from them in the order
-above with the same comparisons, evaluates each rule once per distinct
-count tuple of the block, and takes the coin of a boundary decision from
-the column the contract assigns it. Its counts equal a trial-by-trial
-run's.
+above with the same comparisons, gets each rule's reject probability for
+every count tuple of the block from the same threshold-rule core that
+``mp_decide`` and ``bayes_decide`` use, and compares it with the uniform
+the contract assigns to that test's boundary coin. Its counts equal a
+trial-by-trial run's.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ from typing import Sequence
 import numpy as np
 
 from . import _streams
-from .decision_tests import BayesTest, Decision, MPTest, Observation, bayes_decide, mp_decide
+from .decision_tests import (
+    BayesTest,
+    Decision,
+    MPTest,
+    Observation,
+    _reject_probs,
+    bayes_decide,
+    mp_decide,
+)
 from .model import DomainError, Prior, ValidatedScenario
 
 __all__ = [
@@ -219,37 +228,6 @@ class SimReport:
     test_stats: tuple[TestSimStats, ...]
 
 
-class _ProbeCoin:
-    """A boundary coin for probing a rule; whether it was drawn shows in Decision.randomized."""
-
-    def random(self) -> float:
-        return 0.0
-
-
-def _verdict_table(tests: Sequence[TestSpec], tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per distinct count tuple and test: (declares the event, draws a boundary coin)."""
-    probe = _ProbeCoin()
-    rows = []
-    for row in tuples.tolist():
-        obs = Observation(tuple(row))
-        for _, test in tests:
-            d = mp_decide(test, obs, probe) if isinstance(test, MPTest) else bayes_decide(test, obs)
-            rows.append((d.declared_event, d.randomized))
-    table = np.array(rows, dtype=bool).reshape(len(tuples), len(tests), 2)
-    return table[..., 0], table[..., 1]
-
-
-def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(counts, axis=0, return_inverse=True), without its slow row sort."""
-    order = np.lexsort(counts.T)
-    ordered = counts[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
 def _count_block(
     scenario: ValidatedScenario,
     prior: Prior,
@@ -260,7 +238,7 @@ def _count_block(
     """Every SimReport count over one block of trial indices, as integer arrays.
 
     Reads each trial's stream in the module draw order; the comparisons
-    are the ones draw_world and _boundary_decision make on the same doubles.
+    are the ones draw_world and mp_decide make on the same doubles.
     """
     sizes = np.array(scenario.topology.counts)
     n = int(sizes.sum())
@@ -277,13 +255,14 @@ def _count_block(
     first = np.cumsum(sizes) - sizes
     counts = np.add.reduceat(alarm.astype(np.int64), first, axis=1)
 
-    tuples, inverse = _distinct_rows(counts)
-    declared, randomized = (a[inverse] for a in _verdict_table(tests, tuples))
-    # a test's coin follows the world draws and the coins of earlier tests
+    p = np.empty((len(indices), len(tests)))
+    for j, (_, test) in enumerate(tests):
+        p[:, j] = _reject_probs(test, counts)
+    randomized = (0.0 < p) & (p < 1.0)
+    # a test's coin follows the world draws and the coins of earlier tests;
+    # where p is 0 or 1 the column read is any uniform and decides nothing
     coin_col = np.where(event, 1 + 2 * n, 1 + n)[:, None] + np.cumsum(randomized, axis=1) - randomized
-    coins = np.take_along_axis(u, coin_col, axis=1)
-    boundary = np.array([t.boundary_prob if isinstance(t, MPTest) else 0.0 for _, t in tests])
-    declared = np.where(randomized, coins >= boundary, declared)
+    declared = np.take_along_axis(u, coin_col, axis=1) >= p
 
     ev = event[:, None]
     first_alarm = alarm[:, first]

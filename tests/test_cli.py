@@ -277,3 +277,10 @@ class TestTextRendering:
     def test_six_significant_digits(self, runner):
         result = invoke(runner, "errors", "--scenario", GOOD)
         assert "0.0217391" in result.output
+
+
+class TestVersion:
+    def test_version_from_source_tree(self, runner):
+        result = invoke(runner, "--version")
+        assert result.exit_code == 0
+        assert "0.1.0" in result.output

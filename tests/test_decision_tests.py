@@ -266,6 +266,86 @@ class TestOperatingCharacteristics:
             g.operating_characteristics(rule, other)
 
 
+def _random(seed):
+    return random_scenario(random.Random(seed))
+
+
+# (scenario, rule) builders covering every rule kind: exact and approximated
+# MP, a hand-built MP rule with threshold -inf, applicable and non-applicable
+# Bayes, and under p_w = 0 randomized and deterministic MP and applicable and
+# non-applicable Bayes.
+AGREEMENT_CASES = {
+    "good-mp-exact": lambda sc: g.solve_mp_test(sc, 0.07),
+    "good-mp-approx": lambda sc: g.solve_mp_test(sc, 0.10, **GOOD_APPROX),
+    "good-bayes": lambda sc: g.bayes_test(sc, g.Prior(0.1), g.LossRatio(5)),
+    "good-mp-never-rejecting": lambda sc: g.MPTest(
+        weights=GOOD_APPROX["weights"], class_counts=sc.topology.counts, threshold=-math.inf,
+        boundary_prob=0.5, requested_size=0.1, exact_size=0.0, exact_power=0.0,
+    ),
+    "weak-mp-exact": lambda sc: g.solve_mp_test(sc, 0.025),
+    "weak-mp-approx-lowest-atom": lambda sc: g.solve_mp_test(sc, 0.01, **WEAK_APPROX),
+    "weak-bayes": lambda sc: g.bayes_test(sc, g.Prior(0.1), g.LossRatio(5)),
+    "weak-bayes-not-applicable": lambda sc: g.bayes_test(sc, g.Prior(0.3), g.LossRatio(20)),
+    "random0-mp-exact": lambda sc: g.solve_mp_test(sc, 0.2),
+    "random1-mp-exact": lambda sc: g.solve_mp_test(sc, 0.05),
+    "random2-bayes": lambda sc: g.bayes_test(sc, g.Prior(0.4), g.LossRatio(2)),
+    "degenerate-mp-randomized": lambda sc: g.solve_mp_test(sc, 0.001),
+    "degenerate-mp-deterministic": lambda sc: g.solve_mp_test(sc, 0.01),
+    "degenerate-bayes": lambda sc: g.bayes_test(sc, g.Prior(0.1), g.LossRatio(5)),
+    "degenerate-bayes-not-applicable": lambda sc: g.bayes_test(sc, g.Prior(0.1), g.LossRatio(1e4)),
+}
+AGREEMENT_SCENARIOS = {
+    "good": good_scenario,
+    "weak": weak_scenario,
+    "random0": lambda: _random(0),
+    "random1": lambda: _random(1),
+    "random2": lambda: _random(2),
+    "degenerate": degenerate_scenario,
+}
+
+
+def _decided_reject_prob(rule, xs):
+    """Reject probability of one count tuple read off mp_decide/bayes_decide."""
+    obs = g.Observation(xs)
+    if isinstance(rule, g.BayesTest):
+        decision = g.bayes_decide(rule, obs)
+    else:
+        decision = g.mp_decide(rule, obs, FixedCoin(0.0))
+    if decision.randomized:
+        return rule.boundary_prob
+    return float(decision.verdict is Verdict.REJECT_H0)
+
+
+def _binomial_mass(xs, counts, probs):
+    return math.prod(math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x, n, q in zip(xs, counts, probs))
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_decide_agrees_with_operating_characteristics(case):
+    sc = AGREEMENT_SCENARIOS[case.split("-")[0]]()
+    rule = AGREEMENT_CASES[case](sc)
+    counts = sc.topology.counts
+    event_probs = sc.derived().alarm_probs
+    normal_probs = (sc.channel.p_w,) * len(counts)
+    type1, power = [], []
+    for xs in itertools.product(*(range(n + 1) for n in counts)):
+        p = _decided_reject_prob(rule, xs)
+        type1.append(p * _binomial_mass(xs, counts, event_probs))
+        power.append(p * _binomial_mass(xs, counts, normal_probs))
+    ops = g.operating_characteristics(rule, sc)
+    assert abs(ops.type1 - math.fsum(type1)) <= 1e-12
+    assert abs(ops.power - math.fsum(power)) <= 1e-12
+    if case.endswith("not-applicable"):
+        assert not rule.applicable and ops == (0.0, 0.0)
+    if case.endswith("never-rejecting"):
+        assert ops == (0.0, 0.0)
+    if case.endswith("randomized") or case.endswith("lowest-atom"):
+        assert 0.0 < rule.boundary_prob < 1.0
+    if case.endswith("deterministic"):
+        assert rule.boundary_prob == 1.0
+    assert rule.degenerate == case.startswith("degenerate")
+
+
 def _vector_masses(sc):
     """Independent per-vector masses from raw Bernoulli products."""
     stats = sc.derived()

@@ -181,6 +181,18 @@ class TestRejections:
             "approx.weights.*expected 3",
         )
 
+    def test_negative_master_seed_named(self):
+        self.reject(
+            GOOD_YAML.replace("master_seed: 7", "master_seed: -1"),
+            "simulation.master_seed.*64-bit",
+        )
+
+    def test_approx_alarm_prob_out_of_range_named(self):
+        self.reject(
+            GOOD_YAML.replace("alarm_probs: [0.8, 0.5, 0.35]", "alarm_probs: [1.5, 0.5, 0.35]"),
+            r"approx.alarm_probs.*out of \[0, 1\]",
+        )
+
     def test_topology_tie_named(self):
         self.reject(
             """
