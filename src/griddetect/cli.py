@@ -58,7 +58,10 @@ def _emit(tables: list[Table], fmt: str, out: Path | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        out.write_text(text)
+        try:
+            out.write_text(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _fail(exc: Exception) -> None:

@@ -7,9 +7,11 @@ cell). The most-powerful rule calibrates an exact size through k; the
 Bayes rule derives t from the prior and the loss ratio and takes k = 0.
 When p_w = 0 both are the same rule on unit weights with t = 0: reject
 only the all-silent observation, with the MP rule's k, or with k = 1 for
-an applicable Bayes rule and k = 0 otherwise. Deciding one observation,
-deciding a block of count tuples and computing the exact error rates all
-go through that (weights, t, k) form.
+an applicable Bayes rule and k = 0 otherwise. That (weights, t, k) form
+gives each count tuple a reject probability, which decides observations.
+An exact error rate is its mass-weighted sum over the count-tuple grid,
+under the event law (type I error) or the normal law (power). Only the
+most-powerful rule builds a score law: the event law it walks to t.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, NamedTuple, Protocol
 
@@ -31,7 +33,10 @@ from .score_dist import (
     ClassAlarmLaw,
     ScoreDistribution,
     atom_tolerance,
+    count_tuples,
     score_distribution,
+    tuple_masses,
+    tuple_scores,
 )
 
 __all__ = [
@@ -150,10 +155,6 @@ class OperatingCharacteristics(NamedTuple):
     power: float
 
 
-def _event_law(scenario: ValidatedScenario) -> ClassAlarmLaw:
-    return ClassAlarmLaw(scenario.topology.counts, scenario.derived().alarm_probs)
-
-
 def _normal_law(scenario: ValidatedScenario) -> ClassAlarmLaw:
     counts = scenario.topology.counts
     return ClassAlarmLaw(counts, (scenario.channel.p_w,) * len(counts))
@@ -170,21 +171,19 @@ def _require_finite_weights(scenario: ValidatedScenario) -> tuple[float, ...]:
     return stats.weights
 
 
-def _walk_to_threshold(dist: ScoreDistribution, size: float) -> tuple[float, float, float, float]:
+def _walk_to_threshold(dist: ScoreDistribution, size: float) -> tuple[float, float, float]:
     """Find the unique atom v with P(X < v) <= size < P(X <= v).
 
-    Returns (threshold, boundary_prob, mass_below, mass_at). The boundary
+    Returns (threshold, boundary_prob, exact size). The boundary
     probability absorbs whatever part of the size the strict region does
-    not reach, so mass_below + boundary_prob * mass_at equals the size.
+    not reach, so P(X < v) + boundary_prob * P(X = v) equals the size.
     """
     below = 0.0
-    for atom in dist.atoms[:-1]:
-        if size < below + atom.prob:
-            return atom.value, (size - below) / atom.prob, below, atom.prob
+    for atom in dist.atoms:
+        if size < below + atom.prob or atom is dist.atoms[-1]:
+            k = min(1.0, max(0.0, (size - below) / atom.prob))
+            return atom.value, k, below + k * atom.prob
         below += atom.prob
-    last = dist.atoms[-1]
-    k = min(1.0, max(0.0, (size - below) / last.prob))
-    return last.value, k, below, last.prob
 
 
 def solve_mp_test(
@@ -213,79 +212,59 @@ def solve_mp_test(
     counts = scenario.topology.counts
     stats = scenario.derived()
 
-    if scenario.channel.silent_when_undetected:
+    degenerate = scenario.channel.silent_when_undetected
+    if degenerate:
         if weights is not None or event_alarm_probs is not None:
             raise DomainError("weight/probability overrides are meaningless when p_w = 0")
         all_silent = math.prod(q**n for q, n in zip(stats.silence_probs, counts))
-        if all_silent <= size:
-            k, exact_size, exact_power = 1.0, all_silent, 1.0
-        else:
-            k = size / all_silent
-            exact_size, exact_power = size, k
-        return MPTest(
-            weights=stats.weights,
-            class_counts=counts,
-            threshold=0.0,
-            boundary_prob=k,
-            requested_size=size,
-            exact_size=exact_size,
-            exact_power=exact_power,
-            degenerate=True,
-        )
-
-    if weights is None:
-        w = _require_finite_weights(scenario)
+        w, threshold = stats.weights, 0.0
+        k, exact_size = (1.0, all_silent) if all_silent <= size else (size / all_silent, size)
     else:
-        w = tuple(float(x) for x in weights)
-    q0 = stats.alarm_probs if event_alarm_probs is None else tuple(event_alarm_probs)
-    h0 = score_distribution(w, ClassAlarmLaw(counts, q0))
-    threshold, k, below, at = _walk_to_threshold(h0, size)
-    h1 = score_distribution(w, _normal_law(scenario))
-    power = h1.prob_below(threshold) + k * h1.prob_at(threshold)
-    return MPTest(
+        w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
+        q0 = stats.alarm_probs if event_alarm_probs is None else tuple(event_alarm_probs)
+        h0 = score_distribution(w, ClassAlarmLaw(counts, q0))
+        threshold, k, exact_size = _walk_to_threshold(h0, size)
+    test = MPTest(
         weights=w,
         class_counts=counts,
         threshold=threshold,
         boundary_prob=k,
         requested_size=size,
-        exact_size=below + k * at,
-        exact_power=power,
+        exact_size=exact_size,
+        exact_power=math.nan,
+        degenerate=degenerate,
     )
-
-
-class _ThresholdRule(NamedTuple):
-    """Reject H0 when the score is below ``threshold``; on it, with probability ``boundary_prob``."""
-
-    weights: tuple[float, ...]
-    threshold: float
-    boundary_prob: float
-
-
-def _threshold_rule(rule: MPTest | BayesTest) -> _ThresholdRule:
-    """The (weights, threshold, boundary coin) form every rule is applied through."""
-    mp = isinstance(rule, MPTest)
-    if rule.degenerate:
-        # p_w = 0: the all-silent tuple is the only one scoring 0 on unit weights
-        k = rule.boundary_prob if mp else float(rule.applicable)
-        return _ThresholdRule((1.0,) * len(rule.class_counts), 0.0, k)
-    return _ThresholdRule(rule.weights, rule.threshold, rule.boundary_prob if mp else 0.0)
+    (power,) = _rejection_rates(test, _normal_law(scenario))
+    return replace(test, exact_power=power)
 
 
 def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray) -> np.ndarray:
     """Per row of an (N, K) array of count tuples: the probability that ``rule`` rejects H0.
 
-    1 below the threshold, the boundary probability within atom tolerance
-    of it, 0 above. Scores are summed class by class, so a row's verdict is
-    the same alone or in a block.
+    Every rule is applied as (weights, threshold t, boundary coin k): 1 for
+    a score below t, k within atom tolerance of t, 0 above, comparing the
+    scores of score_dist.tuple_scores. Bayes rules take k = 0.
     """
-    weights, t, k = _threshold_rule(rule)
-    score = np.zeros(len(counts))
-    for i, w in enumerate(weights):
-        score += w * counts[:, i]
+    mp = isinstance(rule, MPTest)
+    if rule.degenerate:
+        # p_w = 0: the all-silent tuple is the only one scoring 0 on unit weights
+        weights, t = (1.0,) * len(rule.class_counts), 0.0
+        k = rule.boundary_prob if mp else float(rule.applicable)
+    else:
+        weights, t = rule.weights, rule.threshold
+        k = rule.boundary_prob if mp else 0.0
+    score = tuple_scores(weights, counts)
     tol = atom_tolerance(t)
     # a threshold of -inf has infinite tolerance: t - tol is -inf and t + tol
     # nan, so no score rejects
     return np.where(score < t - tol, 1.0, np.where(score <= t + tol, k, 0.0))
+
+
+def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[float]:
+    """P(reject H0) under each law: tuple mass times reject probability, summed over the grid."""
+    grid = count_tuples(rule.class_counts)
+    reject = _reject_probs(rule, grid)
+    return [math.fsum((tuple_masses(law, grid) * reject).tolist()) for law in laws]
 
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:
@@ -376,13 +355,8 @@ def operating_characteristics(
         raise DomainError(
             f"rule was built for class counts {rule.class_counts}, scenario has {counts}"
         )
-    weights, t, k = _threshold_rule(rule)
-    h0 = score_distribution(weights, _event_law(scenario))
-    h1 = score_distribution(weights, _normal_law(scenario))
-    return OperatingCharacteristics(
-        type1=h0.prob_below(t) + k * h0.prob_at(t),
-        power=h1.prob_below(t) + k * h1.prob_at(t),
-    )
+    event = ClassAlarmLaw(counts, scenario.derived().alarm_probs)
+    return OperatingCharacteristics(*_rejection_rates(rule, event, _normal_law(scenario)))
 
 
 def _response_vector_masses(

@@ -40,7 +40,7 @@ from .model import (
     builtin_topology,
     validate,
 )
-from .score_dist import ClassAlarmLaw
+from .score_dist import ClassAlarmLaw, _check_weights
 from .simulator import _check_master_seed
 
 __all__ = ["ScenarioError", "SimulationSettings", "ScenarioFile", "load_scenario", "parse_scenario"]
@@ -260,14 +260,18 @@ def parse_scenario(data: dict) -> ScenarioFile:
         raise ScenarioError(f"topology: {exc}") from exc
 
     n_classes = len(scenario.topology.classes)
-    for name, values in (("approx.weights", approx_weights), ("approx.alarm_probs", approx_alarm_probs)):
-        if values is not None and len(values) != n_classes:
+    for name, values, check in (
+        ("approx.weights", approx_weights, lambda v: _check_weights(v, n_classes)),
+        ("approx.alarm_probs", approx_alarm_probs, lambda v: ClassAlarmLaw(scenario.topology.counts, v)),
+    ):
+        if values is None:
+            continue
+        if len(values) != n_classes:
             raise ScenarioError(f"{name}: expected {n_classes} entries, got {len(values)}")
-    if approx_alarm_probs is not None:
         try:
-            ClassAlarmLaw(scenario.topology.counts, approx_alarm_probs)
+            check(values)
         except DomainError as exc:
-            raise ScenarioError(f"approx.alarm_probs: {exc}") from exc
+            raise ScenarioError(f"{name}: {exc}") from exc
 
     return ScenarioFile(
         scenario=scenario,

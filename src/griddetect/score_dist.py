@@ -2,10 +2,12 @@
 
 The base station sums one weight per alarming sensor, grouped by class:
 X = sum_i w_i * x_i where x_i is the alarm count of class i. Under either
-hypothesis the x_i are independent binomials, so the full distribution is
-a finite list of atoms obtained by enumerating every count tuple. Both
-decision tests reduce to comparing X against a threshold, which makes
-this module the computational core of the package.
+hypothesis the x_i are independent binomials, so every exact quantity is
+a sum over the grid of count tuples: :func:`count_tuples` builds it,
+:func:`tuple_masses` gives each tuple's probability under a law and
+:func:`tuple_scores` its score, the one definition of a score that atoms,
+decision rules and the simulator all compare. :func:`score_distribution`
+sorts the grid by score and merges near-equal scores into atoms.
 """
 
 from __future__ import annotations
@@ -13,17 +15,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .model import DomainError
 
 __all__ = [
     "MERGE_REL_TOL",
     "BRUTE_FORCE_MAX_SENSORS",
+    "MAX_COUNT_TUPLES",
     "atom_tolerance",
     "ClassAlarmLaw",
     "ScoreAtom",
     "ScoreDistribution",
+    "count_tuples",
+    "tuple_scores",
+    "tuple_masses",
     "score_distribution",
     "brute_force_distribution",
 ]
@@ -35,6 +43,9 @@ MERGE_REL_TOL = 1e-9
 
 # 2**n response vectors; keep the exhaustive oracle at desk scale.
 BRUTE_FORCE_MAX_SENSORS = 20
+
+# Rows of the count-tuple grid; about 9x a cell of six classes of six sensors.
+MAX_COUNT_TUPLES = 2**20
 
 
 def atom_tolerance(value: float) -> float:
@@ -106,9 +117,9 @@ class ScoreDistribution:
         return self.atoms[-1].value
 
 
-def _check_weights(weights: tuple[float, ...], law: ClassAlarmLaw) -> None:
-    if len(weights) != len(law.counts):
-        raise DomainError(f"{len(weights)} weights for {len(law.counts)} classes")
+def _check_weights(weights: tuple[float, ...], n_classes: int) -> None:
+    if len(weights) != n_classes:
+        raise DomainError(f"{len(weights)} weights for {n_classes} classes")
     for i, w in enumerate(weights):
         if not math.isfinite(w):
             raise DomainError(f"class {i}: weight must be finite, got {w}")
@@ -116,64 +127,67 @@ def _check_weights(weights: tuple[float, ...], law: ClassAlarmLaw) -> None:
             raise DomainError(f"class {i}: weight must be positive, got {w}")
 
 
-def _assemble(weights: tuple[float, ...], tuple_probs: Mapping[tuple[int, ...], float]) -> ScoreDistribution:
+def count_tuples(counts: Sequence[int]) -> np.ndarray:
+    """(N, K) array of every count tuple with 0 <= x_i <= counts[i], in lexicographic order."""
+    dims = tuple(int(n) + 1 for n in counts)
+    n_tuples = math.prod(dims)
+    if n_tuples > MAX_COUNT_TUPLES:
+        raise DomainError(f"the cell has {n_tuples} count tuples; exact analysis is capped at {MAX_COUNT_TUPLES}")
+    return np.indices(dims, dtype=np.int32).reshape(len(dims), -1).T
+
+
+def tuple_scores(weights: Iterable[float], tuples: np.ndarray) -> np.ndarray:
+    """Score sum(w_i * x_i) of each row of an (N, K) count array, summed class by class."""
+    scores = np.zeros(len(tuples))
+    for i, w in enumerate(weights):
+        scores += w * tuples[:, i]
+    return scores
+
+
+def tuple_masses(law: ClassAlarmLaw, tuples: np.ndarray) -> np.ndarray:
+    """Probability of each row of an (N, K) count array: its binomial masses multiplied in class order."""
+    masses = np.ones(len(tuples))
+    for i, (n, q) in enumerate(zip(law.counts, law.alarm_probs)):
+        pmf = np.array([math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)])
+        masses *= pmf[tuples[:, i]]
+    return masses
+
+
+def _assemble(weights: tuple[float, ...], tuples: np.ndarray, masses: np.ndarray) -> ScoreDistribution:
     """Score each count tuple, sort, and merge near-equal scores into atoms.
 
-    Shared by both enumeration routes so they produce bit-comparable atom
-    values: the score of a tuple is always sum(w*x) over classes.
+    Ties keep the (lexicographic) order of ``tuples``. An atom's value is the
+    score of its first tuple; it takes every later score within tolerance.
     """
     # zero-mass tuples (alarm probabilities of exactly 0 or 1) are not atoms
-    scored = sorted(
-        (math.fsum(w * x for w, x in zip(weights, xs)), xs, p)
-        for xs, p in tuple_probs.items()
-        if p > 0.0
+    positive = masses > 0.0
+    tuples, masses = tuples[positive], masses[positive]
+    scores = tuple_scores(weights, tuples)
+    order = np.argsort(scores, kind="stable")
+    values = scores[order].tolist()
+    probs = masses[order].tolist()
+    support = list(map(tuple, tuples[order].tolist()))
+
+    starts = []
+    for i, value in enumerate(values):
+        if not starts or value - head > atom_tolerance(head):
+            starts.append(i)
+            head = value
+    ends = starts[1:] + [len(values)]
+    return ScoreDistribution(
+        atoms=tuple(
+            ScoreAtom(value=values[a], prob=math.fsum(probs[a:b]), support=tuple(support[a:b]))
+            for a, b in zip(starts, ends)
+        )
     )
-    atoms: list[ScoreAtom] = []
-    group_value = None
-    group_probs: list[float] = []
-    group_support: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        if group_value is not None:
-            atoms.append(
-                ScoreAtom(
-                    value=group_value,
-                    prob=math.fsum(group_probs),
-                    support=tuple(group_support),
-                )
-            )
-
-    for value, xs, p in scored:
-        if group_value is None or value - group_value > atom_tolerance(group_value):
-            flush()
-            group_value = value
-            group_probs = [p]
-            group_support = [xs]
-        else:
-            group_probs.append(p)
-            group_support.append(xs)
-    flush()
-    return ScoreDistribution(atoms=tuple(atoms))
 
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
-    """Exact score distribution via per-class binomial enumeration.
-
-    Enumerates all prod(counts[i] + 1) count tuples; each tuple's
-    probability is the product of binomial masses.
-    """
+    """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
-    _check_weights(weights, law)
-    pmfs = []
-    for n, q in zip(law.counts, law.alarm_probs):
-        pmfs.append([math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)])
-    tuple_probs: dict[tuple[int, ...], float] = {}
-    for xs in itertools.product(*[range(n + 1) for n in law.counts]):
-        p = 1.0
-        for i, x in enumerate(xs):
-            p *= pmfs[i][x]
-        tuple_probs[xs] = p
-    return _assemble(weights, tuple_probs)
+    _check_weights(weights, len(law.counts))
+    tuples = count_tuples(law.counts)
+    return _assemble(weights, tuples, tuple_masses(law, tuples))
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
@@ -184,7 +198,7 @@ def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> Sc
     closed form. Must match :func:`score_distribution` atom for atom.
     """
     weights = tuple(float(w) for w in weights)
-    _check_weights(weights, law)
+    _check_weights(weights, len(law.counts))
     total = law.total_count
     if total > BRUTE_FORCE_MAX_SENSORS:
         raise DomainError(
@@ -203,4 +217,5 @@ def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> Sc
             xs[sensor_class[j]] += b
         key = tuple(xs)
         tuple_probs[key] = tuple_probs.get(key, 0.0) + p
-    return _assemble(weights, tuple_probs)
+    keys = sorted(tuple_probs)
+    return _assemble(weights, np.array(keys), np.array([tuple_probs[key] for key in keys]))

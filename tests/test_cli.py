@@ -264,6 +264,38 @@ class TestEstimateCommand:
         assert len(result.output.strip().splitlines()) == 1
 
 
+class TestInvalidInputs:
+    def assert_one_error_line(self, result, text):
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ") and text in result.output
+        assert len(result.output.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["bayes", "mp", "dist"])
+    def test_oversized_cell(self, runner, tmp_path, command):
+        path = tmp_path / "huge.yaml"
+        path.write_text(
+            "schema: 1\n"
+            "channel: {p_c: 0.9, p_w: 0.1}\n"
+            "topology:\n"
+            "  kind: custom\n"
+            "  classes:\n"
+            "    - {label: far, count: 100000000000000000000, p_detect: 0.9}\n"
+            "    - {label: near, count: 2, p_detect: 0.4}\n"
+            "prior: {p_e: [0.1]}\n"
+            "loss_ratio: [5]\n"
+            "sizes: [0.1]\n"
+        )
+        result = runner.invoke(main, [command, "--scenario", str(path)])
+        self.assert_one_error_line(result, "count tuples")
+
+    def test_out_into_missing_directory(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.txt"
+        result = runner.invoke(main, ["mp", "--scenario", GOOD, "--out", str(out)])
+        self.assert_one_error_line(result, str(out))
+        assert not out.exists()
+
+
 class TestTextRendering:
     def test_text_mode_aligns_and_writes_out(self, runner, tmp_path):
         out = tmp_path / "mp.txt"

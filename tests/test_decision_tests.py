@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import griddetect as g
 from griddetect import DomainError, Verdict
+from griddetect.score_dist import tuple_scores
 
 from cases import (
     FixedCoin,
@@ -344,6 +346,37 @@ def test_decide_agrees_with_operating_characteristics(case):
     if case.endswith("deterministic"):
         assert rule.boundary_prob == 1.0
     assert rule.degenerate == case.startswith("degenerate")
+
+
+# (scenario, weight overrides, size) for MP rules whose boundary coin is live
+BOUNDARY_CASES = {
+    "good-exact": (good_scenario, {}, 0.07),
+    "good-approx": (good_scenario, GOOD_APPROX, 0.10),
+    "weak-exact": (weak_scenario, {}, 0.025),
+    "weak-approx": (weak_scenario, WEAK_APPROX, 0.01),
+    "random3": (lambda: _random(3), {}, 0.1),
+    "random4": (lambda: _random(4), {}, 0.2),
+    "random5": (lambda: _random(5), {}, 0.03),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_boundary_atom_is_the_coin_set(case):
+    make, overrides, size = BOUNDARY_CASES[case]
+    sc = make()
+    rule = g.solve_mp_test(sc, size, **overrides)
+    assert 0.0 < rule.boundary_prob < 1.0
+    counts = sc.topology.counts
+    q0 = overrides.get("event_alarm_probs", sc.derived().alarm_probs)
+    dist = g.score_distribution(rule.weights, g.ClassAlarmLaw(counts, q0))
+    coin_tuples = {
+        xs for xs in itertools.product(*(range(n + 1) for n in counts))
+        if g.mp_decide(rule, g.Observation(xs), FixedCoin(0.5)).randomized
+    }
+    (atom,) = [a for a in dist.atoms if a.value == rule.threshold]
+    assert coin_tuples == set(atom.support)
+    for a in dist.atoms:
+        assert a.value == tuple_scores(rule.weights, np.array([a.support[0]]))[0]
 
 
 def _vector_masses(sc):

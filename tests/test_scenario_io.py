@@ -193,6 +193,18 @@ class TestRejections:
             r"approx.alarm_probs.*out of \[0, 1\]",
         )
 
+    def test_zero_approx_weight_named(self):
+        self.reject(
+            GOOD_YAML.replace("weights: [5, 3, 2]", "weights: [5, 0, 2]"),
+            "approx.weights.*class 1.*positive",
+        )
+
+    def test_non_finite_approx_weight_named(self):
+        self.reject(
+            GOOD_YAML.replace("weights: [5, 3, 2]", "weights: [5, .inf, 2]"),
+            "approx.weights.*class 1.*finite",
+        )
+
     def test_topology_tie_named(self):
         self.reject(
             """

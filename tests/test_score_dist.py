@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 import griddetect as g
 from griddetect import DomainError
-from griddetect.score_dist import atom_tolerance
+from griddetect.score_dist import MAX_COUNT_TUPLES, atom_tolerance, count_tuples
 
 from cases import (
     GOOD_CHANNEL,
@@ -78,6 +79,22 @@ class TestScoreDistribution:
             g.ClassAlarmLaw((1,), (1.5,))
         with pytest.raises(DomainError):
             g.ClassAlarmLaw((1, 1), (0.5,))
+
+
+class TestCountTupleGrid:
+    def test_lexicographic_grid(self):
+        grid = count_tuples((1, 2, 3))
+        assert grid.shape == (24, 3)
+        assert [tuple(row) for row in grid.tolist()] == list(itertools.product(range(2), range(3), range(4)))
+
+    def test_grid_cap(self):
+        assert len(count_tuples((MAX_COUNT_TUPLES - 1,))) == MAX_COUNT_TUPLES
+        with pytest.raises(DomainError, match=f"{MAX_COUNT_TUPLES + 1} count tuples"):
+            count_tuples((MAX_COUNT_TUPLES,))
+        # a class count far past float range fails on the cap, not on the binomial masses
+        law = g.ClassAlarmLaw((10**20, 2), (0.5, 0.5))
+        with pytest.raises(DomainError, match=f"{3 * (10**20 + 1)} count tuples"):
+            g.score_distribution((1.0, 1.0), law)
 
 
 class TestBruteForceOracle:
