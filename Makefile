@@ -6,13 +6,17 @@ WEAK = scenarios/weak_network.yaml
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 GRIDDETECT = $(RUN) -m griddetect.cli
 
-.PHONY: install test acceptance reproduce clean
+.PHONY: install test check acceptance reproduce clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
 	$(RUN) -m pytest -q
+
+# Tier-1 tests, then the byte-identity check of the simulation tables in out/.
+check: test
+	$(RUN) bench/run.py --golden-sim
 
 acceptance:
 	$(RUN) -m pytest tests/test_acceptance.py -v -s

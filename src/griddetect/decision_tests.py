@@ -178,12 +178,13 @@ def _walk_to_threshold(dist: ScoreDistribution, size: float) -> tuple[float, flo
     probability absorbs whatever part of the size the strict region does
     not reach, so P(X < v) + boundary_prob * P(X = v) equals the size.
     """
-    below = 0.0
-    for atom in dist.atoms:
-        if size < below + atom.prob or atom is dist.atoms[-1]:
-            k = min(1.0, max(0.0, (size - below) / atom.prob))
-            return atom.value, k, below + k * atom.prob
-        below += atom.prob
+    # cumsum adds the masses one by one, so cum[i] is P(X < v_i) + P(X = v_i)
+    # rounded as a running sum rounds it
+    cum = np.cumsum(dist.probs)
+    i = min(int(np.searchsorted(cum, size, side="right")), len(cum) - 1)
+    below, prob = (float(cum[i - 1]) if i else 0.0), float(dist.probs[i])
+    k = min(1.0, max(0.0, (size - below) / prob))
+    return float(dist.values[i]), k, below + k * prob
 
 
 def solve_mp_test(
@@ -264,6 +265,8 @@ def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[flo
     """P(reject H0) under each law: tuple mass times reject probability, summed over the grid."""
     grid = count_tuples(rule.class_counts)
     reject = _reject_probs(rule, grid)
+    # tuples never rejected would add zero terms, which leave the fsum as it is
+    grid, reject = grid[reject > 0.0], reject[reject > 0.0]
     return [math.fsum((tuple_masses(law, grid) * reject).tolist()) for law in laws]
 
 

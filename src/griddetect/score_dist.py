@@ -7,11 +7,15 @@ a sum over the grid of count tuples: :func:`count_tuples` builds it,
 :func:`tuple_masses` gives each tuple's probability under a law and
 :func:`tuple_scores` its score, the one definition of a score that atoms,
 decision rules and the simulator all compare. :func:`score_distribution`
-sorts the grid by score and merges near-equal scores into atoms.
+sorts the grid by score and merges near-equal scores into atoms, held as
+arrays: atom values and masses, the sorted tuples and each atom's first
+row. ``ScoreAtom`` objects with their count tuples are built on request.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -89,32 +93,49 @@ class ScoreAtom:
     support: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreDistribution:
-    """Sorted atoms of the score; probabilities sum to one."""
+    """Atoms of the score in ascending order; probabilities sum to one.
 
-    atoms: tuple[ScoreAtom, ...]
+    Atom i has value ``values[i]`` and mass ``probs[i]``; its count tuples
+    are ``tuples[starts[i]:starts[i + 1]]``, the tuples sorted by score.
+    """
+
+    values: np.ndarray
+    probs: np.ndarray
+    tuples: np.ndarray
+    starts: np.ndarray
+
+    @functools.cached_property
+    def atoms(self) -> tuple[ScoreAtom, ...]:
+        """The atoms with their count tuples, built on first use."""
+        support = list(map(tuple, self.tuples.tolist()))
+        bounds = [*self.starts.tolist(), len(support)]
+        return tuple(
+            ScoreAtom(value=v, prob=p, support=tuple(support[a:b]))
+            for v, p, a, b in zip(self.values.tolist(), self.probs.tolist(), bounds, bounds[1:])
+        )
 
     def prob_below(self, value: float) -> float:
         """P(X < value), counting atoms within tolerance of ``value`` as equal, not below."""
         cut = value - atom_tolerance(value)
-        return math.fsum(a.prob for a in self.atoms if a.value < cut)
+        return math.fsum(self.probs[self.values < cut].tolist())
 
     def prob_at(self, value: float) -> float:
         """Mass of the atom matching ``value`` within tolerance, else 0 (also for value = -inf)."""
         tol = atom_tolerance(value)
-        return math.fsum(a.prob for a in self.atoms if value - tol <= a.value <= value + tol)
+        return math.fsum(self.probs[(value - tol <= self.values) & (self.values <= value + tol)].tolist())
 
     def mean(self) -> float:
-        return math.fsum(a.value * a.prob for a in self.atoms)
+        return math.fsum((self.values * self.probs).tolist())
 
     @property
     def min_value(self) -> float:
-        return self.atoms[0].value
+        return float(self.values[0])
 
     @property
     def max_value(self) -> float:
-        return self.atoms[-1].value
+        return float(self.values[-1])
 
 
 def _check_weights(weights: tuple[float, ...], n_classes: int) -> None:
@@ -157,29 +178,39 @@ def _assemble(weights: tuple[float, ...], tuples: np.ndarray, masses: np.ndarray
     """Score each count tuple, sort, and merge near-equal scores into atoms.
 
     Ties keep the (lexicographic) order of ``tuples``. An atom's value is the
-    score of its first tuple; it takes every later score within tolerance.
+    score of its first tuple, its head; it takes every later score within
+    tolerance of the head, and its mass is the fsum of their masses.
     """
     # zero-mass tuples (alarm probabilities of exactly 0 or 1) are not atoms
     positive = masses > 0.0
     tuples, masses = tuples[positive], masses[positive]
     scores = tuple_scores(weights, tuples)
     order = np.argsort(scores, kind="stable")
-    values = scores[order].tolist()
-    probs = masses[order].tolist()
-    support = list(map(tuple, tuples[order].tolist()))
+    tuples, scores, masses = tuples[order], scores[order], masses[order]
 
-    starts = []
-    for i, value in enumerate(values):
-        if not starts or value - head > atom_tolerance(head):
-            starts.append(i)
-            head = value
-    ends = starts[1:] + [len(values)]
-    return ScoreDistribution(
-        atoms=tuple(
-            ScoreAtom(value=values[a], prob=math.fsum(probs[a:b]), support=tuple(support[a:b]))
-            for a, b in zip(starts, ends)
-        )
-    )
+    # Scores are >= 0, so no head has a wider tolerance than a later score: a
+    # gap wider than the tolerance of the score before it starts an atom. A
+    # run between such gaps is one atom unless its last score is out of its
+    # first's tolerance; only those runs are split, one bisection per atom.
+    tol = MERGE_REL_TOL * np.maximum(1.0, scores)
+    runs = np.r_[0, np.flatnonzero(np.diff(scores) > tol[:-1]) + 1]
+    ends = np.r_[runs[1:], len(scores)]
+    chained = scores[ends - 1] - scores[runs] > tol[runs]
+    heads = []
+    for head, end in zip(runs[chained].tolist(), ends[chained].tolist()):
+        while True:
+            h = float(scores[head])
+            head = bisect.bisect_right(scores, atom_tolerance(h), head + 1, end, key=lambda v: v - h)
+            if head == end:
+                break
+            heads.append(head)
+    starts = np.sort(np.r_[runs, heads]) if heads else runs
+
+    probs = masses[starts]
+    bounds = np.r_[starts, len(scores)]
+    for i in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        probs[i] = math.fsum(masses[bounds[i] : bounds[i + 1]].tolist())
+    return ScoreDistribution(values=scores[starts], probs=probs, tuples=tuples, starts=starts)
 
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:

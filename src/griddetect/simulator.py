@@ -48,6 +48,7 @@ from .model import DomainError, Prior, ValidatedScenario
 
 __all__ = [
     "GENERATOR_NAME",
+    "MAX_TRIAL_DRAWS",
     "Truth",
     "TrialOutcome",
     "ClassSimStats",
@@ -66,6 +67,10 @@ GENERATOR_NAME = "pcg64/per-trial-seedseq"
 
 # Trials per block in run_trials; keeps a block's arrays to a few MB.
 _CHUNK = 4096
+
+# Uniforms per trial (1 + 2 * sensors + tests). A 4096-trial block needs
+# about 0.35 MB per draw, so about 220 MB at the cap.
+MAX_TRIAL_DRAWS = 640
 
 TestSpec = tuple[str, MPTest | BayesTest]
 
@@ -290,12 +295,19 @@ def run_trials(
     report is a pure function of its arguments and single trials can be
     replayed in isolation with simulate_trial. Trials are computed in
     blocks of _CHUNK indices; the counts are the same as a trial-by-trial
-    run.
+    run. A cell whose trials take more than MAX_TRIAL_DRAWS uniforms each
+    is refused.
     """
     if int(n_trials) != n_trials or n_trials < 1:
         raise DomainError(f"n_trials must be a positive integer, got {n_trials}")
     n_trials = int(n_trials)
     master_seed = _check_master_seed(master_seed)
+    n_sensors = scenario.topology.total_count
+    if 1 + 2 * n_sensors + len(tests) > MAX_TRIAL_DRAWS:
+        raise DomainError(
+            f"the cell has {n_sensors} sensors; simulation is capped at {MAX_TRIAL_DRAWS} "
+            "draws per trial (1 + 2 * sensors + tests)"
+        )
 
     totals = None
     for start in range(0, n_trials, _CHUNK):

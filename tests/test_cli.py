@@ -289,6 +289,23 @@ class TestInvalidInputs:
         result = runner.invoke(main, [command, "--scenario", str(path)])
         self.assert_one_error_line(result, "count tuples")
 
+    def test_oversized_simulation(self, runner, tmp_path):
+        # Bayes rules only, so no count-tuple grid is built before the trials
+        path = tmp_path / "huge.yaml"
+        path.write_text(
+            "schema: 1\n"
+            "channel: {p_c: 0.9, p_w: 0.1}\n"
+            "topology:\n"
+            "  kind: custom\n"
+            "  classes:\n"
+            "    - {label: far, count: 100000000000000000000, p_detect: 0.9}\n"
+            "    - {label: near, count: 2, p_detect: 0.4}\n"
+            "prior: {p_e: [0.1]}\n"
+            "loss_ratio: [5]\n"
+        )
+        result = runner.invoke(main, ["simulate", "--scenario", str(path)])
+        self.assert_one_error_line(result, "100000000000000000002 sensors")
+
     def test_out_into_missing_directory(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.txt"
         result = runner.invoke(main, ["mp", "--scenario", GOOD, "--out", str(out)])

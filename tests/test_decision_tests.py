@@ -57,6 +57,11 @@ def approx_named(name):
     return GOOD_APPROX if name == "good" else WEAK_APPROX
 
 
+def _event_law(sc):
+    stats = sc.derived()
+    return g.score_distribution(stats.weights, g.ClassAlarmLaw(sc.topology.counts, stats.alarm_probs))
+
+
 class TestSolveMPTest:
     @pytest.mark.parametrize("name,size", sorted(TABLE3))
     def test_frozen_approximate_rules(self, name, size):
@@ -85,6 +90,35 @@ class TestSolveMPTest:
             size = rng.uniform(0.001, 0.999)
             test = g.solve_mp_test(sc, size)
             assert test.exact_size == pytest.approx(size, abs=1e-12)
+
+    def test_size_on_a_cumulative_mass_takes_the_next_atom(self):
+        # size = P(X <= v_i), summed atom by atom: the rule rejects every atom
+        # up to v_i and none of v_{i+1}
+        sc = good_scenario()
+        h0 = _event_law(sc)
+        values = [a.value for a in h0.atoms]
+        cumulative = list(itertools.accumulate(a.prob for a in h0.atoms))
+        sizes = [(i, c) for i, c in enumerate(cumulative) if 0.0 < c < 1.0]
+        assert len(sizes) > 40
+        for i, size in sizes:
+            test = g.solve_mp_test(sc, size)
+            assert (test.threshold, test.boundary_prob, test.exact_size) == (values[i + 1], 0.0, size)
+
+    def test_walk_matches_running_sum(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            sc = random_scenario(rng)
+            size = rng.uniform(0.001, 0.999)
+            h0 = _event_law(sc)
+            below = 0.0
+            for atom in h0.atoms:
+                if size < below + atom.prob or atom is h0.atoms[-1]:
+                    k = min(1.0, max(0.0, (size - below) / atom.prob))
+                    break
+                below += atom.prob
+            test = g.solve_mp_test(sc, size)
+            expected = (atom.value, k, below + k * atom.prob)
+            assert (test.threshold, test.boundary_prob, test.exact_size) == expected
 
     def test_tiny_size_lands_on_lowest_atom(self):
         sc = weak_scenario()

@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import griddetect as g
 from griddetect import DomainError
-from griddetect.score_dist import MAX_COUNT_TUPLES, atom_tolerance, count_tuples
+from griddetect.score_dist import MAX_COUNT_TUPLES, _assemble, atom_tolerance, count_tuples
 
 from cases import (
     GOOD_CHANNEL,
@@ -55,6 +56,14 @@ class TestScoreDistribution:
         for a, b in zip(dist.atoms, dist.atoms[1:]):
             assert b.value - a.value > atom_tolerance(a.value)
 
+    def test_atoms_merge_against_their_first_score(self):
+        # consecutive scores are 6e-10 apart, within tolerance of each other,
+        # but the third is 1.2e-9 past the atom's first score
+        law = g.ClassAlarmLaw((1, 1, 1), (0.3, 0.4, 0.5))
+        dist = g.score_distribution((1.0, 1.0 + 6e-10, 1.0 + 1.2e-9), law)
+        merged = [(a.value, set(a.support)) for a in dist.atoms if 0.0 < a.value < 2.0]
+        assert merged == [(1.0, {(1, 0, 0), (0, 1, 0)}), (1.0 + 1.2e-9, {(0, 0, 1)})]
+
     def test_prob_below_edges(self):
         dist = g.score_distribution(TABLE3_FEED["weights"], TABLE3_FEED["law"])
         assert dist.prob_below(-1.0) == 0.0
@@ -95,6 +104,36 @@ class TestCountTupleGrid:
         law = g.ClassAlarmLaw((10**20, 2), (0.5, 0.5))
         with pytest.raises(DomainError, match=f"{3 * (10**20 + 1)} count tuples"):
             g.score_distribution((1.0, 1.0), law)
+
+
+def _sequential_atoms(values, masses):
+    """Reference merge, one sorted score at a time: a score joins the current
+    atom while it is within tolerance of that atom's first score."""
+    atoms = []
+    for v, m in zip(values, masses):
+        if atoms and v - atoms[-1][0] <= atom_tolerance(atoms[-1][0]):
+            atoms[-1][1].append(m)
+        else:
+            atoms.append((v, [m]))
+    return [(v, math.fsum(ms)) for v, ms in atoms]
+
+
+class TestAtomMerge:
+    def test_matches_sequential_merge(self):
+        # gaps around the tolerance make runs of near-equal scores that
+        # drift past their first score
+        rng = np.random.default_rng(3)
+        gaps = [0.0, 1e-10, 3e-10, 5e-10, 9.99e-10, 1e-9, 2e-9, 1e-3, 1.0]
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            scale = 10.0 ** int(rng.integers(-2, 7))
+            values = rng.permutation(np.cumsum(rng.choice(gaps, size=n) * max(1.0, scale)) + scale)
+            masses = rng.random(n) + 0.01
+            # row i of the identity scores weight i, so the scores are the values
+            dist = _assemble(tuple(values.tolist()), np.eye(n, dtype=np.int32), masses)
+            order = np.argsort(values, kind="stable")
+            want = _sequential_atoms(values[order].tolist(), masses[order].tolist())
+            assert list(zip(dist.values.tolist(), dist.probs.tolist())) == want
 
 
 class TestBruteForceOracle:

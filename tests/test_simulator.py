@@ -5,7 +5,7 @@ import pytest
 
 import griddetect as g
 from griddetect import DomainError, Truth, _streams
-from griddetect.simulator import _CHUNK, GENERATOR_NAME, trial_rng
+from griddetect.simulator import _CHUNK, GENERATOR_NAME, MAX_TRIAL_DRAWS, trial_rng
 
 from cases import GOOD_APPROX, degenerate_scenario, good_scenario, weak_scenario
 
@@ -198,6 +198,17 @@ class TestRunTrials:
         accept_event, _, reject_normal, _ = replayed[4][0]
         assert accept_event > 0 and reject_normal > 0  # both verdicts occur
         assert _report_counts(g.run_trials(sc, prior, tests, 40, 5)) == replayed
+
+    def test_draw_cap(self):
+        # 319 sensors and one test take exactly MAX_TRIAL_DRAWS uniforms per trial
+        topology = g.builtin_topology("custom", [0.9, 0.5, 0.2], counts=[107, 106, 106])
+        sc = g.validate(g.ChannelModel(0.9, 0.1), topology)
+        prior = g.Prior(0.5)
+        tests = [("bayes l=1", g.bayes_test(sc, prior, g.LossRatio(1)))]
+        assert 1 + 2 * 319 + len(tests) == MAX_TRIAL_DRAWS
+        assert g.run_trials(sc, prior, tests, 3, 5).n_trials == 3
+        with pytest.raises(DomainError, match="319 sensors"):
+            g.run_trials(sc, prior, tests * 2, 3, 5)
 
     def test_bookkeeping(self):
         sc = weak_scenario()
