@@ -2,7 +2,9 @@
 
 Every command reads one scenario file (see scenario_io for the schema),
 writes its table(s) to stdout or --out in text or CSV form, and exits 0
-on success. Diagnostics go to stderr with a nonzero exit code.
+on success. Invalid input (a DomainError from any layer) prints one
+``error: ...`` line on stderr and exits 1; a click usage error exits 2.
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -64,12 +66,19 @@ def _emit(tables: list[Table], fmt: str, out: Path | None) -> None:
             raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+class _Commands(click.Group):
+    """The command group: the one place a DomainError becomes ``error: ...`` and exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            message = " ".join(filter(None, (line.strip() for line in str(exc).splitlines())))
+            click.echo(f"error: {message}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="griddetect")
 def main() -> None:
     """Exact decision tests and simulation for sensor-grid event detection."""
@@ -81,31 +90,28 @@ def main() -> None:
 @_OUT
 def cmd_errors(scenario_path: Path, fmt: str, out: Path | None) -> None:
     """Per-sensor error probabilities and posteriors over the prior sweep."""
-    try:
-        sf = load_scenario(scenario_path)
-        rows = []
-        for prior in sf.priors():
-            report = node_error_report(sf.scenario, prior)
-            for i, label in enumerate(report.labels):
-                rows.append(
-                    (
-                        prior.event_prob,
-                        label,
-                        report.type1[i],
-                        report.type2[i],
-                        report.event_given_silent[i],
-                        report.normal_given_alarm[i],
-                    )
+    sf = load_scenario(scenario_path)
+    rows = []
+    for prior in sf.priors():
+        report = node_error_report(sf.scenario, prior)
+        for i, label in enumerate(report.labels):
+            rows.append(
+                (
+                    prior.event_prob,
+                    label,
+                    report.type1[i],
+                    report.type2[i],
+                    report.event_given_silent[i],
+                    report.normal_given_alarm[i],
                 )
-        table = Table(
-            title="node-errors",
-            columns=("p_e", "class", "type1_silent_given_event", "type2_alarm_given_normal",
-                     "event_given_silent", "normal_given_alarm"),
-            rows=tuple(rows),
-        )
-        _emit([table], fmt, out)
-    except DomainError as exc:
-        _fail(exc)
+            )
+    table = Table(
+        title="node-errors",
+        columns=("p_e", "class", "type1_silent_given_event", "type2_alarm_given_normal",
+                 "event_given_silent", "normal_given_alarm"),
+        rows=tuple(rows),
+    )
+    _emit([table], fmt, out)
 
 
 @main.command("bayes")
@@ -114,29 +120,26 @@ def cmd_errors(scenario_path: Path, fmt: str, out: Path | None) -> None:
 @_OUT
 def cmd_bayes(scenario_path: Path, fmt: str, out: Path | None) -> None:
     """Bayes rules for every (prior, loss ratio) pair in the scenario."""
-    try:
-        sf = load_scenario(scenario_path)
-        k = len(sf.scenario.topology.classes)
-        rows = []
-        for prior in sf.priors():
-            for l in sf.loss_ratios:
-                test = bayes_test(sf.scenario, prior, LossRatio(l))
-                ops = operating_characteristics(test, sf.scenario)
-                rows.append(
-                    (prior.event_prob, l)
-                    + tuple(test.weights)
-                    + (test.threshold, test.applicable, ops.type1, ops.power)
-                )
-        table = Table(
-            title="bayes-tests",
-            columns=("p_e", "loss_ratio")
-            + tuple(f"weight_{i + 1}" for i in range(k))
-            + ("threshold", "applicable", "exact_type1", "exact_power"),
-            rows=tuple(rows),
-        )
-        _emit([table], fmt, out)
-    except DomainError as exc:
-        _fail(exc)
+    sf = load_scenario(scenario_path)
+    k = len(sf.scenario.topology.classes)
+    rows = []
+    for prior in sf.priors():
+        for l in sf.loss_ratios:
+            test = bayes_test(sf.scenario, prior, LossRatio(l))
+            ops = operating_characteristics(test, sf.scenario)
+            rows.append(
+                (prior.event_prob, l)
+                + tuple(test.weights)
+                + (test.threshold, test.applicable, ops.type1, ops.power)
+            )
+    table = Table(
+        title="bayes-tests",
+        columns=("p_e", "loss_ratio")
+        + tuple(f"weight_{i + 1}" for i in range(k))
+        + ("threshold", "applicable", "exact_type1", "exact_power"),
+        rows=tuple(rows),
+    )
+    _emit([table], fmt, out)
 
 
 @main.command("mp")
@@ -150,38 +153,35 @@ def cmd_mp(
     scenario_path: Path, fmt: str, out: Path | None, weight_mode: str | None, sizes_arg: str | None
 ) -> None:
     """Most-powerful tests for each size; alpha column shows 1 - size."""
-    try:
-        sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
-        sizes = sf.sizes
-        if sizes_arg is not None:
-            try:
-                sizes = tuple(float(s) for s in sizes_arg.split(","))
-            except ValueError:
-                raise DomainError(f"--sizes must be comma-separated numbers, got {sizes_arg!r}") from None
-        if not sizes:
-            raise DomainError("no test sizes given (scenario sizes: or --sizes)")
-        k = len(sf.scenario.topology.classes)
-        rows = []
-        for size in sizes:
-            test = solve_mp_test(sf.scenario, size, **sf.mp_overrides())
-            ops = operating_characteristics(test, sf.scenario)
-            rows.append(
-                (1.0 - size, size)
-                + tuple(test.weights)
-                + (test.threshold, test.boundary_prob, test.exact_size,
-                   test.exact_power, ops.type1, ops.power)
-            )
-        table = Table(
-            title=f"mp-tests ({sf.weight_mode})",
-            columns=("alpha_printed", "size")
-            + tuple(f"weight_{i + 1}" for i in range(k))
-            + ("threshold", "boundary_prob", "solved_size", "solved_power",
-               "true_type1", "true_power"),
-            rows=tuple(rows),
+    sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
+    sizes = sf.sizes
+    if sizes_arg is not None:
+        try:
+            sizes = tuple(float(s) for s in sizes_arg.split(","))
+        except ValueError:
+            raise DomainError(f"--sizes must be comma-separated numbers, got {sizes_arg!r}") from None
+    if not sizes:
+        raise DomainError("no test sizes given (scenario sizes: or --sizes)")
+    k = len(sf.scenario.topology.classes)
+    rows = []
+    for size in sizes:
+        test = solve_mp_test(sf.scenario, size, **sf.mp_overrides())
+        ops = operating_characteristics(test, sf.scenario)
+        rows.append(
+            (1.0 - size, size)
+            + tuple(test.weights)
+            + (test.threshold, test.boundary_prob, test.exact_size,
+               test.exact_power, ops.type1, ops.power)
         )
-        _emit([table], fmt, out)
-    except DomainError as exc:
-        _fail(exc)
+    table = Table(
+        title=f"mp-tests ({sf.weight_mode})",
+        columns=("alpha_printed", "size")
+        + tuple(f"weight_{i + 1}" for i in range(k))
+        + ("threshold", "boundary_prob", "solved_size", "solved_power",
+           "true_type1", "true_power"),
+        rows=tuple(rows),
+    )
+    _emit([table], fmt, out)
 
 
 @main.command("dist")
@@ -195,28 +195,25 @@ def cmd_dist(
     scenario_path: Path, fmt: str, out: Path | None, weight_mode: str | None, under: str
 ) -> None:
     """Dump the exact score distribution for debugging."""
-    try:
-        sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
-        stats = sf.scenario.derived()
-        counts = sf.scenario.topology.counts
-        overrides = sf.mp_overrides()
-        weights = overrides.get("weights") or stats.weights
-        q_event = overrides.get("event_alarm_probs") or stats.alarm_probs
-        q = q_event if under == "event" else (sf.scenario.channel.p_w,) * len(counts)
-        dist = score_distribution(weights, ClassAlarmLaw(counts, q))
-        rows = []
-        cum = 0.0
-        for atom in dist.atoms:
-            cum += atom.prob
-            rows.append((atom.value, atom.prob, cum, len(atom.support)))
-        table = Table(
-            title=f"score-distribution under {under} ({sf.weight_mode})",
-            columns=("value", "prob", "cumulative", "n_count_tuples"),
-            rows=tuple(rows),
-        )
-        _emit([table], fmt, out)
-    except DomainError as exc:
-        _fail(exc)
+    sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
+    stats = sf.scenario.derived()
+    counts = sf.scenario.topology.counts
+    overrides = sf.mp_overrides()
+    weights = overrides.get("weights") or stats.weights
+    q_event = overrides.get("event_alarm_probs") or stats.alarm_probs
+    q = q_event if under == "event" else (sf.scenario.channel.p_w,) * len(counts)
+    dist = score_distribution(weights, ClassAlarmLaw(counts, q))
+    rows = []
+    cum = 0.0
+    for atom in dist.atoms:
+        cum += atom.prob
+        rows.append((atom.value, atom.prob, cum, len(atom.support)))
+    table = Table(
+        title=f"score-distribution under {under} ({sf.weight_mode})",
+        columns=("value", "prob", "cumulative", "n_count_tuples"),
+        rows=tuple(rows),
+    )
+    _emit([table], fmt, out)
 
 
 def _sim_tests(sf: ScenarioFile, prior: Prior) -> list[tuple[str, MPTest | BayesTest]]:
@@ -242,50 +239,47 @@ def cmd_simulate(
     trials: int | None, seed: int | None,
 ) -> None:
     """Monte Carlo runs per prior with empirical vs exact columns."""
-    try:
-        sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
-        if not sf.event_priors:
-            raise DomainError("simulation needs a prior sweep (prior.p_e)")
-        n_trials = trials if trials is not None else sf.simulation.n_trials
-        master_seed = seed if seed is not None else sf.simulation.master_seed
-        rows = []
-        for prior in sf.priors():
-            tests = _sim_tests(sf, prior)
-            report = run_trials(sf.scenario, prior, tests, n_trials, master_seed)
-            errors = node_error_report(sf.scenario, prior)
-            for i, cs in enumerate(report.class_stats):
-                for stat, emp, exact, num, denom in (
-                    ("silent_given_event", cs.silence_rate_event, errors.type1[i],
-                     cs.n_event_silent, cs.n_event_records),
-                    ("event_given_silent", cs.event_given_silent, errors.event_given_silent[i],
-                     cs.n_first_silent_event, cs.n_first_silent),
-                    ("normal_given_alarm", cs.normal_given_alarm, errors.normal_given_alarm[i],
-                     cs.n_first_alarm_normal, cs.n_first_alarm),
-                ):
-                    rows.append((prior.event_prob, stat, cs.label, emp, exact,
-                                 abs(emp - exact), num, denom))
-            for (name, test), ts in zip(tests, report.test_stats):
-                ops = operating_characteristics(test, sf.scenario)
-                rows.append((prior.event_prob, "accept_given_event", name,
-                             ts.accept_given_event, 1.0 - ops.type1,
-                             abs(ts.accept_given_event - (1.0 - ops.type1)),
-                             ts.n_accept_event, ts.n_event))
-                rows.append((prior.event_prob, "reject_given_normal", name,
-                             ts.reject_given_normal, ops.power,
-                             abs(ts.reject_given_normal - ops.power),
-                             ts.n_reject_normal, ts.n_normal))
-        table = Table(
-            title=(
-                f"simulation n_trials={n_trials} master_seed={master_seed} "
-                f"rng={GENERATOR_NAME} weights={sf.weight_mode}"
-            ),
-            columns=("p_e", "statistic", "target", "empirical", "exact",
-                     "abs_delta", "numerator", "denominator"),
-            rows=tuple(rows),
-        )
-        _emit([table], fmt, out)
-    except DomainError as exc:
-        _fail(exc)
+    sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
+    if not sf.event_priors:
+        raise DomainError("simulation needs a prior sweep (prior.p_e)")
+    n_trials = trials if trials is not None else sf.simulation.n_trials
+    master_seed = seed if seed is not None else sf.simulation.master_seed
+    rows = []
+    for prior in sf.priors():
+        tests = _sim_tests(sf, prior)
+        report = run_trials(sf.scenario, prior, tests, n_trials, master_seed)
+        errors = node_error_report(sf.scenario, prior)
+        for i, cs in enumerate(report.class_stats):
+            for stat, emp, exact, num, denom in (
+                ("silent_given_event", cs.silence_rate_event, errors.type1[i],
+                 cs.n_event_silent, cs.n_event_records),
+                ("event_given_silent", cs.event_given_silent, errors.event_given_silent[i],
+                 cs.n_first_silent_event, cs.n_first_silent),
+                ("normal_given_alarm", cs.normal_given_alarm, errors.normal_given_alarm[i],
+                 cs.n_first_alarm_normal, cs.n_first_alarm),
+            ):
+                rows.append((prior.event_prob, stat, cs.label, emp, exact,
+                             abs(emp - exact), num, denom))
+        for (name, test), ts in zip(tests, report.test_stats):
+            ops = operating_characteristics(test, sf.scenario)
+            rows.append((prior.event_prob, "accept_given_event", name,
+                         ts.accept_given_event, 1.0 - ops.type1,
+                         abs(ts.accept_given_event - (1.0 - ops.type1)),
+                         ts.n_accept_event, ts.n_event))
+            rows.append((prior.event_prob, "reject_given_normal", name,
+                         ts.reject_given_normal, ops.power,
+                         abs(ts.reject_given_normal - ops.power),
+                         ts.n_reject_normal, ts.n_normal))
+    table = Table(
+        title=(
+            f"simulation n_trials={n_trials} master_seed={master_seed} "
+            f"rng={GENERATOR_NAME} weights={sf.weight_mode}"
+        ),
+        columns=("p_e", "statistic", "target", "empirical", "exact",
+                 "abs_delta", "numerator", "denominator"),
+        rows=tuple(rows),
+    )
+    _emit([table], fmt, out)
 
 
 @main.command("estimate")
@@ -298,29 +292,26 @@ def cmd_estimate(log_file: Path, fmt: str, out: Path | None) -> None:
     LOG_FILE is CSV with header condition,trial,class_index,detected,responded;
     one sensor record per line, records sharing a trial id form one trial.
     """
-    try:
-        logs = read_log_file(log_file)
-        event_logs = [lg for lg in logs if lg.condition is Condition.CONTROLLED_EVENT]
-        normal_logs = [lg for lg in logs if lg.condition is Condition.NORMAL]
-        rows = []
-        if event_logs:
-            for ci, est in estimate_detection(event_logs).items():
-                rows.append((f"p_detect[class {ci}]", est.value, est.std_error, est.n_logs))
-            est = estimate_correct_response(event_logs)
-            rows.append(("p_c", est.value, est.std_error, est.n_logs))
-        if normal_logs:
-            est = estimate_false_response(normal_logs)
-            rows.append(("p_w", est.value, est.std_error, est.n_logs))
-        if not rows:
-            raise DomainError("log file contains no usable records")
-        table = Table(
-            title="parameter-estimates",
-            columns=("parameter", "estimate", "std_error", "n_logs"),
-            rows=tuple(rows),
-        )
-        _emit([table], fmt, out)
-    except DomainError as exc:
-        _fail(exc)
+    logs = read_log_file(log_file)
+    event_logs = [lg for lg in logs if lg.condition is Condition.CONTROLLED_EVENT]
+    normal_logs = [lg for lg in logs if lg.condition is Condition.NORMAL]
+    rows = []
+    if event_logs:
+        for ci, est in estimate_detection(event_logs).items():
+            rows.append((f"p_detect[class {ci}]", est.value, est.std_error, est.n_logs))
+        est = estimate_correct_response(event_logs)
+        rows.append(("p_c", est.value, est.std_error, est.n_logs))
+    if normal_logs:
+        est = estimate_false_response(normal_logs)
+        rows.append(("p_w", est.value, est.std_error, est.n_logs))
+    if not rows:
+        raise DomainError("log file contains no usable records")
+    table = Table(
+        title="parameter-estimates",
+        columns=("parameter", "estimate", "std_error", "n_logs"),
+        rows=tuple(rows),
+    )
+    _emit([table], fmt, out)
 
 
 if __name__ == "__main__":

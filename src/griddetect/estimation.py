@@ -186,31 +186,30 @@ def read_log_file(path: str | Path) -> list[TrialLog]:
     """Parse a CSV log file; records sharing a trial id form one log."""
     trials: dict[int, tuple[Condition, list[SensorRecord]]] = {}
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != LOG_FIELDS:
+                raise DomainError(
+                    f"log file must start with header {','.join(LOG_FIELDS)!r}, got {header!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(LOG_FIELDS):
+                    raise DomainError(f"line {lineno}: expected {len(LOG_FIELDS)} fields, got {len(row)}")
+                try:
+                    condition = Condition(row[0].strip())
+                    trial_id = int(row[1])
+                    record = SensorRecord(int(row[2]), int(row[3]), int(row[4]))
+                except (ValueError, DomainError) as exc:
+                    raise DomainError(f"line {lineno}: {exc}") from exc
+                known = trials.setdefault(trial_id, (condition, []))
+                if known[0] is not condition:
+                    raise DomainError(f"line {lineno}: trial {trial_id} mixes conditions")
+                known[1].append(record)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"cannot read log file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != LOG_FIELDS:
-            raise DomainError(
-                f"log file must start with header {','.join(LOG_FIELDS)!r}, got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LOG_FIELDS):
-                raise DomainError(f"line {lineno}: expected {len(LOG_FIELDS)} fields, got {len(row)}")
-            try:
-                condition = Condition(row[0].strip())
-                trial_id = int(row[1])
-                record = SensorRecord(int(row[2]), int(row[3]), int(row[4]))
-            except (ValueError, DomainError) as exc:
-                raise DomainError(f"line {lineno}: {exc}") from exc
-            known = trials.setdefault(trial_id, (condition, []))
-            if known[0] is not condition:
-                raise DomainError(f"line {lineno}: trial {trial_id} mixes conditions")
-            known[1].append(record)
     if not trials:
         raise DomainError("log file contains no records")
     return [

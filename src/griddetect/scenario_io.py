@@ -25,6 +25,7 @@ Schema (version 1)::
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ import yaml
 from .model import (
     ChannelModel,
     DomainError,
+    LossRatio,
     Prior,
     SensorClass,
     Topology,
@@ -99,6 +101,17 @@ def _ctx(path: str) -> str:
     return path if path else "top level"
 
 
+@contextmanager
+def _field(path: str):
+    """Name the field in a DomainError raised inside; a ScenarioError names its own."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except DomainError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _require_mapping(node, path: str) -> dict:
     if not isinstance(node, dict):
         raise ScenarioError(f"{_ctx(path)}: expected a mapping, got {type(node).__name__}")
@@ -107,7 +120,7 @@ def _require_mapping(node, path: str) -> dict:
 
 def _take(node: dict, path: str, allowed: dict[str, bool]) -> dict:
     """Check required/unknown keys; ``allowed`` maps key -> required?"""
-    unknown = sorted(set(node) - set(allowed))
+    unknown = sorted(set(node) - set(allowed), key=str)
     if unknown:
         raise ScenarioError(f"{_ctx(path)}: unknown key(s) {', '.join(map(repr, unknown))}")
     missing = sorted(k for k, required in allowed.items() if required and k not in node)
@@ -191,32 +204,23 @@ def parse_scenario(data: dict) -> ScenarioFile:
         raise ScenarioError(f"schema: expected version {SCHEMA_VERSION}, got {root['schema']!r}")
 
     channel_node = _take(_require_mapping(root["channel"], "channel"), "channel", {"p_c": True, "p_w": True})
-    try:
+    with _field("channel"):
         channel = ChannelModel(
             p_c=_number(channel_node["p_c"], "channel.p_c"),
             p_w=_number(channel_node["p_w"], "channel.p_w"),
         )
-    except DomainError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"channel: {exc}") from exc
-    try:
+    with _field("topology"):
         topology = _parse_topology(root["topology"], "topology")
-    except DomainError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"topology: {exc}") from exc
 
     event_priors: tuple[float, ...] = ()
     if "prior" in root:
         prior_node = _take(_require_mapping(root["prior"], "prior"), "prior", {"p_e": True})
         event_priors = _number_list(prior_node["p_e"], "prior.p_e")
-        for i, p in enumerate(event_priors):
-            try:
-                Prior(p)
-            except DomainError as exc:
-                raise ScenarioError(f"prior.p_e[{i}]: {exc}") from exc
     loss_ratios = _number_list(root.get("loss_ratio"), "loss_ratio")
+    for name, values, check in (("prior.p_e", event_priors, Prior), ("loss_ratio", loss_ratios, LossRatio)):
+        for i, v in enumerate(values):
+            with _field(f"{name}[{i}]"):
+                check(v)
     sizes = _number_list(root.get("sizes"), "sizes")
     for i, s in enumerate(sizes):
         if not 0.0 < s < 1.0:
@@ -249,15 +253,11 @@ def parse_scenario(data: dict) -> ScenarioFile:
         )
         if simulation.n_trials < 1:
             raise ScenarioError(f"simulation.n_trials: must be positive, got {simulation.n_trials}")
-        try:
+        with _field("simulation.master_seed"):
             _check_master_seed(simulation.master_seed)
-        except DomainError as exc:
-            raise ScenarioError(f"simulation.master_seed: {exc}") from exc
 
-    try:
+    with _field("topology"):
         scenario = validate(channel, topology)
-    except DomainError as exc:
-        raise ScenarioError(f"topology: {exc}") from exc
 
     n_classes = len(scenario.topology.classes)
     for name, values, check in (
@@ -268,10 +268,8 @@ def parse_scenario(data: dict) -> ScenarioFile:
             continue
         if len(values) != n_classes:
             raise ScenarioError(f"{name}: expected {n_classes} entries, got {len(values)}")
-        try:
+        with _field(name):
             check(values)
-        except DomainError as exc:
-            raise ScenarioError(f"{name}: {exc}") from exc
 
     return ScenarioFile(
         scenario=scenario,
@@ -290,13 +288,11 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        return parse_scenario(yaml.safe_load(text))
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
-    try:
-        return parse_scenario(data)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc

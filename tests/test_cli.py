@@ -1,3 +1,4 @@
+import importlib.util
 import re
 from pathlib import Path
 
@@ -306,11 +307,53 @@ class TestInvalidInputs:
         result = runner.invoke(main, ["simulate", "--scenario", str(path)])
         self.assert_one_error_line(result, "100000000000000000002 sensors")
 
+    @pytest.mark.parametrize(
+        "command, name, body, text",
+        [
+            ("errors", "mixed.yaml", b"schema: 1\n1: x\nfoo: y\n", "unknown key(s) 1, 'foo'"),
+            ("errors", "latin1.yaml", "schema: 1\nchannel: {p_c: 0.9}  # \xe9\n".encode("latin-1"),
+             "cannot read scenario file"),
+            ("estimate", "latin1.csv",
+             "condition,trial,class_index,detected,responded\nnormal,\xe9,0,0,0\n".encode("latin-1"),
+             "cannot read log file"),
+            ("estimate", "long.csv",
+             b"condition,trial,class_index,detected,responded\nnormal,1,0,0," + b"0" * 131073 + b"\n",
+             "field larger than field limit"),
+        ],
+        ids=["mixed-key-types", "non-utf8-scenario", "non-utf8-log", "overlong-csv-field"],
+    )
+    def test_unreadable_input(self, runner, tmp_path, command, name, body, text):
+        path = tmp_path / name
+        path.write_bytes(body)
+        args = [command, str(path)] if command == "estimate" else [command, "--scenario", str(path)]
+        self.assert_one_error_line(runner.invoke(main, args), text)
+
+    def test_yaml_syntax_error_is_one_line(self, runner, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("a: [1")
+        result = runner.invoke(main, ["errors", "--scenario", str(path)])
+        assert result.exit_code == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ") and "invalid YAML" in result.stderr
+
     def test_out_into_missing_directory(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.txt"
         result = runner.invoke(main, ["mp", "--scenario", GOOD, "--out", str(out)])
         self.assert_one_error_line(result, str(out))
         assert not out.exists()
+
+
+class TestBenchmarkTraceTargets:
+    def test_every_trace_target_resolves(self):
+        # bench/run.py wraps these module attributes under --trace 1; a rename
+        # here would leave a span silently empty
+        spec = importlib.util.spec_from_file_location("bench_run", SCENARIOS.parent / "bench" / "run.py")
+        bench_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_run)
+        targets = bench_run.trace_targets()
+        assert targets
+        for module, attr, *_ in targets:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
 class TestTextRendering:

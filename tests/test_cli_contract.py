@@ -1,0 +1,179 @@
+"""Property test of the CLI error contract.
+
+For any scenario document, calibration log and option values, every
+command exits 0 with nothing on stderr, exits 2 (a click usage error), or
+exits 1 with exactly one stderr line that starts with ``error: ``. No other
+exception escapes: a traceback is a failure of the contract.
+"""
+
+import copy
+import tempfile
+import traceback
+from pathlib import Path
+
+import yaml
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from griddetect.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SMALL_CUSTOM = {
+    "schema": 1,
+    "channel": {"p_c": 0.8, "p_w": 0.2},
+    "topology": {
+        "kind": "custom",
+        "classes": [
+            {"label": "near", "count": 2, "p_detect": 0.9},
+            {"label": "far", "count": 3, "p_detect": 0.4},
+        ],
+    },
+    "prior": {"p_e": [0.2]},
+    "loss_ratio": 5,
+    "sizes": [0.1],
+    "weight_mode": "paper_approx",
+    "approx": {"weights": [3, 1], "alarm_probs": [0.7, 0.4]},
+    "simulation": {"n_trials": 10, "master_seed": 3},
+}
+BASES = [
+    yaml.safe_load((SCENARIOS / name).read_text())
+    for name in ("good_network.yaml", "weak_network.yaml")
+] + [SMALL_CUSTOM]
+KEYS = sorted(
+    {"schema", "channel", "topology", "prior", "loss_ratio", "sizes", "weight_mode", "approx",
+     "simulation", "p_c", "p_w", "kind", "detect_probs", "classes", "label", "count", "p_detect",
+     "p_e", "weights", "alarm_probs", "n_trials", "master_seed"}
+)
+LOG_HEADER = "condition,trial,class_index,detected,responded"
+SETTINGS = dict(
+    derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]
+)
+
+# small counts keep every count-tuple grid tiny; the extremes hit the caps
+small_ints = st.integers(-3, 12) | st.sampled_from([10**20, 2**64, -(2**64)])
+scalars = (
+    st.none() | st.booleans() | small_ints | st.floats(0, 1) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["custom", "interior_square", "hexagon_interior", "exact", "paper_approx"])
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+keys = st.sampled_from(KEYS) | st.integers(-2, 2) | st.booleans() | st.none() | st.floats() | st.text(max_size=4)
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+@st.composite
+def scenario_bodies(draw):
+    """Mostly a shipped or small scenario with a few fields replaced, added or
+    deleted; sometimes raw bytes or text."""
+    kind = draw(st.sampled_from(["document"] * 4 + ["bytes", "text"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=120))
+    if kind == "text":
+        return draw(st.text(max_size=120)).encode()
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(list(_containers(doc))))
+        slots = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["set", "add", "delete"]))
+        if action == "add" or not slots:
+            if isinstance(node, dict):
+                node.update(draw(st.dictionaries(keys, values, min_size=1, max_size=3)))
+            else:
+                node.append(draw(values))
+        elif action == "set":
+            node[draw(st.sampled_from(slots))] = draw(values)
+        else:
+            del node[draw(st.sampled_from(slots))]
+    return yaml.safe_dump(doc, sort_keys=False).encode()
+
+
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _mostly(valid, arbitrary):
+    """``valid`` about four times in five, else ``arbitrary``."""
+    return st.sampled_from([True] * 4 + [False]).flatmap(lambda ok: valid if ok else arbitrary)
+
+
+sizes = st.floats(0, 1) | st.floats() | st.text(max_size=4)
+OPTIONS = {
+    "--format": _mostly(st.sampled_from(["text", "csv"]), st.text(max_size=4)),
+    "--weight-mode": _mostly(st.sampled_from(["exact", "paper-approx"]), st.text(max_size=4)),
+    "--sizes": _mostly(st.lists(sizes, max_size=4).map(lambda xs: ",".join(map(str, xs))), st.text(max_size=6)),
+    "--under": _mostly(st.sampled_from(["event", "normal"]), st.text(max_size=4)),
+    "--seed": _mostly(st.integers(-(2**70), 2**70).map(str), st.text(max_size=4)),
+    "--trials": _mostly(st.integers(-3, 50).map(str), st.text(max_size=4).filter(_not_int)),
+}
+COMMAND_OPTIONS = {
+    "errors": ["--format"],
+    "bayes": ["--format"],
+    "mp": ["--format", "--weight-mode", "--sizes"],
+    "dist": ["--format", "--weight-mode", "--under"],
+    "simulate": ["--format", "--weight-mode", "--seed"],
+}
+
+
+def assert_contract(args):
+    result = CliRunner().invoke(main, args)
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        raise AssertionError("".join(traceback.format_exception(*result.exc_info)))
+    assert result.exit_code in (0, 1, 2), result.exit_code
+    if result.exit_code == 0:
+        assert result.stderr == ""
+    elif result.exit_code == 1:
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+@settings(max_examples=400, **SETTINGS)
+@given(command=st.sampled_from(sorted(COMMAND_OPTIONS)), body=scenario_bodies(), data=st.data())
+def test_scenario_commands_keep_the_contract(command, body, data):
+    args = [command]
+    for name in COMMAND_OPTIONS[command]:
+        if data.draw(st.booleans(), label=f"use {name}"):
+            args += [name, data.draw(OPTIONS[name], label=name)]
+    if command == "simulate":  # always bounded: the file's n_trials may be large
+        args += ["--trials", data.draw(OPTIONS["--trials"], label="--trials")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_bytes(body)
+        assert_contract(args + ["--scenario", str(path)])
+
+
+bits = st.sampled_from(["0", "1"])
+records = st.tuples(st.sampled_from(["event", "normal"]), st.integers(0, 3).map(str),
+                    st.integers(0, 2).map(str), bits, bits)
+normal_records = records.map(lambda r: ("normal", r[1], r[2], "0", r[4]))
+rows = st.lists(
+    _mostly(normal_records | records, st.lists(st.text(max_size=4), max_size=6)).map(",".join),
+    max_size=8,
+)
+log_bodies = _mostly(
+    st.builds(lambda header, body: "\n".join([header] + body).encode(),
+              _mostly(st.just(LOG_HEADER), st.text(max_size=20)), rows),
+    st.binary(max_size=120),
+)
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(body=log_bodies, fmt=OPTIONS["--format"])
+def test_estimate_keeps_the_contract(body, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_bytes(body)
+        assert_contract(["estimate", str(path), "--format", fmt])

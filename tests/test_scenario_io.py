@@ -153,6 +153,17 @@ class TestRejections:
             r"prior.p_e\[1\]",
         )
 
+    def test_loss_ratio_out_of_range_named(self):
+        self.reject(
+            """
+            schema: 1
+            channel: {p_c: 0.9, p_w: 0.1}
+            topology: {kind: interior_square, detect_probs: [0.9, 0.5, 0.3]}
+            loss_ratio: [5, -1]
+            """,
+            r"loss_ratio\[1\]: loss ratio must be a positive finite real",
+        )
+
     def test_bad_size(self):
         self.reject(
             """
