@@ -183,8 +183,14 @@ def write_log_file(path: str | Path, logs: Iterable[TrialLog]) -> None:
 
 
 def read_log_file(path: str | Path) -> list[TrialLog]:
-    """Parse a CSV log file; records sharing a trial id form one log."""
+    """Parse a CSV log file; records sharing a trial id form one log.
+
+    A log repeats few distinct (condition, class_index, detected,
+    responded) rows, so each distinct row's fields are validated and
+    built once, on first sight, and shared by every row that repeats them.
+    """
     trials: dict[int, tuple[Condition, list[SensorRecord]]] = {}
+    parsed: dict[tuple[str, str, str, str], tuple[Condition, SensorRecord]] = {}
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -198,12 +204,17 @@ def read_log_file(path: str | Path) -> list[TrialLog]:
                     continue
                 if len(row) != len(LOG_FIELDS):
                     raise DomainError(f"line {lineno}: expected {len(LOG_FIELDS)} fields, got {len(row)}")
+                key = (row[0], row[2], row[3], row[4])
                 try:
-                    condition = Condition(row[0].strip())
-                    trial_id = int(row[1])
-                    record = SensorRecord(int(row[2]), int(row[3]), int(row[4]))
+                    if key in parsed:
+                        trial_id = int(row[1])
+                    else:  # checked in column order, so a row with several bad fields names the first
+                        condition = Condition(row[0].strip())
+                        trial_id = int(row[1])
+                        parsed[key] = (condition, SensorRecord(int(row[2]), int(row[3]), int(row[4])))
                 except (ValueError, DomainError) as exc:
                     raise DomainError(f"line {lineno}: {exc}") from exc
+                condition, record = parsed[key]
                 known = trials.setdefault(trial_id, (condition, []))
                 if known[0] is not condition:
                     raise DomainError(f"line {lineno}: trial {trial_id} mixes conditions")

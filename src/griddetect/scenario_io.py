@@ -21,12 +21,25 @@ Schema (version 1)::
       weights: [5, 3, 2]
       alarm_probs: [0.8, 0.5, 0.35]  # optional; defaults to the exact values
     simulation: {n_trials: 100000, master_seed: 1}   # optional
+
+Files are read with PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML
+was built with libyaml, and with the pure-Python ``SafeLoader`` when it
+was not. Only the scanner, parser and composer differ: the resolver and
+constructor are PyYAML's Python code under both, so a file loads to the
+same data either way (``1e-3`` stays a string), and only the detail text
+of a YAML syntax error differs. libyaml composes nested collections by
+recursion with no limit, so one iterative pass over the parse events
+first rejects a document nested deeper than ``MAX_YAML_DEPTH``
+collections; the schema's deepest legal document has four.
 """
 
 from __future__ import annotations
 
+import io
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import yaml
@@ -50,6 +63,10 @@ __all__ = ["ScenarioError", "SimulationSettings", "ScenarioFile", "load_scenario
 SCHEMA_VERSION = 1
 DEFAULT_N_TRIALS = 100_000
 WEIGHT_MODES = ("exact", "paper_approx")
+MAX_YAML_DEPTH = 32
+MAX_SHOWN_CHARS = 200
+
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(DomainError):
@@ -97,6 +114,39 @@ class ScenarioFile:
         }
 
 
+class _ValueRepr(reprlib.Repr):
+    """reprlib.Repr that keeps a mapping's or set's own order, as repr() does."""
+
+    def repr_dict(self, x, level):
+        if not x:
+            return "{}"
+        if level <= 0:
+            return "{...}"
+        items = islice(x.items(), self.maxdict)
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in items]
+        return "{" + ", ".join(pieces) + (", ..." if len(x) > self.maxdict else "") + "}"
+
+    def repr_set(self, x, level):
+        return self._repr_iterable(x, level, "{", "}", self.maxset) if x else "set()"
+
+
+_REPR = _ValueRepr()
+_REPR.maxlevel = 4
+_REPR.maxlist = _REPR.maxtuple = _REPR.maxdict = _REPR.maxset = 10
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = 80
+
+
+def _shown(value) -> str:
+    """repr() of a user value, cut to MAX_SHOWN_CHARS.
+
+    YAML aliases repeat a node by reference, so a small file can hold a
+    value whose full repr is gigabytes long or nested past the recursion
+    limit; the per-container limits bound the work, the cut the message.
+    """
+    text = _REPR.repr(value)
+    return text if len(text) <= MAX_SHOWN_CHARS else text[: MAX_SHOWN_CHARS - 3] + "..."
+
+
 def _ctx(path: str) -> str:
     return path if path else "top level"
 
@@ -122,7 +172,7 @@ def _take(node: dict, path: str, allowed: dict[str, bool]) -> dict:
     """Check required/unknown keys; ``allowed`` maps key -> required?"""
     unknown = sorted(set(node) - set(allowed), key=str)
     if unknown:
-        raise ScenarioError(f"{_ctx(path)}: unknown key(s) {', '.join(map(repr, unknown))}")
+        raise ScenarioError(f"{_ctx(path)}: unknown key(s) {', '.join(map(_shown, unknown))}")
     missing = sorted(k for k, required in allowed.items() if required and k not in node)
     if missing:
         raise ScenarioError(f"{_ctx(path)}: missing required key(s) {', '.join(map(repr, missing))}")
@@ -131,13 +181,13 @@ def _take(node: dict, path: str, allowed: dict[str, bool]) -> dict:
 
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {node!r}")
+        raise ScenarioError(f"{path}: expected a number, got {_shown(node)}")
     return float(node)
 
 
 def _int(node, path: str) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
-        raise ScenarioError(f"{path}: expected an integer, got {node!r}")
+        raise ScenarioError(f"{path}: expected an integer, got {_shown(node)}")
     return node
 
 
@@ -149,7 +199,7 @@ def _number_list(node, path: str) -> tuple[float, ...]:
         return (float(node),)
     if isinstance(node, list):
         return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(node))
-    raise ScenarioError(f"{path}: expected a number or list of numbers, got {node!r}")
+    raise ScenarioError(f"{path}: expected a number or list of numbers, got {_shown(node)}")
 
 
 def _parse_topology(node, path: str) -> Topology:
@@ -165,9 +215,12 @@ def _parse_topology(node, path: str) -> Topology:
             cpath = f"{path}.classes[{i}]"
             cnode = _require_mapping(cnode, cpath)
             _take(cnode, cpath, {"label": False, "count": True, "p_detect": True})
+            label = cnode.get("label", f"class-{i + 1}")
+            if isinstance(label, (list, dict)):  # str() of an aliased one can be huge or too deep
+                raise ScenarioError(f"{cpath}.label: expected a string, got {_shown(label)}")
             classes.append(
                 SensorClass(
-                    label=str(cnode.get("label", f"class-{i + 1}")),
+                    label=str(label),
                     count=_int(cnode["count"], f"{cpath}.count"),
                     detect_prob=_number(cnode["p_detect"], f"{cpath}.p_detect"),
                 )
@@ -175,10 +228,10 @@ def _parse_topology(node, path: str) -> Topology:
         return Topology(tuple(classes))
     _take(node, path, {"kind": True, "detect_probs": True})
     if not isinstance(kind, str):
-        raise ScenarioError(f"{path}.kind: expected a string, got {kind!r}")
+        raise ScenarioError(f"{path}.kind: expected a string, got {_shown(kind)}")
     probs = node["detect_probs"]
     if not isinstance(probs, list):
-        raise ScenarioError(f"{path}.detect_probs: expected a list, got {probs!r}")
+        raise ScenarioError(f"{path}.detect_probs: expected a list, got {_shown(probs)}")
     return builtin_topology(kind, [_number(p, f"{path}.detect_probs[{i}]") for i, p in enumerate(probs)])
 
 
@@ -201,7 +254,7 @@ def parse_scenario(data: dict) -> ScenarioFile:
         },
     )
     if root["schema"] != SCHEMA_VERSION:
-        raise ScenarioError(f"schema: expected version {SCHEMA_VERSION}, got {root['schema']!r}")
+        raise ScenarioError(f"schema: expected version {SCHEMA_VERSION}, got {_shown(root['schema'])}")
 
     channel_node = _take(_require_mapping(root["channel"], "channel"), "channel", {"p_c": True, "p_w": True})
     with _field("channel"):
@@ -228,7 +281,7 @@ def parse_scenario(data: dict) -> ScenarioFile:
 
     weight_mode = root.get("weight_mode", "exact")
     if weight_mode not in WEIGHT_MODES:
-        raise ScenarioError(f"weight_mode: expected one of {WEIGHT_MODES}, got {weight_mode!r}")
+        raise ScenarioError(f"weight_mode: expected one of {WEIGHT_MODES}, got {_shown(weight_mode)}")
     approx_weights = approx_alarm_probs = None
     if "approx" in root:
         approx_node = _take(
@@ -283,6 +336,18 @@ def parse_scenario(data: dict) -> ScenarioFile:
     )
 
 
+def _check_depth(stream) -> None:
+    """Reject nesting past MAX_YAML_DEPTH collections before a composer recurses into it."""
+    depth = 0
+    for event in yaml.parse(stream, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_YAML_DEPTH:
+                raise ScenarioError(f"nested deeper than {MAX_YAML_DEPTH} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def load_scenario(path: str | Path) -> ScenarioFile:
     """Load and validate a scenario file from disk."""
     path = Path(path)
@@ -290,8 +355,13 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    # a named stream makes YAML errors say `in "<path>", line L, column C`
+    stream = io.StringIO(text)
+    stream.name = str(path)
     try:
-        return parse_scenario(yaml.safe_load(text))
+        _check_depth(stream)
+        stream.seek(0)
+        return parse_scenario(yaml.load(stream, Loader=_LOADER))
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     except ScenarioError as exc:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import yaml
+
 import griddetect as g
 
 # The two parameter sets used throughout: a reliable network and a weak one.
@@ -18,6 +20,10 @@ GOOD_APPROX = dict(weights=(5.0, 3.0, 2.0), event_alarm_probs=(0.8, 0.5, 0.35))
 WEAK_APPROX = dict(weights=(10.0, 5.0, 2.0), event_alarm_probs=(0.6, 0.4, 0.25))
 
 INTERIOR_COUNTS = (1, 4, 4)
+
+# The YAML loaders scenario_io can run with: the pure-Python one always, and
+# the libyaml one when the installed PyYAML was built with it.
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
 def make_scenario(detect, channel) -> g.ValidatedScenario:

@@ -6,7 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 import griddetect as g
+from griddetect import scenario_io
 from griddetect.cli import main
+
+from cases import YAML_LOADERS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GOOD = str(SCENARIOS / "good_network.yaml")
@@ -328,13 +331,70 @@ class TestInvalidInputs:
         args = [command, str(path)] if command == "estimate" else [command, "--scenario", str(path)]
         self.assert_one_error_line(runner.invoke(main, args), text)
 
-    def test_yaml_syntax_error_is_one_line(self, runner, tmp_path):
+    def test_yaml_syntax_error_is_one_line(self, runner, tmp_path, monkeypatch):
         path = tmp_path / "broken.yaml"
         path.write_text("a: [1")
+        for loader in YAML_LOADERS:
+            monkeypatch.setattr(scenario_io, "_LOADER", loader)
+            result = runner.invoke(main, ["errors", "--scenario", str(path)])
+            assert result.exit_code == 1
+            assert len(result.stderr.splitlines()) == 1
+            assert result.stderr.startswith("error: ") and "invalid YAML" in result.stderr
+            # the mark names the file, with no source snippet or caret
+            assert f'in "{path}", line 1, column 4' in result.stderr and "^" not in result.stderr
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("depth", [2000, 60000])
+    @pytest.mark.parametrize("style", ["flow", "block"])
+    def test_deep_nesting(self, runner, tmp_path, monkeypatch, loader, depth, style):
+        # libyaml composes by unbounded C recursion (a segfault at tens of
+        # thousands of levels), PyYAML's composer by Python recursion
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+        path = tmp_path / "deep.yaml"
+        nested = "[" * depth + "]" * depth if style == "flow" else "\n  " + "- " * depth + "1"
+        path.write_text(f"channel: {nested}\n")
         result = runner.invoke(main, ["errors", "--scenario", str(path)])
         assert result.exit_code == 1
-        assert len(result.stderr.splitlines()) == 1
-        assert result.stderr.startswith("error: ") and "invalid YAML" in result.stderr
+        assert result.stderr == f"error: {path}: nested deeper than 32 levels\n"
+
+    def test_aliased_value_message_is_bounded(self, runner, tmp_path):
+        # 10 aliases per level: the full repr of weights[0] is 52 KB at 4 levels
+        levels = ["&a0 [" + ", ".join(["x"] * 10) + "]"]
+        levels += [f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 4)]
+        path = tmp_path / "aliases.yaml"
+        path.write_text(
+            "schema: 1\n"
+            "channel: {p_c: 0.9, p_w: 0.1}\n"
+            "topology: {kind: interior_square, detect_probs: [0.9, 0.5, 0.3]}\n"
+            "weight_mode: paper_approx\n"
+            f"approx:\n  alarm_probs: [{', '.join(levels)}]\n  weights: [*a3, 1, 1]\n"
+        )
+        assert len(path.read_bytes()) < 400
+        result = runner.invoke(main, ["errors", "--scenario", str(path)])
+        self.assert_one_error_line(result, "approx.weights[0]: expected a number, got [[[['x', 'x'")
+        assert len(result.stderr.encode()) < 1024
+
+    @pytest.mark.parametrize(
+        "topology, text",
+        [
+            ("{kind: custom, classes: [{label: *a59, count: 1, p_detect: 0.9}, {count: 2, p_detect: 0.3}]}",
+             "topology.classes[0].label: expected a string, got [[[[[...]]]]]"),
+            ("{kind: interior_square, detect_probs: [*a59, 0.5, 0.3]}",
+             "topology.detect_probs[0]: expected a number, got [[[[[...]]]]]"),
+        ],
+        ids=["label", "number"],
+    )
+    def test_aliased_value_nested_past_the_recursion_limit(self, runner, tmp_path, topology, text):
+        # each anchor nests the previous one 25 levels down: 1500 levels, none over the nesting bound
+        anchors = ["&a0 " + "[" * 25 + "]" * 25]
+        anchors += [f"&a{i} " + "[" * 25 + f"*a{i - 1}" + "]" * 25 for i in range(1, 60)]
+        path = tmp_path / "aliases.yaml"
+        path.write_text(
+            "schema: 1\nchannel: {p_c: 0.9, p_w: 0.1}\nsizes:\n"
+            + "".join(f"  - {anchor}\n" for anchor in anchors)
+            + f"topology: {topology}\n"
+        )
+        self.assert_one_error_line(runner.invoke(main, ["errors", "--scenario", str(path)]), text)
 
     def test_out_into_missing_directory(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.txt"

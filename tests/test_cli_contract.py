@@ -3,7 +3,8 @@
 For any scenario document, calibration log and option values, every
 command exits 0 with nothing on stderr, exits 2 (a click usage error), or
 exits 1 with exactly one stderr line that starts with ``error: ``. No other
-exception escapes: a traceback is a failure of the contract.
+exception escapes: a traceback is a failure of the contract. Every run is
+made once with each YAML loader scenario_io can use.
 """
 
 import copy
@@ -11,12 +12,16 @@ import tempfile
 import traceback
 from pathlib import Path
 
+import pytest
 import yaml
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from griddetect import scenario_io
 from griddetect.cli import main
+
+from cases import YAML_LOADERS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SMALL_CUSTOM = {
@@ -72,14 +77,8 @@ def _containers(node):
 
 
 @st.composite
-def scenario_bodies(draw):
-    """Mostly a shipped or small scenario with a few fields replaced, added or
-    deleted; sometimes raw bytes or text."""
-    kind = draw(st.sampled_from(["document"] * 4 + ["bytes", "text"]))
-    if kind == "bytes":
-        return draw(st.binary(max_size=120))
-    if kind == "text":
-        return draw(st.text(max_size=120)).encode()
+def scenario_documents(draw):
+    """A shipped or small scenario with a few fields replaced, added or deleted."""
     doc = copy.deepcopy(draw(st.sampled_from(BASES)))
     for _ in range(draw(st.integers(0, 3))):
         node = draw(st.sampled_from(list(_containers(doc))))
@@ -94,7 +93,18 @@ def scenario_bodies(draw):
             node[draw(st.sampled_from(slots))] = draw(values)
         else:
             del node[draw(st.sampled_from(slots))]
-    return yaml.safe_dump(doc, sort_keys=False).encode()
+    return doc
+
+
+@st.composite
+def scenario_bodies(draw):
+    """Mostly a scenario document; sometimes raw bytes or text."""
+    kind = draw(st.sampled_from(["document"] * 4 + ["bytes", "text"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=120))
+    if kind == "text":
+        return draw(st.text(max_size=120)).encode()
+    return yaml.safe_dump(draw(scenario_documents()), sort_keys=False).encode()
 
 
 def _not_int(text):
@@ -129,15 +139,18 @@ COMMAND_OPTIONS = {
 
 
 def assert_contract(args):
-    result = CliRunner().invoke(main, args)
-    if result.exception is not None and not isinstance(result.exception, SystemExit):
-        raise AssertionError("".join(traceback.format_exception(*result.exc_info)))
-    assert result.exit_code in (0, 1, 2), result.exit_code
-    if result.exit_code == 0:
-        assert result.stderr == ""
-    elif result.exit_code == 1:
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    for loader in YAML_LOADERS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario_io, "_LOADER", loader)
+            result = CliRunner().invoke(main, args)
+        if result.exception is not None and not isinstance(result.exception, SystemExit):
+            raise AssertionError("".join(traceback.format_exception(*result.exc_info)))
+        assert result.exit_code in (0, 1, 2), result.exit_code
+        if result.exit_code == 0:
+            assert result.stderr == ""
+        elif result.exit_code == 1:
+            lines = result.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
 
 
 @settings(max_examples=400, **SETTINGS)
@@ -153,6 +166,14 @@ def test_scenario_commands_keep_the_contract(command, body, data):
         path = Path(tmp) / "scenario.yaml"
         path.write_bytes(body)
         assert_contract(args + ["--scenario", str(path)])
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(doc=scenario_documents())
+def test_loaders_load_equal_data(doc):
+    text = yaml.safe_dump(doc, sort_keys=False)
+    loaded = {repr(yaml.load(text, Loader=loader)) for loader in YAML_LOADERS}  # repr: nan == nan, 1 != 1.0
+    assert len(loaded) == 1, loaded
 
 
 bits = st.sampled_from(["0", "1"])

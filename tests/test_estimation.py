@@ -2,8 +2,11 @@ import pytest
 
 import griddetect as g
 from griddetect import Condition, DomainError, SensorRecord, TrialLog
+from griddetect.model import TOPOLOGY_KINDS
 
-from cases import good_scenario, weak_scenario
+from cases import GOOD_CHANNEL, good_scenario, weak_scenario
+
+LOG_HEADER = "condition,trial,class_index,detected,responded\n"
 
 
 def event_log(*records):
@@ -160,6 +163,44 @@ class TestLogFileFormat:
         path.write_text("condition,trial,class_index,detected,responded\nevent,0,0,7,1\n")
         with pytest.raises(DomainError, match="line 2"):
             g.read_log_file(path)
+
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGY_KINDS))
+    def test_round_trip_every_builtin_topology(self, tmp_path, kind):
+        n_classes = len(TOPOLOGY_KINDS[kind])
+        topology = g.builtin_topology(kind, (0.9, 0.5, 0.3)[:n_classes])
+        sc = g.validate(g.ChannelModel(*GOOD_CHANNEL), topology)
+        logs = g.generate_trial_logs(sc, Condition.CONTROLLED_EVENT, 40, 3) + g.generate_trial_logs(
+            sc, Condition.NORMAL, 40, 4
+        )
+        path = tmp_path / "logs.csv"
+        g.write_log_file(path, logs)
+        assert g.read_log_file(path) == logs
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("event,9,0,7,1", "detected/responded must be 0 or 1"),
+            ("evnt,9,0,1,1", "'evnt' is not a valid Condition"),
+            ("event,x,0,1,1", "invalid literal for int() with base 10: 'x'"),
+            ("evnt,x,0,7,1", "'evnt' is not a valid Condition"),
+            ("event,x,0,7,1", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bad_row_after_repeated_good_rows(self, tmp_path, row, message):
+        # rows repeating earlier fields reuse their parse; a bad one still names its own line
+        path = tmp_path / "bad.csv"
+        path.write_text(LOG_HEADER + "event,0,0,1,1\n" * 50 + row + "\n")
+        with pytest.raises(DomainError) as info:
+            g.read_log_file(path)
+        assert str(info.value) == f"line 52: {message}"
+
+    def test_padded_fields(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(LOG_HEADER + " event, 1, 0, 1, 1\nevent,1,0,1,1\nnormal , 2,1 ,0, 0\n")
+        assert g.read_log_file(path) == [
+            event_log(SensorRecord(0, 1, 1), SensorRecord(0, 1, 1)),
+            normal_log(SensorRecord(1, 0, 0)),
+        ]
 
     def test_mixed_condition_trial_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,7 +1,14 @@
+from pathlib import Path
+
 import pytest
+import yaml
 
 import griddetect as g
-from griddetect import ScenarioError
+from griddetect import ScenarioError, scenario_io
+
+from cases import YAML_LOADERS
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 GOOD_YAML = """
@@ -240,6 +247,17 @@ class TestRejections:
             "channel.p_c",
         )
 
+    @pytest.mark.parametrize(
+        "value",
+        ["{b: 1, a: [1, 2]}", "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]", "[[[[1]]]]", "x" * 70, "!!set {q, b, a}",
+         "2001-12-14", "1" * 60, "[[1, 2], {z: [3.5, null, true]}, '1e-3']"],
+    )
+    def test_short_value_shown_in_full(self, value):
+        data = yaml.safe_load(f"schema: {value}\nchannel: {{}}\ntopology: {{}}\n")
+        with pytest.raises(ScenarioError) as info:
+            g.parse_scenario(data)
+        assert str(info.value) == f"schema: expected version 1, got {data['schema']!r}"
+
 
 class TestLoadScenario:
     def test_load_from_disk(self, tmp_path):
@@ -273,3 +291,31 @@ class TestLoadScenario:
         assert good.scenario.topology.detect_probs == (0.9, 0.5, 0.3)
         assert weak.approx_weights == (10.0, 5.0, 2.0)
         assert good.weight_mode == weak.weight_mode == "paper_approx"
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loader_used_when_available(self):
+        assert scenario_io._LOADER is yaml.CSafeLoader
+
+    def test_loaders_agree_on_checked_in_scenarios(self, monkeypatch):
+        for name in ("good_network.yaml", "weak_network.yaml"):
+            loaded = []
+            for loader in YAML_LOADERS:
+                monkeypatch.setattr(scenario_io, "_LOADER", loader)
+                loaded.append(g.load_scenario(SCENARIOS / name))
+            assert loaded[0] == loaded[-1]
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    def test_nesting_bound_is_inclusive(self, tmp_path, monkeypatch, loader):
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+        path = tmp_path / "deep.yaml"
+        inner = scenario_io.MAX_YAML_DEPTH - 1  # the root mapping is the first level
+        for depth, message in ((inner, "channel: expected a mapping, got list"),
+                               (inner + 1, "nested deeper than 32 levels")):
+            path.write_text(
+                "schema: 1\n"
+                "topology: {kind: interior_square, detect_probs: [0.9, 0.5, 0.3]}\n"
+                f"channel: {'[' * depth}{']' * depth}\n"
+            )
+            with pytest.raises(ScenarioError) as info:
+                g.load_scenario(path)
+            assert str(info.value) == f"{path}: {message}"
