@@ -12,6 +12,8 @@ seeding); numpy's ``bit_generator.pyx`` and ``pcg64.h``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _M32 = 0xFFFFFFFF
@@ -74,11 +76,22 @@ def _mulhi(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray) -> np.ndarray:
     return a_hi * b_hi + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
 
 
-def _limbs(values: list[int]) -> tuple[np.ndarray, ...]:
-    """(high, low, low's low 32 bits, low's high 32 bits) of 128-bit constants, as uint64 rows."""
-    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
-    lo = np.array([v & _M64 for v in values], dtype=np.uint64)
-    return hi, lo, lo & np.uint64(_M32), lo >> np.uint64(32)
+@functools.lru_cache(maxsize=16)
+def _jumps(n_draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """M**(j+1) and 1 + M + ... + M**j (mod 2**128) for j < n_draws, each as read-only uint64
+    rows: the high 64 bits, the low 64 bits, and the low's low and high 32 bits."""
+    mult, geom = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(n_draws):
+        total = (total + power) % (1 << 128)
+        power = power * _PCG_MULT % (1 << 128)
+        mult.append(power)
+        geom.append(total)
+    hi = np.array([v >> 64 for v in mult + geom], dtype=np.uint64)
+    lo = np.array([v & _M64 for v in mult + geom], dtype=np.uint64)
+    limbs = np.stack([hi, lo, lo & np.uint64(_M32), lo >> np.uint64(32)])
+    limbs.flags.writeable = False
+    return limbs[:, :n_draws], limbs[:, n_draws:]
 
 
 def _mul128(x_hi, x_lo, c) -> tuple[np.ndarray, np.ndarray]:
@@ -112,15 +125,9 @@ def uniforms(master_seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     inc_lo = ((s[3] << np.uint64(1)) | np.uint64(1))[:, None]
     x_lo = inc_lo + s[1][:, None]
     x_hi = inc_hi + s[0][:, None] + (x_lo < inc_lo)
-    mult, geom = [], []
-    power, total = _PCG_MULT, 1
-    for _ in range(n_draws):
-        total = (total + power) % (1 << 128)
-        power = power * _PCG_MULT % (1 << 128)
-        mult.append(power)
-        geom.append(total)
-    a_hi, a_lo = _mul128(x_hi, x_lo, _limbs(mult))
-    g_hi, g_lo = _mul128(inc_hi, inc_lo, _limbs(geom))
+    mult, geom = _jumps(n_draws)
+    a_hi, a_lo = _mul128(x_hi, x_lo, mult)
+    g_hi, g_lo = _mul128(inc_hi, inc_lo, geom)
     lo = a_lo + g_lo
     hi = a_hi + g_hi + (lo < a_lo)
 

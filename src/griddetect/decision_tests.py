@@ -33,9 +33,9 @@ from .score_dist import (
     ClassAlarmLaw,
     ScoreDistribution,
     atom_tolerance,
-    count_tuples,
+    cell_masses,
+    cell_scores,
     score_distribution,
-    tuple_masses,
     tuple_scores,
 )
 
@@ -239,8 +239,8 @@ def solve_mp_test(
     return replace(test, exact_power=power)
 
 
-def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray) -> np.ndarray:
-    """Per row of an (N, K) array of count tuples: the probability that ``rule`` rejects H0.
+def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray | None = None) -> np.ndarray:
+    """Per row of an (N, K) count array, by default the cell's grid: the probability that ``rule`` rejects H0.
 
     Every rule is applied as (weights, threshold t, boundary coin k): 1 for
     a score below t, k within atom tolerance of t, 0 above, comparing the
@@ -254,7 +254,7 @@ def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray) -> np.ndarray:
     else:
         weights, t = rule.weights, rule.threshold
         k = rule.boundary_prob if mp else 0.0
-    score = tuple_scores(weights, counts)
+    score = cell_scores(rule.class_counts, weights)[0] if counts is None else tuple_scores(weights, counts)
     tol = atom_tolerance(t)
     # a threshold of -inf has infinite tolerance: t - tol is -inf and t + tol
     # nan, so no score rejects
@@ -263,11 +263,11 @@ def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray) -> np.ndarray:
 
 def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[float]:
     """P(reject H0) under each law: tuple mass times reject probability, summed over the grid."""
-    grid = count_tuples(rule.class_counts)
-    reject = _reject_probs(rule, grid)
+    reject = _reject_probs(rule)
     # tuples never rejected would add zero terms, which leave the fsum as it is
-    grid, reject = grid[reject > 0.0], reject[reject > 0.0]
-    return [math.fsum((tuple_masses(law, grid) * reject).tolist()) for law in laws]
+    hit = reject > 0.0
+    reject = reject[hit]
+    return [math.fsum((cell_masses(law)[hit] * reject).tolist()) for law in laws]
 
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:

@@ -9,6 +9,7 @@ and the per-class quantities derived from it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,7 +212,10 @@ class ValidatedScenario:
     prior: Prior | None = None
 
     def derived(self) -> "DerivedStats":
-        return derived_stats(self.channel, self.topology)
+        return self._derived
+
+    # computed on the first call to derived() and kept with the scenario
+    _derived = functools.cached_property(lambda self: derived_stats(self.channel, self.topology))
 
 
 def validate(

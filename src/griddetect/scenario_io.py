@@ -361,7 +361,12 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     try:
         _check_depth(stream)
         stream.seek(0)
-        return parse_scenario(yaml.load(stream, Loader=_LOADER))
+        try:
+            data = yaml.load(stream, Loader=_LOADER)
+        except ValueError as exc:
+            # from PyYAML's int() past 4300 digits, or date() on a day such as 2020-13-45
+            raise ScenarioError(f"invalid YAML value: {exc}") from exc
+        return parse_scenario(data)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     except ScenarioError as exc:

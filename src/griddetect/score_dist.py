@@ -3,13 +3,20 @@
 The base station sums one weight per alarming sensor, grouped by class:
 X = sum_i w_i * x_i where x_i is the alarm count of class i. Under either
 hypothesis the x_i are independent binomials, so every exact quantity is
-a sum over the grid of count tuples: :func:`count_tuples` builds it,
-:func:`tuple_masses` gives each tuple's probability under a law and
-:func:`tuple_scores` its score, the one definition of a score that atoms,
-decision rules and the simulator all compare. :func:`score_distribution`
-sorts the grid by score and merges near-equal scores into atoms, held as
-arrays: atom values and masses, the sorted tuples and each atom's first
-row. ``ScoreAtom`` objects with their count tuples are built on request.
+a sum over a cell's grid of count tuples (:func:`cell_grid`), weighted by
+each tuple's probability under a law (:func:`cell_masses`). Its score
+(:func:`tuple_scores`) is the one definition that atoms, decision rules and
+the simulator all compare. :func:`score_distribution` walks the grid in
+stable score order (:func:`cell_scores`) and merges near-equal scores into
+atoms, held as arrays: atom values and masses, the count tuples in score
+order and each atom's first row. ``ScoreAtom`` objects are built on request.
+
+The grid functions keep read-only arrays in least-recently-used caches: the
+tuples of ``GRID_CACHE_SIZE`` cells, in the smallest unsigned dtype that
+holds the largest count (so also ``ScoreDistribution.tuples``), and masses,
+scores and int32 score orders for twice as many laws and weight vectors. At
+``MAX_COUNT_TUPLES`` rows that is at most 24, 8 and 12 MiB an entry, 256 MiB
+in all; a 6x6 cell (117,649 tuples) keeps under 6 MiB.
 """
 
 from __future__ import annotations
@@ -29,13 +36,16 @@ __all__ = [
     "MERGE_REL_TOL",
     "BRUTE_FORCE_MAX_SENSORS",
     "MAX_COUNT_TUPLES",
+    "GRID_CACHE_SIZE",
     "atom_tolerance",
     "ClassAlarmLaw",
     "ScoreAtom",
     "ScoreDistribution",
     "count_tuples",
     "tuple_scores",
-    "tuple_masses",
+    "cell_grid",
+    "cell_masses",
+    "cell_scores",
     "score_distribution",
     "brute_force_distribution",
 ]
@@ -50,6 +60,9 @@ BRUTE_FORCE_MAX_SENSORS = 20
 
 # Rows of the count-tuple grid; about 9x a cell of six classes of six sensors.
 MAX_COUNT_TUPLES = 2**20
+
+# Count-tuple grids cached; masses and scores are cached for twice as many keys.
+GRID_CACHE_SIZE = 4
 
 
 def atom_tolerance(value: float) -> float:
@@ -154,39 +167,63 @@ def count_tuples(counts: Sequence[int]) -> np.ndarray:
     n_tuples = math.prod(dims)
     if n_tuples > MAX_COUNT_TUPLES:
         raise DomainError(f"the cell has {n_tuples} count tuples; exact analysis is capped at {MAX_COUNT_TUPLES}")
-    return np.indices(dims, dtype=np.int32).reshape(len(dims), -1).T
+    return np.indices(dims, dtype=np.min_scalar_type(max(dims) - 1)).reshape(len(dims), -1).T
 
 
 def tuple_scores(weights: Iterable[float], tuples: np.ndarray) -> np.ndarray:
     """Score sum(w_i * x_i) of each row of an (N, K) count array, summed class by class."""
     scores = np.zeros(len(tuples))
     for i, w in enumerate(weights):
-        scores += w * tuples[:, i]
+        scores += float(w) * tuples[:, i]  # an int weight times a uint8 column would wrap
     return scores
 
 
-def tuple_masses(law: ClassAlarmLaw, tuples: np.ndarray) -> np.ndarray:
-    """Probability of each row of an (N, K) count array: its binomial masses multiplied in class order."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=256)
+def _binomial_pmf(n: int, q: float) -> np.ndarray:
+    return _frozen(np.array([math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)]))
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def cell_grid(counts: tuple[int, ...]) -> np.ndarray:
+    """count_tuples of a cell, row-major so that rows gather whole."""
+    return _frozen(np.ascontiguousarray(count_tuples(counts)))
+
+
+@functools.lru_cache(maxsize=2 * GRID_CACHE_SIZE)
+def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
+    """Probability of each count tuple of the cell: its binomial masses multiplied in class order."""
+    tuples = cell_grid(law.counts)
     masses = np.ones(len(tuples))
     for i, (n, q) in enumerate(zip(law.counts, law.alarm_probs)):
-        pmf = np.array([math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)])
-        masses *= pmf[tuples[:, i]]
-    return masses
+        masses *= _binomial_pmf(n, q)[tuples[:, i]]
+    return _frozen(masses)
 
 
-def _assemble(weights: tuple[float, ...], tuples: np.ndarray, masses: np.ndarray) -> ScoreDistribution:
-    """Score each count tuple, sort, and merge near-equal scores into atoms.
+@functools.lru_cache(maxsize=2 * GRID_CACHE_SIZE)
+def cell_scores(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Score of each count tuple of the cell, and the tuples' stable ascending score order."""
+    scores = _frozen(tuple_scores(weights, cell_grid(counts)))
+    return scores, _frozen(np.argsort(scores, kind="stable").astype(np.int32))
+
+
+def _assemble(
+    scores: np.ndarray, order: np.ndarray, masses: np.ndarray, tuples: np.ndarray
+) -> ScoreDistribution:
+    """Take the rows in ``order``, a stable sort by score, and merge near-equal scores into atoms.
 
     Ties keep the (lexicographic) order of ``tuples``. An atom's value is the
     score of its first tuple, its head; it takes every later score within
     tolerance of the head, and its mass is the fsum of their masses.
     """
-    # zero-mass tuples (alarm probabilities of exactly 0 or 1) are not atoms
-    positive = masses > 0.0
-    tuples, masses = tuples[positive], masses[positive]
-    scores = tuple_scores(weights, tuples)
-    order = np.argsort(scores, kind="stable")
-    tuples, scores, masses = tuples[order], scores[order], masses[order]
+    # zero-mass tuples (alarm probabilities of exactly 0 or 1) are not atoms;
+    # what is left of a stable order is the stable order of what is left
+    order = order[masses[order] > 0.0]
+    tuples, scores, masses = np.take(tuples, order, axis=0), scores[order], masses[order]
 
     # Scores are >= 0, so no head has a wider tolerance than a later score: a
     # gap wider than the tolerance of the score before it starts an atom. A
@@ -217,8 +254,7 @@ def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDis
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
     _check_weights(weights, len(law.counts))
-    tuples = count_tuples(law.counts)
-    return _assemble(weights, tuples, tuple_masses(law, tuples))
+    return _assemble(*cell_scores(law.counts, weights), cell_masses(law), cell_grid(law.counts))
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
@@ -248,5 +284,6 @@ def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> Sc
             xs[sensor_class[j]] += b
         key = tuple(xs)
         tuple_probs[key] = tuple_probs.get(key, 0.0) + p
-    keys = sorted(tuple_probs)
-    return _assemble(weights, np.array(keys), np.array([tuple_probs[key] for key in keys]))
+    # every count tuple is reachable, so the sorted keys are the rows of the cell's grid
+    masses = np.array([tuple_probs[key] for key in sorted(tuple_probs)])
+    return _assemble(*cell_scores(law.counts, weights), masses, cell_grid(law.counts))

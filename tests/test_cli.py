@@ -344,6 +344,23 @@ class TestInvalidInputs:
             assert f'in "{path}", line 1, column 4' in result.stderr and "^" not in result.stderr
 
     @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            ("schema: " + "1" * 5000, "invalid YAML value: Exceeds the limit (4300 digits)"),
+            ("created: 2020-13-45", "invalid YAML value: month must be in 1..12"),
+        ],
+        ids=["5000-digit-int", "impossible-date"],
+    )
+    def test_scalar_the_yaml_constructor_refuses(self, runner, tmp_path, monkeypatch, loader, line, text):
+        # PyYAML converts ints and dates while loading, and raises ValueError
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+        path = tmp_path / "scalar.yaml"
+        path.write_text(f"{line}\nchannel: {{p_c: 0.9, p_w: 0.1}}\n")
+        result = runner.invoke(main, ["errors", "--scenario", str(path)])
+        self.assert_one_error_line(result, f"{path}: {text}")
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
     @pytest.mark.parametrize("depth", [2000, 60000])
     @pytest.mark.parametrize("style", ["flow", "block"])
     def test_deep_nesting(self, runner, tmp_path, monkeypatch, loader, depth, style):

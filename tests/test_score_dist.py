@@ -129,9 +129,8 @@ class TestAtomMerge:
             scale = 10.0 ** int(rng.integers(-2, 7))
             values = rng.permutation(np.cumsum(rng.choice(gaps, size=n) * max(1.0, scale)) + scale)
             masses = rng.random(n) + 0.01
-            # row i of the identity scores weight i, so the scores are the values
-            dist = _assemble(tuple(values.tolist()), np.eye(n, dtype=np.int32), masses)
             order = np.argsort(values, kind="stable")
+            dist = _assemble(values, order, masses, np.eye(n, dtype=np.int32))
             want = _sequential_atoms(values[order].tolist(), masses[order].tolist())
             assert list(zip(dist.values.tolist(), dist.probs.tolist())) == want
 
