@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -239,12 +239,11 @@ def solve_mp_test(
     return replace(test, exact_power=power)
 
 
-def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray | None = None) -> np.ndarray:
-    """Per row of an (N, K) count array, by default the cell's grid: the probability that ``rule`` rejects H0.
+def _rule_form(rule: MPTest | BayesTest) -> tuple[tuple[float, ...], float, float, float]:
+    """A rule as (weights, lo, hi, k): reject with probability 1 for a score below lo, k up to hi, else 0.
 
-    Every rule is applied as (weights, threshold t, boundary coin k): 1 for
-    a score below t, k within atom tolerance of t, 0 above, comparing the
-    scores of score_dist.tuple_scores. Bayes rules take k = 0.
+    lo and hi are the threshold t less and plus its atom tolerance. Bayes
+    rules take k = 0.
     """
     mp = isinstance(rule, MPTest)
     if rule.degenerate:
@@ -254,11 +253,45 @@ def _reject_probs(rule: MPTest | BayesTest, counts: np.ndarray | None = None) ->
     else:
         weights, t = rule.weights, rule.threshold
         k = rule.boundary_prob if mp else 0.0
-    score = cell_scores(rule.class_counts, weights)[0] if counts is None else tuple_scores(weights, counts)
     tol = atom_tolerance(t)
-    # a threshold of -inf has infinite tolerance: t - tol is -inf and t + tol
-    # nan, so no score rejects
-    return np.where(score < t - tol, 1.0, np.where(score <= t + tol, k, 0.0))
+    # a threshold of -inf has infinite tolerance: lo is -inf and hi nan, so
+    # no score rejects
+    return weights, t - tol, t + tol, k
+
+
+def _threshold_probs(score: np.ndarray, lo, hi, k) -> np.ndarray:
+    return np.where(score < lo, 1.0, np.where(score <= hi, k, 0.0))
+
+
+def _reject_probs(rule: MPTest | BayesTest) -> np.ndarray:
+    """Per count tuple of the cell's grid: the probability that ``rule`` rejects H0."""
+    weights, lo, hi, k = _rule_form(rule)
+    return _threshold_probs(cell_scores(rule.class_counts, weights)[0], lo, hi, k)
+
+
+class _RuleForms(NamedTuple):
+    """Several rules' (weights, lo, hi, k) forms side by side, one column per rule.
+
+    ``weights`` is (K, R); ``lo``, ``hi`` and ``k`` are (R,).
+    """
+
+    weights: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    k: np.ndarray
+
+    @classmethod
+    def of(cls, rules: Sequence[MPTest | BayesTest], n_classes: int) -> _RuleForms:
+        forms = [_rule_form(rule) for rule in rules]
+        weights = np.array([f[0] for f in forms], dtype=float).reshape(len(forms), n_classes)
+        return cls(weights.T, *(np.array([f[i] for f in forms], dtype=float) for i in (1, 2, 3)))
+
+    def reject_probs(self, counts: np.ndarray) -> np.ndarray:
+        """Per row of an (N, K) count array, every rule's probability of rejecting H0: shape (N, R).
+
+        Scores come from score_dist.tuple_scores and compare as on the grid.
+        """
+        return _threshold_probs(tuple_scores(self.weights, counts), self.lo, self.hi, self.k)
 
 
 def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[float]:
@@ -272,7 +305,8 @@ def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[flo
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:
     _check_observation(obs, rule.class_counts)
-    p = float(_reject_probs(rule, np.array([obs.counts]))[0])
+    weights, lo, hi, k = _rule_form(rule)
+    p = float(_threshold_probs(tuple_scores(weights, np.array([obs.counts])), lo, hi, k)[0])
     if 0.0 < p < 1.0:
         verdict = Verdict.REJECT_H0 if coin.random() < p else Verdict.ACCEPT_H0
         return Decision(verdict, randomized=True)

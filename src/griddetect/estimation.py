@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import DomainError, ValidatedScenario
-from .simulator import Truth, derive_trial_seed, draw_world, trial_rng
+from .simulator import Truth, forced_worlds
 
 __all__ = [
     "Condition",
@@ -154,21 +154,25 @@ def generate_trial_logs(
     """Simulate controlled-condition logs (the truth is forced, not drawn).
 
     Log i uses the same per-index seeding as the trial simulator, so a
-    log set is reproducible from (scenario, condition, n_logs, seed).
+    log set is reproducible from (scenario, condition, n_logs, seed); it
+    equals draw_world on log i's generator. Each distinct record is built
+    once and shared by the logs that repeat it.
     """
     if n_logs < 1:
         raise DomainError(f"n_logs must be positive, got {n_logs}")
     truth = Truth.EVENT if condition is Condition.CONTROLLED_EVENT else Truth.NORMAL
+    classes = [ci for ci, cls in enumerate(scenario.topology.classes) for _ in range(cls.count)]
+    records: dict[tuple[int, bool, bool], SensorRecord] = {}
     logs = []
-    for i in range(n_logs):
-        rng = trial_rng(derive_trial_seed(master_seed, i))
-        detections, responses = draw_world(scenario, truth, rng)
-        records = tuple(
-            SensorRecord(class_index=ci, detected=y, responded=x)
-            for ci, (ys, xs) in enumerate(zip(detections, responses))
-            for y, x in zip(ys, xs)
-        )
-        logs.append(TrialLog(condition=condition, records=records))
+    for detected, alarm in forced_worlds(scenario, truth, n_logs, master_seed):
+        for ys, xs in zip(detected.tolist(), alarm.tolist()):
+            row = []
+            for key in zip(classes, ys, xs):
+                record = records.get(key)
+                if record is None:
+                    record = records[key] = SensorRecord(key[0], int(key[1]), int(key[2]))
+                row.append(record)
+            logs.append(TrialLog(condition=condition, records=tuple(row)))
     return logs
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "BRUTE_FORCE_MAX_SENSORS",
     "MAX_COUNT_TUPLES",
     "GRID_CACHE_SIZE",
+    "MAX_BINOMIAL_COUNT",
     "atom_tolerance",
     "ClassAlarmLaw",
     "ScoreAtom",
@@ -60,6 +61,10 @@ BRUTE_FORCE_MAX_SENSORS = 20
 
 # Rows of the count-tuple grid; about 9x a cell of six classes of six sensors.
 MAX_COUNT_TUPLES = 2**20
+
+# Largest class count whose binomial coefficients all convert to a float:
+# math.comb(1030, 515) exceeds the float range.
+MAX_BINOMIAL_COUNT = 1029
 
 # Count-tuple grids cached; masses and scores are cached for twice as many keys.
 GRID_CACHE_SIZE = 4
@@ -170,11 +175,17 @@ def count_tuples(counts: Sequence[int]) -> np.ndarray:
     return np.indices(dims, dtype=np.min_scalar_type(max(dims) - 1)).reshape(len(dims), -1).T
 
 
-def tuple_scores(weights: Iterable[float], tuples: np.ndarray) -> np.ndarray:
-    """Score sum(w_i * x_i) of each row of an (N, K) count array, summed class by class."""
-    scores = np.zeros(len(tuples))
-    for i, w in enumerate(weights):
-        scores += float(w) * tuples[:, i]  # an int weight times a uint8 column would wrap
+def tuple_scores(weights: Sequence[float] | np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """Score sum(w_i * x_i) of each row of an (N, K) count array, summed class by class.
+
+    A (K, R) weight array scores every row under each of its R columns at
+    once, shape (N, R), with the same products added in the same order.
+    """
+    weights = np.asarray(weights, dtype=float)  # an int weight times a uint8 column would wrap
+    columns = tuples.T[(...,) + (None,) * (weights.ndim - 1)]
+    scores = np.zeros(columns.shape[1:2] + weights.shape[1:])
+    for w, x in zip(weights, columns):
+        scores += w * x
     return scores
 
 
@@ -200,6 +211,10 @@ def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
     tuples = cell_grid(law.counts)
     masses = np.ones(len(tuples))
     for i, (n, q) in enumerate(zip(law.counts, law.alarm_probs)):
+        if n > MAX_BINOMIAL_COUNT:
+            raise DomainError(
+                f"class {i}: count {n} is too large for the exact score law (at most {MAX_BINOMIAL_COUNT})"
+            )
         masses *= _binomial_pmf(n, q)[tuples[:, i]]
     return _frozen(masses)
 

@@ -18,11 +18,12 @@ Draw-order contract within one trial (fixed; changing it changes results):
 ``simulate_trial`` is the reference: it replays one trial with its own
 Generator. ``run_trials`` computes the same streams in blocks of trial
 indices with numpy (``_streams``), reads the world from them in the order
-above with the same comparisons, gets each rule's reject probability for
-every count tuple of the block from the same threshold-rule core that
-``mp_decide`` and ``bayes_decide`` use, and compares it with the uniform
-the contract assigns to that test's boundary coin. Its counts equal a
-trial-by-trial run's.
+above with the same comparisons, gets every rule's reject probability for
+every count tuple of the block in one pass of the same threshold-rule core
+that ``mp_decide`` and ``bayes_decide`` use, and compares it with the
+uniform the contract assigns to that test's boundary coin. Its counts equal
+a trial-by-trial run's. ``forced_worlds`` reads worlds the same way for
+trials whose truth is forced (calibration logs), from their first uniform.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .decision_tests import (
     Decision,
     MPTest,
     Observation,
-    _reject_probs,
+    _RuleForms,
     bayes_decide,
     mp_decide,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "trial_rng",
     "draw_world",
     "simulate_trial",
+    "forced_worlds",
     "run_trials",
 ]
 
@@ -65,11 +67,12 @@ __all__ = [
 # Trial i draws from Generator(PCG64(SeedSequence((master_seed, i)))).
 GENERATOR_NAME = "pcg64/per-trial-seedseq"
 
-# Trials per block in run_trials; keeps a block's arrays to a few MB.
+# Trials per block in run_trials, at most; wider cells get fewer (_block_rows).
 _CHUNK = 4096
 
-# Uniforms per trial (1 + 2 * sensors + tests). A 4096-trial block needs
-# about 0.35 MB per draw, so about 220 MB at the cap.
+# Uniforms per trial (1 + 2 * sensors + tests). Blocks shrink as trials
+# widen, so this bounds the run time of a trial, not memory: 10,000 trials
+# at the cap peak at about 37 MB resident (x86-64, numpy 2.4).
 MAX_TRIAL_DRAWS = 640
 
 TestSpec = tuple[str, MPTest | BayesTest]
@@ -233,52 +236,92 @@ class SimReport:
     test_stats: tuple[TestSimStats, ...]
 
 
+def _block_rows(n_draws: int) -> int:
+    """Trials per block for trials of ``n_draws`` uniforms: at most _CHUNK, and at most
+    the stream workspace's cells, so the memory it keeps does not grow with the cell."""
+    return max(1, min(_CHUNK, _streams.WORKSPACE_CELLS // n_draws))
+
+
+def _check_draws(n_sensors: int, n_draws: int, what: str, draws: str) -> None:
+    if n_draws > MAX_TRIAL_DRAWS:
+        raise DomainError(
+            f"the cell has {n_sensors} sensors; {what} is capped at {MAX_TRIAL_DRAWS} "
+            f"draws per trial ({draws})"
+        )
+
+
+def _world(
+    scenario: ValidatedScenario, u: np.ndarray, row: int, event: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detection and alarm bits of every sensor, each (sensors, trials), read from a
+    (draws, trials) block of uniforms from draw ``row`` on.
+
+    Event trials read a (detection, response) pair per sensor and normal
+    trials one response per sensor, in the module draw order; the
+    comparisons are draw_world's. ``u`` must hold ``row + 2 * sensors`` draws.
+    """
+    topology = scenario.topology
+    n = topology.total_count
+    detect_probs = np.repeat(topology.detect_probs, topology.counts)[:, None]
+    detected = (u[row : row + 2 * n : 2] < detect_probs) & event
+    response = np.where(event, u[row + 1 : row + 2 * n + 1 : 2], u[row : row + n])
+    return detected, response < np.where(detected, scenario.channel.p_c, scenario.channel.p_w)
+
+
+def forced_worlds(
+    scenario: ValidatedScenario, truth: Truth, n_trials: int, master_seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """draw_world for trials 0 .. n_trials - 1 under a forced truth, in blocks of trials.
+
+    Trial i reads the stream of derive_trial_seed(master_seed, i) from its
+    first uniform on, since no truth is drawn. Yields (detected, alarm)
+    bit arrays of shape (block trials, sensors).
+    """
+    master_seed = _check_master_seed(master_seed)
+    n = scenario.topology.total_count
+    _check_draws(n, 2 * n, "log generation", "2 * sensors")
+    rows = _block_rows(2 * n)
+    for start in range(0, n_trials, rows):
+        indices = np.arange(start, min(start + rows, n_trials), dtype=np.uint64)
+        u = _streams.uniforms(master_seed, indices, 2 * n).T
+        detected, alarm = _world(scenario, u, 0, np.full(len(indices), truth is Truth.EVENT))
+        yield detected.T, alarm.T
+
+
 def _count_block(
     scenario: ValidatedScenario,
     prior: Prior,
-    tests: Sequence[TestSpec],
+    forms: _RuleForms,
     master_seed: int,
     indices: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Every SimReport count over one block of trial indices, as integer arrays.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Counts over one block of trial indices: event trials, and per sensor alarms and per
+    rule event declarations, summed over all trials and over event trials.
 
     Reads each trial's stream in the module draw order; the comparisons
     are the ones draw_world and mp_decide make on the same doubles.
     """
-    sizes = np.array(scenario.topology.counts)
-    n = int(sizes.sum())
-    p_c, p_w = scenario.channel.p_c, scenario.channel.p_w
-    u = _streams.uniforms(master_seed, indices, 1 + 2 * n + len(tests))
-
+    topology = scenario.topology
+    n = topology.total_count
+    u = _streams.uniforms(master_seed, indices, 1 + 2 * n + len(forms.lo))
     event = u[:, 0] < prior.event_prob
-    # event trials interleave (detection, response) per sensor; normal trials
-    # draw responses only
-    detected = u[:, 1 : 2 * n : 2] < np.repeat(scenario.topology.detect_probs, sizes)
-    alarm = np.where(
-        event[:, None], u[:, 2 : 2 * n + 1 : 2] < np.where(detected, p_c, p_w), u[:, 1 : n + 1] < p_w
-    )
-    first = np.cumsum(sizes) - sizes
-    counts = np.add.reduceat(alarm.astype(np.int64), first, axis=1)
+    _, alarm = _world(scenario, u.T, 1, event)
+    counts = np.add.reduceat(alarm, np.cumsum(topology.counts) - topology.counts, axis=0)
 
-    p = np.empty((len(indices), len(tests)))
-    for j, (_, test) in enumerate(tests):
-        p[:, j] = _reject_probs(test, counts)
+    p = forms.reject_probs(counts.T)
     randomized = (0.0 < p) & (p < 1.0)
     # a test's coin follows the world draws and the coins of earlier tests;
-    # where p is 0 or 1 the column read is any uniform and decides nothing
-    coin_col = np.where(event, 1 + 2 * n, 1 + n)[:, None] + np.cumsum(randomized, axis=1) - randomized
-    declared = np.take_along_axis(u, coin_col, axis=1) >= p
+    # where p is 0 or 1 the draw read is any uniform and decides nothing
+    coin = np.cumsum(randomized, axis=1)
+    coin -= randomized
+    coin += np.where(event, 1 + 2 * n, 1 + n)[:, None]
+    declared = np.take_along_axis(u, coin, axis=1) >= p
 
-    ev = event[:, None]
-    first_alarm = alarm[:, first]
+    features = np.concatenate([alarm, declared.T])
     return (
-        event.sum(),
-        (sizes - counts)[event].sum(axis=0),
-        first_alarm.sum(axis=0),
-        (first_alarm & ~ev).sum(axis=0),
-        (~first_alarm & ev).sum(axis=0),
-        (declared & ev).sum(axis=0),
-        (~(declared | ev)).sum(axis=0),
+        np.count_nonzero(event),
+        np.add.reduce(features, axis=1),
+        np.add.reduce(features, axis=1, where=event),
     )
 
 
@@ -294,49 +337,55 @@ def run_trials(
     Trial i uses the stream from derive_trial_seed(master_seed, i), so a
     report is a pure function of its arguments and single trials can be
     replayed in isolation with simulate_trial. Trials are computed in
-    blocks of _CHUNK indices; the counts are the same as a trial-by-trial
-    run. A cell whose trials take more than MAX_TRIAL_DRAWS uniforms each
-    is refused.
+    blocks of _block_rows indices; the counts are the same as a
+    trial-by-trial run. A cell whose trials take more than MAX_TRIAL_DRAWS
+    uniforms each is refused.
     """
     if int(n_trials) != n_trials or n_trials < 1:
         raise DomainError(f"n_trials must be a positive integer, got {n_trials}")
     n_trials = int(n_trials)
     master_seed = _check_master_seed(master_seed)
-    n_sensors = scenario.topology.total_count
-    if 1 + 2 * n_sensors + len(tests) > MAX_TRIAL_DRAWS:
-        raise DomainError(
-            f"the cell has {n_sensors} sensors; simulation is capped at {MAX_TRIAL_DRAWS} "
-            "draws per trial (1 + 2 * sensors + tests)"
-        )
+    topology = scenario.topology
+    n_sensors = topology.total_count
+    n_draws = 1 + 2 * n_sensors + len(tests)
+    _check_draws(n_sensors, n_draws, "simulation", "1 + 2 * sensors + tests")
+    forms = _RuleForms.of([test for _, test in tests], len(topology.counts))
 
-    totals = None
-    for start in range(0, n_trials, _CHUNK):
-        indices = np.arange(start, min(start + _CHUNK, n_trials), dtype=np.uint64)
-        part = _count_block(scenario, prior, tests, master_seed, indices)
-        totals = part if totals is None else tuple(a + b for a, b in zip(totals, part))
-    (n_event, ev_silent, first_alarm, first_alarm_normal, first_silent_event,
-     accept_event, reject_normal) = (t.tolist() for t in totals)
-
+    rows = _block_rows(n_draws)
+    n_event, alarms, event_alarms = 0, 0, 0
+    for start in range(0, n_trials, rows):
+        indices = np.arange(start, min(start + rows, n_trials), dtype=np.uint64)
+        part = _count_block(scenario, prior, forms, master_seed, indices)
+        n_event += part[0]
+        alarms = alarms + part[1]
+        event_alarms = event_alarms + part[2]
+    # per sensor then per test: alarms and event declarations over all
+    # trials and over event trials
+    alarms, event_alarms = alarms.tolist(), event_alarms.tolist()
     n_normal = n_trials - n_event
-    class_stats = tuple(
-        ClassSimStats(
-            label=cls.label,
-            count=cls.count,
-            n_event_silent=ev_silent[ci],
-            n_event_records=n_event * cls.count,
-            n_first_silent_event=first_silent_event[ci],
-            n_first_silent=n_trials - first_alarm[ci],
-            n_first_alarm_normal=first_alarm_normal[ci],
-            n_first_alarm=first_alarm[ci],
+
+    class_stats = []
+    first = 0
+    for cls in topology.classes:
+        class_stats.append(
+            ClassSimStats(
+                label=cls.label,
+                count=cls.count,
+                n_event_silent=cls.count * n_event - sum(event_alarms[first : first + cls.count]),
+                n_event_records=n_event * cls.count,
+                n_first_silent_event=n_event - event_alarms[first],
+                n_first_silent=n_trials - alarms[first],
+                n_first_alarm_normal=alarms[first] - event_alarms[first],
+                n_first_alarm=alarms[first],
+            )
         )
-        for ci, cls in enumerate(scenario.topology.classes)
-    )
+        first += cls.count
     test_stats = tuple(
         TestSimStats(
             name=name,
-            n_accept_event=accept_event[ti],
+            n_accept_event=event_alarms[n_sensors + ti],
             n_event=n_event,
-            n_reject_normal=reject_normal[ti],
+            n_reject_normal=n_normal - (alarms[n_sensors + ti] - event_alarms[n_sensors + ti]),
             n_normal=n_normal,
         )
         for ti, (name, _) in enumerate(tests)
@@ -347,6 +396,6 @@ def run_trials(
         generator=GENERATOR_NAME,
         n_event=n_event,
         n_normal=n_normal,
-        class_stats=class_stats,
+        class_stats=tuple(class_stats),
         test_stats=test_stats,
     )

@@ -293,6 +293,25 @@ class TestInvalidInputs:
         result = runner.invoke(main, [command, "--scenario", str(path)])
         self.assert_one_error_line(result, "count tuples")
 
+    @pytest.mark.parametrize("command", ["bayes", "mp", "dist"])
+    def test_class_too_large_for_binomial_law(self, runner, tmp_path, command):
+        # few count tuples, but comb(2000, x) overflows a float
+        path = tmp_path / "wide.yaml"
+        path.write_text(
+            "schema: 1\n"
+            "channel: {p_c: 0.9, p_w: 0.1}\n"
+            "topology:\n"
+            "  kind: custom\n"
+            "  classes:\n"
+            "    - {label: near, count: 2, p_detect: 0.9}\n"
+            "    - {label: far, count: 2000, p_detect: 0.4}\n"
+            "prior: {p_e: [0.1]}\n"
+            "loss_ratio: [5]\n"
+            "sizes: [0.1]\n"
+        )
+        result = runner.invoke(main, [command, "--scenario", str(path)])
+        self.assert_one_error_line(result, "class 1: count 2000 is too large")
+
     def test_oversized_simulation(self, runner, tmp_path):
         # Bayes rules only, so no count-tuple grid is built before the trials
         path = tmp_path / "huge.yaml"

@@ -3,6 +3,7 @@ import pytest
 import griddetect as g
 from griddetect import Condition, DomainError, SensorRecord, TrialLog
 from griddetect.model import TOPOLOGY_KINDS
+from griddetect.simulator import _block_rows, trial_rng
 
 from cases import GOOD_CHANNEL, good_scenario, weak_scenario
 
@@ -139,6 +140,45 @@ class TestRoundTrip:
         a = g.generate_trial_logs(sc, Condition.NORMAL, 50, 9)
         b = g.generate_trial_logs(sc, Condition.NORMAL, 50, 9)
         assert a == b
+
+
+def _draw_world_logs(scenario, condition, n_logs, seed):
+    """generate_trial_logs by the reference path: one draw_world per log on its own generator."""
+    truth = g.Truth.EVENT if condition is Condition.CONTROLLED_EVENT else g.Truth.NORMAL
+    logs = []
+    for i in range(n_logs):
+        detections, responses = g.draw_world(scenario, truth, trial_rng(g.derive_trial_seed(seed, i)))
+        records = [
+            SensorRecord(ci, y, x)
+            for ci, (ys, xs) in enumerate(zip(detections, responses))
+            for y, x in zip(ys, xs)
+        ]
+        logs.append(TrialLog(condition=condition, records=tuple(records)))
+    return logs
+
+
+class TestBlockLogs:
+    @pytest.mark.parametrize("condition", list(Condition))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_equal_to_draw_world_across_a_block_boundary(self, condition, seed):
+        # 300 sensors: blocks of a few hundred logs, so a short run crosses one
+        topology = g.builtin_topology("custom", [0.9, 0.5, 0.2], counts=[100, 100, 100])
+        sc = g.validate(g.ChannelModel(0.9, 0.1), topology)
+        n_logs = _block_rows(2 * 300) + 3
+        logs = g.generate_trial_logs(sc, condition, n_logs, seed)
+        assert logs == _draw_world_logs(sc, condition, n_logs, seed)
+        assert {type(r.detected) for log in logs for r in log.records} == {int}
+
+    @pytest.mark.parametrize("condition", list(Condition))
+    def test_equal_to_draw_world_on_the_interior_cell(self, condition):
+        sc = good_scenario()
+        assert g.generate_trial_logs(sc, condition, 60, 8) == _draw_world_logs(sc, condition, 60, 8)
+
+    def test_draw_cap(self):
+        topology = g.builtin_topology("custom", [0.9, 0.5], counts=[160, 161])
+        sc = g.validate(g.ChannelModel(0.9, 0.1), topology)
+        with pytest.raises(DomainError, match="321 sensors; log generation is capped"):
+            g.generate_trial_logs(sc, Condition.NORMAL, 1, 0)
 
 
 class TestLogFileFormat:

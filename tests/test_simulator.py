@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import griddetect as g
 from griddetect import DomainError, Truth, _streams
-from griddetect.simulator import _CHUNK, GENERATOR_NAME, MAX_TRIAL_DRAWS, trial_rng
+from griddetect.simulator import GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, trial_rng
 
 from cases import GOOD_APPROX, degenerate_scenario, good_scenario, weak_scenario
 
@@ -171,9 +177,9 @@ class TestRunTrials:
     def test_matches_per_trial_replay(self):
         # every count re-derived from single-trial outcomes, for three rule
         # sets, over a run that crosses a block boundary
-        n = _CHUNK + 3
         for name, case in REPLAY_CASES.items():
             sc, prior, tests = case()
+            n = _block_rows(1 + 2 * sc.topology.total_count + len(tests)) + 3
             replayed, coins = _replay_counts(sc, prior, tests, n, 77)
             assert 0 < replayed[1] < n and coins > 0, name  # both worlds and boundary coins occur
             assert _report_counts(g.run_trials(sc, prior, tests, n, 77)) == replayed, name
@@ -206,7 +212,11 @@ class TestRunTrials:
         prior = g.Prior(0.5)
         tests = [("bayes l=1", g.bayes_test(sc, prior, g.LossRatio(1)))]
         assert 1 + 2 * 319 + len(tests) == MAX_TRIAL_DRAWS
-        assert g.run_trials(sc, prior, tests, 3, 5).n_trials == 3
+        # at the cap a block holds a few hundred trials; cross its boundary
+        n = _block_rows(MAX_TRIAL_DRAWS) + 3
+        assert n < 1000
+        replayed, _ = _replay_counts(sc, prior, tests, n, 5)
+        assert _report_counts(g.run_trials(sc, prior, tests, n, 5)) == replayed
         with pytest.raises(DomainError, match="319 sensors"):
             g.run_trials(sc, prior, tests * 2, 3, 5)
 
@@ -266,6 +276,95 @@ class TestRunTrials:
             g.run_trials(sc, g.Prior(0.1), [], 10, -1)
         with pytest.raises(DomainError):
             g.run_trials(sc, g.Prior(0.1), [], 10, 2**64)
+
+
+class TestWorkspace:
+    """The stream workspace is reused across blocks and calls, per thread."""
+
+    def test_threads_match_sequential(self):
+        sc, prior, tests = _good_replay_case()
+        seeds = range(8)
+        want = {seed: g.run_trials(sc, prior, tests, 300 + seed, seed) for seed in seeds}
+        got = {}
+        barrier = threading.Barrier(4)
+
+        def work(offset):
+            barrier.wait(timeout=30)
+            for seed in seeds[offset::4]:
+                got[seed] = g.run_trials(sc, prior, tests, 300 + seed, seed)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_alternating_block_shapes_match_generator(self):
+        # every shape in turn, each after a different one; indices straddle 2**32
+        shapes = [(rows, draws) for draws in (1, 25, 130) for rows in (1, 250, 4099)]
+        shapes += shapes[::-1]
+        for k, (rows, draws) in enumerate(shapes):
+            seed = (2**64 - 1, 7)[k % 2]
+            start = 2**32 - 5 - 3 * k
+            block = _streams.uniforms(seed, np.arange(start, start + rows, dtype=np.uint64), draws)
+            assert block.shape == (rows, draws)
+            for i in sorted({0, rows // 2, rows - 1}):
+                expected = trial_rng(g.derive_trial_seed(seed, start + i)).random(draws)
+                assert np.array_equal(block[i], expected), (rows, draws, i)
+
+    def test_no_rules(self):
+        # rule coins follow the world draws, so the class counts do not depend on the rules
+        sc, prior, tests = _good_replay_case()
+        n = _block_rows(1 + 2 * sc.topology.total_count) + 3
+        bare = g.run_trials(sc, prior, [], n, 12)
+        assert bare.test_stats == ()
+        full = g.run_trials(sc, prior, tests, n, 12)
+        assert (bare.n_event, bare.class_stats) == (full.n_event, full.class_stats)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific")
+    @pytest.mark.parametrize("prelude", ["", "keep = bytearray(1 << 16)"], ids=["plain", "shifted-heap"])
+    def test_few_page_faults_per_block(self, prelude):
+        # Which heap layout a process gets is a matter of chance; the retained
+        # allocation moves the heap top and put the per-block allocations of
+        # the earlier kernel into the layout that faults on every block.
+        pytest.importorskip("resource")
+        code = textwrap.dedent(
+            f"""
+            import resource
+            import griddetect as g
+            from griddetect.scenario_io import load_scenario
+            {prelude}
+            pairs = []
+            for net in ("good", "weak"):
+                sf = load_scenario({str(Path(__file__).parents[1] / "scenarios")!r} + f"/{{net}}_network.yaml")
+                for prior in sf.priors():
+                    tests = [("b", g.bayes_test(sf.scenario, prior, g.LossRatio(l))) for l in sf.loss_ratios]
+                    tests += [("m", g.solve_mp_test(sf.scenario, s, **sf.mp_overrides())) for s in sf.sizes]
+                    pairs.append((sf.scenario, prior, tests))
+            def op(i):
+                sc, prior, tests = pairs[i % len(pairs)]
+                g.run_trials(sc, prior, tests, 250, 1000 + i)
+            for i in range(2 * len(pairs)):
+                op(i)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for i in range(200):
+                op(i)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+            """
+        )
+        src = str(Path(g.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert float(out.stdout) < 5.0
 
 
 def _expected_rates(sc, prior, tests):
