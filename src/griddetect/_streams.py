@@ -15,17 +15,17 @@ two products are computed as one stacked multiply, (x, inc) times
 (M**(j+2), 1 + ... + M**(j+1)), over a draw-major (2, draws, rows) array,
 then added.
 
-A block's arrays live in a per-thread workspace that later calls on the same
-thread reuse, so a block allocates nothing large. The array ``uniforms``
-returns is part of that workspace: it is valid only until the next call on
-the same thread. The workspace keeps at most ``WORKSPACE_CELLS`` rows x
-draws; a larger block gets buffers of its own, freed with the result.
+A thread's workspace holds the arrays of the last block shape it computed;
+blocks of the same shape reuse them, so a run of equal blocks allocates
+nothing large, and a new shape frees the old arrays before allocating its
+own. The array ``uniforms`` returns is part of that workspace: it is valid
+only until the next call on the same thread. This module sets no bound on
+a block's size; the simulator sizes blocks (``simulator._block_rows``).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import threading
 
 import numpy as np
@@ -45,9 +45,6 @@ _U64_1, _U64_11, _U64_32 = np.uint64(1), np.uint64(11), np.uint64(32)
 _U64_58, _U64_63, _U64_64 = np.uint64(58), np.uint64(63), np.uint64(64)
 _U64_M32 = np.uint64(_M32)
 _TO_DOUBLE = 1.0 / 9007199254740992.0
-
-# Rows x draws a thread's workspace keeps between calls: at most about 7 MB.
-WORKSPACE_CELLS = 1 << 17
 
 
 def _int_words(n: int) -> list[int]:
@@ -92,7 +89,7 @@ def _hash(value: np.ndarray, init: np.ndarray, mult: np.ndarray, out: np.ndarray
     np.bitwise_xor(out, tmp, out=out)
 
 
-def _seed(master_seed: int, idx: np.ndarray, ws: _Views) -> None:
+def _seed(master_seed: int, idx: np.ndarray, ws: _Workspace) -> None:
     """Fill ws.limbs with each trial's (x, inc) as 64-bit and 32-bit limbs."""
     pool, h, t = ws.pool, ws.h, ws.t
     words = _int_words(master_seed)
@@ -157,7 +154,7 @@ def _jumps(n_draws: int) -> np.ndarray:
     return limbs
 
 
-def _draws(n_draws: int, ws: _Views) -> np.ndarray:
+def _draws(n_draws: int, ws: _Workspace) -> np.ndarray:
     """XSL-RR doubles of every jump from ws.limbs, as a (rows, n_draws) view.
 
     The arrays are draw-major, (2, n_draws, rows), so that each operation's
@@ -208,54 +205,25 @@ def _draws(n_draws: int, ws: _Views) -> np.ndarray:
     return out.T
 
 
-class _Views:
-    """One block shape's arrays, cut in turn from a flat uint64 buffer of ``words`` words."""
-
-    def __init__(self, buffer: np.ndarray, rows: int, n_draws: int) -> None:
-        pos = 0
-
-        def cut(shape: tuple[int, ...], dtype: type) -> np.ndarray:
-            nonlocal pos
-            n = math.prod(shape)
-            start, pos = pos, pos + -(-n * np.dtype(dtype).itemsize // 8)
-            return buffer[start:pos].view(dtype)[:n].reshape(shape)
-
-        self.pool = cut((_POOL_SIZE, rows), np.uint32)
-        self.h = cut((_POOL_SIZE - 1, rows), np.uint32)
-        self.t = cut((_POOL_SIZE, rows), np.uint32)
-        self.st = cut((2 * _POOL_SIZE, rows), np.uint32)
-        self.st_tmp = cut((2 * _POOL_SIZE, rows), np.uint32)
-        self.s = cut((_POOL_SIZE, rows), np.uint64)
-        self.limbs = cut((4, 2, rows), np.uint64)
-        self.p, self.q, self.r = (cut((2, n_draws, rows), np.uint64) for _ in range(3))
-
-    @staticmethod
-    def words(rows: int, n_draws: int) -> int:
-        return 26 * rows + 6 * rows * n_draws
-
-
 class _Workspace(threading.local):
-    """A thread's flat buffer, and the views of the last block shape cut from it."""
+    """A thread's arrays for the last block shape it computed; blocks of that shape reuse them."""
 
-    def __init__(self) -> None:
-        self.buffer = np.empty(0, dtype=np.uint64)
-        self.shape: tuple[int, int] | None = None
-        self.views: _Views | None = None
+    shape: tuple[int, int] | None = None
 
-    def get(self, rows: int, n_draws: int) -> _Views:
-        if (rows, n_draws) == self.shape:
-            return self.views
-        words = _Views.words(rows, n_draws)
-        keep = rows * n_draws <= WORKSPACE_CELLS
-        buffer = self.buffer
-        if buffer.size < words:
-            buffer = np.empty(words, dtype=np.uint64)
-            if keep:
-                self.buffer = buffer
-        views = _Views(buffer, rows, n_draws)
-        if keep:
-            self.shape, self.views = (rows, n_draws), views
-        return views
+    def fit(self, rows: int, n_draws: int) -> _Workspace:
+        if (rows, n_draws) != self.shape:
+            # free the last shape's arrays before allocating the new shape's
+            vars(self).clear()
+            self.pool = np.empty((_POOL_SIZE, rows), np.uint32)
+            self.h = np.empty((_POOL_SIZE - 1, rows), np.uint32)
+            self.t = np.empty((_POOL_SIZE, rows), np.uint32)
+            self.st = np.empty((2 * _POOL_SIZE, rows), np.uint32)
+            self.st_tmp = np.empty((2 * _POOL_SIZE, rows), np.uint32)
+            self.s = np.empty((_POOL_SIZE, rows), np.uint64)
+            self.limbs = np.empty((4, 2, rows), np.uint64)
+            self.p, self.q, self.r = (np.empty((2, n_draws, rows), np.uint64) for _ in range(3))
+            self.shape = (rows, n_draws)
+        return self
 
 
 _workspace = _Workspace()
@@ -269,6 +237,6 @@ def uniforms(master_seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     call on the same thread.
     """
     idx = np.asarray(indices, dtype=np.uint64)
-    ws = _workspace.get(len(idx), n_draws)
+    ws = _workspace.fit(len(idx), n_draws)
     _seed(master_seed, idx, ws)
     return _draws(n_draws, ws)

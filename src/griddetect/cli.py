@@ -55,8 +55,8 @@ _WEIGHT_MODE = click.option(
 )
 
 
-def _emit(tables: list[Table], fmt: str, out: Path | None) -> None:
-    text = render(tables, fmt)
+def _emit(table: Table, fmt: str, out: Path | None) -> None:
+    text = render(table, fmt)
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -111,7 +111,7 @@ def cmd_errors(scenario_path: Path, fmt: str, out: Path | None) -> None:
                  "event_given_silent", "normal_given_alarm"),
         rows=tuple(rows),
     )
-    _emit([table], fmt, out)
+    _emit(table, fmt, out)
 
 
 @main.command("bayes")
@@ -139,7 +139,7 @@ def cmd_bayes(scenario_path: Path, fmt: str, out: Path | None) -> None:
         + ("threshold", "applicable", "exact_type1", "exact_power"),
         rows=tuple(rows),
     )
-    _emit([table], fmt, out)
+    _emit(table, fmt, out)
 
 
 @main.command("mp")
@@ -181,7 +181,7 @@ def cmd_mp(
            "true_type1", "true_power"),
         rows=tuple(rows),
     )
-    _emit([table], fmt, out)
+    _emit(table, fmt, out)
 
 
 @main.command("dist")
@@ -213,7 +213,7 @@ def cmd_dist(
         columns=("value", "prob", "cumulative", "n_count_tuples"),
         rows=tuple(rows),
     )
-    _emit([table], fmt, out)
+    _emit(table, fmt, out)
 
 
 def _sim_tests(sf: ScenarioFile, prior: Prior) -> list[tuple[str, MPTest | BayesTest]]:
@@ -279,7 +279,7 @@ def cmd_simulate(
                  "abs_delta", "numerator", "denominator"),
         rows=tuple(rows),
     )
-    _emit([table], fmt, out)
+    _emit(table, fmt, out)
 
 
 @main.command("estimate")
@@ -311,7 +311,7 @@ def cmd_estimate(log_file: Path, fmt: str, out: Path | None) -> None:
         columns=("parameter", "estimate", "std_error", "n_logs"),
         rows=tuple(rows),
     )
-    _emit([table], fmt, out)
+    _emit(table, fmt, out)
 
 
 if __name__ == "__main__":

@@ -246,9 +246,12 @@ class DerivedStats:
     ``alarm_probs[i]`` is the probability that a class-i sensor alarms when
     the event occurs (p_w + detect_prob * alarm_margin), ``silence_probs``
     its complement, and ``weights[i]`` the log-likelihood-ratio weight of
-    one class-i alarm. Weights are +inf when p_w = 0 (an alarm is then
-    conclusive); ``degenerate`` flags that case so decision construction
-    can switch to the all-silent rejection region.
+    one class-i alarm. A weight is +inf when p_w = 0 (an alarm is then
+    conclusive) or when the class's alarm is certain under the event
+    (p_c = detect_prob = 1 with p_w > 0). ``degenerate`` is true when any
+    weight is +inf. Nothing reads it to choose a rule: the all-silent
+    rejection region is keyed on ``channel.silent_when_undetected``, and
+    a rule built from the exact weights refuses the certain-alarm case.
     """
 
     alarm_margin: float

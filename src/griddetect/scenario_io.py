@@ -253,8 +253,10 @@ def parse_scenario(data: dict) -> ScenarioFile:
             "simulation": False,
         },
     )
-    if root["schema"] != SCHEMA_VERSION:
-        raise ScenarioError(f"schema: expected version {SCHEMA_VERSION}, got {_shown(root['schema'])}")
+    schema = root["schema"]
+    # true and 1.0 compare equal to 1 but are not a version
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ScenarioError(f"schema: expected version {SCHEMA_VERSION}, got {_shown(schema)}")
 
     channel_node = _take(_require_mapping(root["channel"], "channel"), "channel", {"p_c": True, "p_w": True})
     with _field("channel"):

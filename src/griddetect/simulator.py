@@ -70,9 +70,13 @@ GENERATOR_NAME = "pcg64/per-trial-seedseq"
 # Trials per block in run_trials, at most; wider cells get fewer (_block_rows).
 _CHUNK = 4096
 
+# Trials x uniforms per block, at most: the stream workspace keeps the arrays
+# of the last block, about 7 MB at this size.
+WORKSPACE_CELLS = 1 << 17
+
 # Uniforms per trial (1 + 2 * sensors + tests). Blocks shrink as trials
 # widen, so this bounds the run time of a trial, not memory: 10,000 trials
-# at the cap peak at about 37 MB resident (x86-64, numpy 2.4).
+# at the cap peak at about 38 MB resident (x86-64, numpy 2.4).
 MAX_TRIAL_DRAWS = 640
 
 TestSpec = tuple[str, MPTest | BayesTest]
@@ -238,8 +242,8 @@ class SimReport:
 
 def _block_rows(n_draws: int) -> int:
     """Trials per block for trials of ``n_draws`` uniforms: at most _CHUNK, and at most
-    the stream workspace's cells, so the memory it keeps does not grow with the cell."""
-    return max(1, min(_CHUNK, _streams.WORKSPACE_CELLS // n_draws))
+    WORKSPACE_CELLS uniforms, so the memory a block takes does not grow with the cell."""
+    return max(1, min(_CHUNK, WORKSPACE_CELLS // n_draws))
 
 
 def _check_draws(n_sensors: int, n_draws: int, what: str, draws: str) -> None:

@@ -6,7 +6,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = ["Table", "format_cell", "render_text", "render_csv", "render"]
 
@@ -36,36 +35,30 @@ def format_cell(value: object) -> str:
     return str(value)
 
 
-def render_text(tables: Sequence[Table]) -> str:
-    out = []
-    for table in tables:
-        cells = [list(table.columns)] + [[format_cell(v) for v in row] for row in table.rows]
-        widths = [max(len(row[i]) for row in cells) for i in range(len(table.columns))]
-        lines = [f"# {table.title}"]
-        lines.append("  ".join(name.ljust(w) for name, w in zip(cells[0], widths)).rstrip())
-        lines.append("  ".join("-" * w for w in widths))
-        for row in cells[1:]:
-            lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)).rstrip())
-        out.append("\n".join(lines))
-    return "\n\n".join(out) + "\n"
+def render_text(table: Table) -> str:
+    cells = [list(table.columns)] + [[format_cell(v) for v in row] for row in table.rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(table.columns))]
+    lines = [f"# {table.title}"]
+    lines.append("  ".join(name.ljust(w) for name, w in zip(cells[0], widths)).rstrip())
+    lines.append("  ".join("-" * w for w in widths))
+    for row in cells[1:]:
+        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
 
 
-def render_csv(tables: Sequence[Table]) -> str:
-    """One CSV block per table; a ``table`` column keys rows to their table."""
+def render_csv(table: Table) -> str:
+    """The table as CSV; a leading ``table`` column holds its title on every row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for i, table in enumerate(tables):
-        if i:
-            writer.writerow([])
-        writer.writerow(["table"] + list(table.columns))
-        for row in table.rows:
-            writer.writerow([table.title] + [format_cell(v) for v in row])
+    writer.writerow(["table"] + list(table.columns))
+    for row in table.rows:
+        writer.writerow([table.title] + [format_cell(v) for v in row])
     return buf.getvalue()
 
 
-def render(tables: Sequence[Table], fmt: str) -> str:
+def render(table: Table, fmt: str) -> str:
     if fmt == "csv":
-        return render_csv(tables)
+        return render_csv(table)
     if fmt == "text":
-        return render_text(tables)
+        return render_text(table)
     raise ValueError(f"unknown output format {fmt!r}")

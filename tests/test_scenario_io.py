@@ -250,7 +250,7 @@ class TestRejections:
     @pytest.mark.parametrize(
         "value",
         ["{b: 1, a: [1, 2]}", "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]", "[[[[1]]]]", "x" * 70, "!!set {q, b, a}",
-         "2001-12-14", "1" * 60, "[[1, 2], {z: [3.5, null, true]}, '1e-3']"],
+         "2001-12-14", "1" * 60, "[[1, 2], {z: [3.5, null, true]}, '1e-3']", "true", "1.0"],
     )
     def test_short_value_shown_in_full(self, value):
         data = yaml.safe_load(f"schema: {value}\nchannel: {{}}\ntopology: {{}}\n")

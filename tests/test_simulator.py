@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,26 @@ class TestWorkspace:
         assert bare.test_stats == ()
         full = g.run_trials(sc, prior, tests, n, 12)
         assert (bare.n_event, bare.class_stats) == (full.n_event, full.class_stats)
+
+    def test_keeps_only_the_last_block_shape(self):
+        # a fresh thread, so that a workspace left by earlier tests cannot hide what this one keeps
+        traced = []
+
+        def work():
+            for rows in (4096, 3):
+                _streams.uniforms(5, np.arange(rows, dtype=np.uint64), 25)
+                traced.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            tracemalloc.stop()
+        first, second = traced
+        assert first > 4 << 20
+        assert second < 256 << 10
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific")
     @pytest.mark.parametrize("prelude", ["", "keep = bytearray(1 << 16)"], ids=["plain", "shifted-heap"])
