@@ -14,9 +14,12 @@ install:
 test:
 	$(RUN) -m pytest -q
 
-# Tier-1 tests, then the byte-identity check of the simulation tables in out/.
+# Tier-1 tests, the byte-identity check of the simulation tables in out/, then
+# one short table-sweep run: every table command against its oracle, and the
+# shipped errors/bayes/mp tables against out/.
 check: test
 	$(RUN) bench/run.py --golden-sim
+	$(RUN) bench/run.py --workload table-sweep --seed 1 --seconds 1 --trace 0
 
 acceptance:
 	$(RUN) -m pytest tests/test_acceptance.py -v -s

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .decision_tests import (
@@ -21,6 +22,7 @@ from .decision_tests import (
     bayes_test,
     operating_characteristics,
     solve_mp_test,
+    solve_mp_tests,
 )
 from .estimation import (
     Condition,
@@ -164,8 +166,7 @@ def cmd_mp(
         raise DomainError("no test sizes given (scenario sizes: or --sizes)")
     k = len(sf.scenario.topology.classes)
     rows = []
-    for size in sizes:
-        test = solve_mp_test(sf.scenario, size, **sf.mp_overrides())
+    for size, test in zip(sizes, solve_mp_tests(sf.scenario, sizes, **sf.mp_overrides())):
         ops = operating_characteristics(test, sf.scenario)
         rows.append(
             (1.0 - size, size)
@@ -203,15 +204,12 @@ def cmd_dist(
     q_event = overrides.get("event_alarm_probs") or stats.alarm_probs
     q = q_event if under == "event" else (sf.scenario.channel.p_w,) * len(counts)
     dist = score_distribution(weights, ClassAlarmLaw(counts, q))
-    rows = []
-    cum = 0.0
-    for atom in dist.atoms:
-        cum += atom.prob
-        rows.append((atom.value, atom.prob, cum, len(atom.support)))
+    # cumsum adds the masses one by one, as a running sum does
+    columns = (dist.values, dist.probs, np.cumsum(dist.probs), np.diff(dist.starts, append=len(dist.order)))
     table = Table(
         title=f"score-distribution under {under} ({sf.weight_mode})",
         columns=("value", "prob", "cumulative", "n_count_tuples"),
-        rows=tuple(rows),
+        rows=tuple(zip(*(c.tolist() for c in columns))),
     )
     _emit(table, fmt, out)
 

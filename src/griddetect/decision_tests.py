@@ -48,6 +48,7 @@ __all__ = [
     "OperatingCharacteristics",
     "UniformSource",
     "solve_mp_test",
+    "solve_mp_tests",
     "mp_decide",
     "bayes_test",
     "bayes_decide",
@@ -188,13 +189,18 @@ def _walk_to_threshold(dist: ScoreDistribution, size: float) -> tuple[float, flo
 
 
 def solve_mp_test(
-    scenario: ValidatedScenario,
-    size: float,
-    *,
-    weights: Iterable[float] | None = None,
-    event_alarm_probs: Iterable[float] | None = None,
+    scenario: ValidatedScenario, size: float, *,
+    weights: Iterable[float] | None = None, event_alarm_probs: Iterable[float] | None = None,
 ) -> MPTest:
-    """Construct the most-powerful test of the given size.
+    """The most-powerful test of one size: see solve_mp_tests."""
+    return solve_mp_tests(scenario, (size,), weights=weights, event_alarm_probs=event_alarm_probs)[0]
+
+
+def solve_mp_tests(
+    scenario: ValidatedScenario, sizes: Iterable[float], *,
+    weights: Iterable[float] | None = None, event_alarm_probs: Iterable[float] | None = None,
+) -> list[MPTest]:
+    """Construct the most-powerful test of each given size, in turn, on one event score law.
 
     ``weights`` and ``event_alarm_probs`` override the exact
     log-likelihood-ratio weights and event-alarm probabilities, which is
@@ -207,36 +213,30 @@ def solve_mp_test(
     rule rejects there, deterministically when that point's event
     probability fits inside the size, else with the calibrated coin.
     """
-    size = float(size)
-    if not (0.0 < size < 1.0):
-        raise DomainError(f"test size must lie in (0, 1), got {size}")
     counts = scenario.topology.counts
     stats = scenario.derived()
-
     degenerate = scenario.channel.silent_when_undetected
-    if degenerate:
-        if weights is not None or event_alarm_probs is not None:
-            raise DomainError("weight/probability overrides are meaningless when p_w = 0")
-        all_silent = math.prod(q**n for q, n in zip(stats.silence_probs, counts))
-        w, threshold = stats.weights, 0.0
-        k, exact_size = (1.0, all_silent) if all_silent <= size else (size / all_silent, size)
-    else:
-        w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
-        q0 = stats.alarm_probs if event_alarm_probs is None else tuple(event_alarm_probs)
-        h0 = score_distribution(w, ClassAlarmLaw(counts, q0))
-        threshold, k, exact_size = _walk_to_threshold(h0, size)
-    test = MPTest(
-        weights=w,
-        class_counts=counts,
-        threshold=threshold,
-        boundary_prob=k,
-        requested_size=size,
-        exact_size=exact_size,
-        exact_power=math.nan,
-        degenerate=degenerate,
-    )
-    (power,) = _rejection_rates(test, _normal_law(scenario))
-    return replace(test, exact_power=power)
+    normal = _normal_law(scenario)
+    h0, tests = None, []
+    for size in map(float, sizes):
+        if not (0.0 < size < 1.0):
+            raise DomainError(f"test size must lie in (0, 1), got {size}")
+        if degenerate:
+            if weights is not None or event_alarm_probs is not None:
+                raise DomainError("weight/probability overrides are meaningless when p_w = 0")
+            all_silent = math.prod(q**n for q, n in zip(stats.silence_probs, counts))
+            w, threshold = stats.weights, 0.0
+            k, exact_size = (1.0, all_silent) if all_silent <= size else (size / all_silent, size)
+        else:
+            if h0 is None:
+                w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
+                q0 = stats.alarm_probs if event_alarm_probs is None else tuple(event_alarm_probs)
+                h0 = score_distribution(w, ClassAlarmLaw(counts, q0))
+            threshold, k, exact_size = _walk_to_threshold(h0, size)
+        test = MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k, requested_size=size,
+                      exact_size=exact_size, exact_power=math.nan, degenerate=degenerate)
+        tests.append(replace(test, exact_power=_rejection_rates(test, normal)[0]))
+    return tests
 
 
 def _rule_form(rule: MPTest | BayesTest) -> tuple[tuple[float, ...], float, float, float]:

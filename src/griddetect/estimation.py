@@ -79,10 +79,25 @@ class Estimate:
     n_logs: int
 
 
+def _stdev(xs: Sequence[float]) -> float:
+    """Sample standard deviation of the exact variance, correctly rounded as statistics.stdev is from 3.11 on."""
+    # as integers over a common power-of-two denominator d, the variance is an exact ratio
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max(den for _, den in ratios)
+    ints = [num * (d // den) for num, den in ratios]
+    n, total = len(ints), sum(ints)
+    num, den = n * sum(x * x for x in ints) - total * total, d * d * n * (n - 1)
+    # round the root to odd at 55 or more bits (109 of the ratio), then correctly to a float
+    shift = max(0, -((num.bit_length() - den.bit_length() - 109) // 2))
+    num <<= 2 * shift
+    root = math.isqrt(num // den)
+    return (root | (root * root * den != num)) / (1 << shift)
+
+
 def _summarize(proportions: Sequence[float]) -> Estimate:
     n = len(proportions)
     value = statistics.fmean(proportions)
-    se = statistics.stdev(proportions) / math.sqrt(n) if n > 1 else 0.0
+    se = _stdev(proportions) / math.sqrt(n) if n > 1 else 0.0
     return Estimate(value=value, std_error=se, n_logs=n)
 
 
@@ -189,11 +204,12 @@ def write_log_file(path: str | Path, logs: Iterable[TrialLog]) -> None:
 def read_log_file(path: str | Path) -> list[TrialLog]:
     """Parse a CSV log file; records sharing a trial id form one log.
 
-    A log repeats few distinct (condition, class_index, detected,
-    responded) rows, so each distinct row's fields are validated and
-    built once, on first sight, and shared by every row that repeats them.
+    A log repeats few distinct trial ids and (condition, class_index,
+    detected, responded) rows, so each is validated and built once, on
+    first sight, and shared by every row that repeats it.
     """
     trials: dict[int, tuple[Condition, list[SensorRecord]]] = {}
+    trial_ids: dict[str, int] = {}
     parsed: dict[tuple[str, str, str, str], tuple[Condition, SensorRecord]] = {}
     try:
         with open(path, newline="") as fh:
@@ -208,17 +224,17 @@ def read_log_file(path: str | Path) -> list[TrialLog]:
                     continue
                 if len(row) != len(LOG_FIELDS):
                     raise DomainError(f"line {lineno}: expected {len(LOG_FIELDS)} fields, got {len(row)}")
-                key = (row[0], row[2], row[3], row[4])
-                try:
-                    if key in parsed:
-                        trial_id = int(row[1])
-                    else:  # checked in column order, so a row with several bad fields names the first
-                        condition = Condition(row[0].strip())
-                        trial_id = int(row[1])
-                        parsed[key] = (condition, SensorRecord(int(row[2]), int(row[3]), int(row[4])))
-                except (ValueError, DomainError) as exc:
-                    raise DomainError(f"line {lineno}: {exc}") from exc
-                condition, record = parsed[key]
+                c, t, ci, d, r = row
+                entry, trial_id = parsed.get((c, ci, d, r)), trial_ids.get(t)
+                if entry is None or trial_id is None:
+                    try:  # checked in column order, so a row with several bad fields names the first
+                        condition = Condition(c.strip()) if entry is None else entry[0]
+                        trial_id = trial_ids[t] = int(t)
+                        if entry is None:
+                            entry = parsed[c, ci, d, r] = (condition, SensorRecord(int(ci), int(d), int(r)))
+                    except (ValueError, DomainError) as exc:
+                        raise DomainError(f"line {lineno}: {exc}") from exc
+                condition, record = entry
                 known = trials.setdefault(trial_id, (condition, []))
                 if known[0] is not condition:
                     raise DomainError(f"line {lineno}: trial {trial_id} mixes conditions")

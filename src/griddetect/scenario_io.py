@@ -30,7 +30,9 @@ same data either way (``1e-3`` stays a string), and only the detail text
 of a YAML syntax error differs. libyaml composes nested collections by
 recursion with no limit, so one iterative pass over the parse events
 first rejects a document nested deeper than ``MAX_YAML_DEPTH``
-collections; the schema's deepest legal document has four.
+collections; the schema's deepest legal document has four. A collection
+opens at an indicator of its own (``[ { - : ?``), so a text with at most
+``MAX_YAML_DEPTH`` of these characters skips that pass (each shipped scenario has 28).
 """
 
 from __future__ import annotations
@@ -340,6 +342,8 @@ def parse_scenario(data: dict) -> ScenarioFile:
 
 def _check_depth(stream) -> None:
     """Reject nesting past MAX_YAML_DEPTH collections before a composer recurses into it."""
+    if sum(map(stream.getvalue().count, "[{-:?")) <= MAX_YAML_DEPTH:
+        return  # too few indicators to open that many collections
     depth = 0
     for event in yaml.parse(stream, Loader=_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):

@@ -8,8 +8,9 @@ each tuple's probability under a law (:func:`cell_masses`). Its score
 (:func:`tuple_scores`) is the one definition that atoms, decision rules and
 the simulator all compare. :func:`score_distribution` walks the grid in
 stable score order (:func:`cell_scores`) and merges near-equal scores into
-atoms, held as arrays: atom values and masses, the count tuples in score
-order and each atom's first row. ``ScoreAtom`` objects are built on request.
+atoms, held as arrays: atom values and masses, the grid rows in score
+order and each atom's first row. The count tuples in that order and
+``ScoreAtom`` objects are built on request.
 
 The grid functions keep read-only arrays in least-recently-used caches: the
 tuples of ``GRID_CACHE_SIZE`` cells, in the smallest unsigned dtype that
@@ -116,13 +117,19 @@ class ScoreDistribution:
     """Atoms of the score in ascending order; probabilities sum to one.
 
     Atom i has value ``values[i]`` and mass ``probs[i]``; its count tuples
-    are ``tuples[starts[i]:starts[i + 1]]``, the tuples sorted by score.
+    are ``tuples[starts[i]:starts[i + 1]]``. ``order`` lists the rows of
+    ``grid`` of positive mass, sorted by score; ``tuples`` gathers them.
     """
 
     values: np.ndarray
     probs: np.ndarray
-    tuples: np.ndarray
     starts: np.ndarray
+    order: np.ndarray
+    grid: np.ndarray
+
+    @functools.cached_property
+    def tuples(self) -> np.ndarray:  # gathered on first use
+        return np.take(self.grid, self.order, axis=0)
 
     @functools.cached_property
     def atoms(self) -> tuple[ScoreAtom, ...]:
@@ -227,18 +234,18 @@ def cell_scores(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[np
 
 
 def _assemble(
-    scores: np.ndarray, order: np.ndarray, masses: np.ndarray, tuples: np.ndarray
+    scores: np.ndarray, order: np.ndarray, masses: np.ndarray, grid: np.ndarray
 ) -> ScoreDistribution:
     """Take the rows in ``order``, a stable sort by score, and merge near-equal scores into atoms.
 
-    Ties keep the (lexicographic) order of ``tuples``. An atom's value is the
+    Ties keep the (lexicographic) order of ``grid``. An atom's value is the
     score of its first tuple, its head; it takes every later score within
     tolerance of the head, and its mass is the fsum of their masses.
     """
     # zero-mass tuples (alarm probabilities of exactly 0 or 1) are not atoms;
     # what is left of a stable order is the stable order of what is left
     order = order[masses[order] > 0.0]
-    tuples, scores, masses = np.take(tuples, order, axis=0), scores[order], masses[order]
+    scores, masses = scores[order], masses[order]
 
     # Scores are >= 0, so no head has a wider tolerance than a later score: a
     # gap wider than the tolerance of the score before it starts an atom. A
@@ -262,7 +269,7 @@ def _assemble(
     bounds = np.r_[starts, len(scores)]
     for i in np.flatnonzero(np.diff(bounds) > 1).tolist():
         probs[i] = math.fsum(masses[bounds[i] : bounds[i + 1]].tolist())
-    return ScoreDistribution(values=scores[starts], probs=probs, tuples=tuples, starts=starts)
+    return ScoreDistribution(values=scores[starts], probs=probs, starts=starts, order=order, grid=grid)
 
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 __all__ = ["Table", "format_cell", "render_text", "render_csv", "render"]
@@ -25,24 +24,28 @@ class Table:
 
 
 def format_cell(value: object) -> str:
-    """Stable cell formatting: floats at 6 significant digits, bools lowercase."""
+    """Stable cell formatting: floats at 6 significant digits (nan of either sign as "nan"), bools lowercase."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.6g}"
     return str(value)
 
 
+def _formatted_columns(table: Table) -> list[list[str]]:
+    """Each column's cells, formatted."""
+    columns = zip(*table.rows) if table.rows else [()] * len(table.columns)
+    return [list(map(format_cell, values)) for values in columns]
+
+
 def render_text(table: Table) -> str:
-    cells = [list(table.columns)] + [[format_cell(v) for v in row] for row in table.rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(table.columns))]
+    columns = _formatted_columns(table)
+    widths = [max(map(len, (name, *cells))) for name, cells in zip(table.columns, columns)]
     lines = [f"# {table.title}"]
-    lines.append("  ".join(name.ljust(w) for name, w in zip(cells[0], widths)).rstrip())
+    lines.append("  ".join(name.ljust(w) for name, w in zip(table.columns, widths)).rstrip())
     lines.append("  ".join("-" * w for w in widths))
-    for row in cells[1:]:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)).rstrip())
+    padded = [[v.rjust(w) for v in cells] for cells, w in zip(columns, widths)]
+    lines.extend("  ".join(row).rstrip() for row in zip(*padded))
     return "\n".join(lines) + "\n"
 
 
@@ -51,8 +54,7 @@ def render_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["table"] + list(table.columns))
-    for row in table.rows:
-        writer.writerow([table.title] + [format_cell(v) for v in row])
+    writer.writerows(zip([table.title] * len(table.rows), *_formatted_columns(table)))
     return buf.getvalue()
 
 

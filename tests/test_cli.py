@@ -393,6 +393,17 @@ class TestInvalidInputs:
         assert result.exit_code == 1
         assert result.stderr == f"error: {path}: nested deeper than 32 levels\n"
 
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", ["schema: 1\nchannel: {p_c: 0.9\n", "channel: [1, 2\n", "a: b: c\n"])
+    def test_syntax_error_under_the_nesting_bound(self, runner, tmp_path, monkeypatch, loader, text):
+        # too few indicators to nest past the bound: the loader, not the guard, meets the error
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        result = runner.invoke(main, ["errors", "--scenario", str(path)])
+        self.assert_one_error_line(result, f"{path}: invalid YAML: ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_aliased_value_message_is_bounded(self, runner, tmp_path):
         # 10 aliases per level: the full repr of weights[0] is 52 KB at 4 levels
         levels = ["&a0 [" + ", ".join(["x"] * 10) + "]"]

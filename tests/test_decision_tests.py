@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import griddetect as g
-from griddetect import DomainError, Verdict
+from griddetect import DomainError, Verdict, decision_tests
 from griddetect.score_dist import tuple_scores
 
 from cases import (
@@ -130,6 +130,33 @@ class TestSolveMPTest:
     def test_size_bounds(self, size):
         with pytest.raises(DomainError):
             g.solve_mp_test(good_scenario(), size)
+
+    def test_table_of_sizes_equals_one_size_at_a_time(self):
+        rng = random.Random(8)
+        cases = [(random_scenario(rng), {}) for _ in range(10)]
+        cases += [(weak_scenario(), WEAK_APPROX), (good_scenario(), {"weights": (5.0, 3.0, 2.0)}),
+                  (degenerate_scenario(), {})]
+        for sc, overrides in cases:
+            sizes = [rng.uniform(0.001, 0.5) for _ in range(4)]
+            want = [g.solve_mp_test(sc, size, **overrides) for size in sizes]
+            assert decision_tests.solve_mp_tests(sc, sizes, **overrides) == want
+
+    def test_table_builds_one_score_law(self, monkeypatch):
+        calls = []
+        law = decision_tests.score_distribution
+        monkeypatch.setattr(decision_tests, "score_distribution", lambda *a: calls.append(a) or law(*a))
+        tests = decision_tests.solve_mp_tests(good_scenario(), (0.1, 0.05, 0.025, 0.01), **GOOD_APPROX)
+        assert [t.requested_size for t in tests] == [0.1, 0.05, 0.025, 0.01]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [((0.1, 2.0), "overrides are meaningless"), ((2.0, 0.1), "test size must lie in")],
+    )
+    def test_table_fails_where_its_first_bad_size_would(self, sizes, message):
+        # each size is checked before the rule that needs it, as size by size
+        with pytest.raises(DomainError, match=message):
+            decision_tests.solve_mp_tests(degenerate_scenario(), sizes, weights=(1.0, 1.0, 1.0))
 
     def test_certain_alarm_class_rejected(self):
         sc = g.validate(

@@ -1,7 +1,13 @@
+import math
+import random
+import statistics
+import sys
+
 import pytest
 
 import griddetect as g
 from griddetect import Condition, DomainError, SensorRecord, TrialLog
+from griddetect.estimation import _summarize
 from griddetect.model import TOPOLOGY_KINDS
 from griddetect.simulator import _block_rows, trial_rng
 
@@ -224,6 +230,9 @@ class TestLogFileFormat:
             ("event,x,0,1,1", "invalid literal for int() with base 10: 'x'"),
             ("evnt,x,0,7,1", "'evnt' is not a valid Condition"),
             ("event,x,0,7,1", "invalid literal for int() with base 10: 'x'"),
+            ("event, x,0,1,1", "invalid literal for int() with base 10: ' x'"),
+            ("event,0,0,7,1", "detected/responded must be 0 or 1"),
+            ("normal,0,0,0,0", "trial 0 mixes conditions"),
         ],
     )
     def test_bad_row_after_repeated_good_rows(self, tmp_path, row, message):
@@ -242,6 +251,14 @@ class TestLogFileFormat:
             normal_log(SensorRecord(1, 0, 0)),
         ]
 
+    def test_trial_ids_equal_as_integers_form_one_trial(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text(LOG_HEADER + "event,1,0,1,1\nevent,01,1,0,0\nevent, 1,0,1,0\nevent,2,0,0,0\n")
+        assert g.read_log_file(path) == [
+            event_log(SensorRecord(0, 1, 1), SensorRecord(1, 0, 0), SensorRecord(0, 1, 0)),
+            event_log(SensorRecord(0, 0, 0)),
+        ]
+
     def test_mixed_condition_trial_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -257,3 +274,22 @@ class TestLogFileFormat:
         path.write_text("condition,trial,class_index,detected,responded\n")
         with pytest.raises(DomainError, match="no records"):
             g.read_log_file(path)
+
+
+def _proportion_samples():
+    rng = random.Random(17)
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        yield [rng.randint(0, m) / m for _ in range(rng.randint(2, 50))]  # one class size
+        yield [rng.randint(0, b) / b for b in (rng.randint(1, 9) for _ in range(rng.randint(2, 50)))]
+        yield [rng.random() for _ in range(rng.randint(2, 50))]
+    yield from ([0.3, 0.7], [1.0, 0.0], [0.1, 0.1 + 2**-52], [2 / 3] * 7, [0.0] * 4, [1.0] * 40, [0.0, 1e-300])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds correctly from Python 3.11 on")
+def test_standard_error_is_bit_identical_to_statistics():
+    for proportions in _proportion_samples():
+        n = len(proportions)
+        est = _summarize(proportions)
+        assert est.std_error == statistics.stdev(proportions) / math.sqrt(n), proportions
+        assert est.value == statistics.fmean(proportions)

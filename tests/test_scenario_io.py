@@ -1,7 +1,10 @@
+import json
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import griddetect as g
 from griddetect import ScenarioError, scenario_io
@@ -319,3 +322,95 @@ class TestLoadScenario:
             with pytest.raises(ScenarioError) as info:
                 g.load_scenario(path)
             assert str(info.value) == f"{path}: {message}"
+
+
+INDICATORS = "[{-:?"
+# printable text rich in YAML indicators, for quoted scalars, keys and comments
+indicator_text = st.text(alphabet="ab [{-:?}],#'\"&*!|>%@`", max_size=8)
+plain_scalars = st.integers(-5, 99) | st.sampled_from(["x", "p_c", "1e-3", "true", "null", "0.5"])
+quoted_scalars = indicator_text.map(json.dumps) | indicator_text.map(lambda t: "'" + t.replace("'", "''") + "'")
+yaml_nodes = st.recursive(
+    plain_scalars | quoted_scalars,
+    lambda inner: st.tuples(st.booleans(), st.lists(inner, max_size=3))
+    | st.tuples(st.booleans(), st.dictionaries(st.sampled_from(["a", "b", "c", "key"]), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+def _flow(node) -> str:
+    if not isinstance(node, tuple):
+        return str(node)
+    items = node[1]
+    if isinstance(items, list):
+        return "[" + ", ".join(map(_flow, items)) + "]"
+    return "{" + ", ".join(f"{k}: {_flow(v)}" for k, v in items.items()) + "}"
+
+
+def _block(node, indent: int, comments) -> list[str]:
+    """Lines of a node in block style where it asks for it (and is not empty), else one flow line."""
+    pad = " " * indent
+    items = node[1]
+    heads = [f"{pad}- " for _ in items] if isinstance(items, list) else [f"{pad}{k}: " for k in items]
+    values = items if isinstance(items, list) else list(items.values())
+    lines = []
+    for head, value in zip(heads, values):
+        if isinstance(value, tuple) and value[0] and value[1]:
+            lines.append(head.rstrip() + comments())
+            lines += _block(value, indent + 2, comments)
+        else:
+            lines.append(head + _flow(value) + comments())
+    return lines
+
+
+@st.composite
+def yaml_documents(draw) -> str:
+    """A YAML document text mixing block and flow collections, comments and quoted scalars."""
+    root = draw(yaml_nodes)
+
+    def comments() -> str:
+        return draw(st.sampled_from(["", "  # " + draw(indicator_text)]))
+
+    if isinstance(root, tuple) and root[0] and root[1]:
+        lines = _block(root, 0, comments)
+    else:
+        lines = [_flow(root) + comments()]
+    return "\n".join(["# " + draw(indicator_text)] + lines) + "\n"
+
+
+def _deepest_nesting(text: str) -> int:
+    depth = deepest = 0
+    for event in yaml.parse(text, Loader=yaml.SafeLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            deepest = max(deepest, depth)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return deepest
+
+
+class TestNestingBound:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=yaml_documents())
+    def test_indicator_count_bounds_the_nesting(self, text):
+        # every collection opens at an indicator of its own, wherever else they appear
+        assert sum(map(text.count, INDICATORS)) >= _deepest_nesting(text)
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    def test_block_document_one_level_too_deep_is_refused(self, tmp_path, monkeypatch, loader):
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+        path = tmp_path / "deep.yaml"
+        # the root mapping and 32 block sequences: 33 levels from 33 indicators
+        path.write_text("channel:\n" + "".join(" " * (2 * i + 2) + "-\n" for i in range(31)) + " " * 64 + "- 1\n")
+        assert sum(map(path.read_text().count, INDICATORS)) == 33
+        with pytest.raises(ScenarioError) as info:
+            g.load_scenario(path)
+        assert str(info.value) == f"{path}: nested deeper than 32 levels"
+
+    def test_shipped_scenarios_skip_the_event_walk(self, monkeypatch):
+        def walk(*args, **kwargs):
+            raise AssertionError("parse events walked")
+
+        monkeypatch.setattr(yaml, "parse", walk)
+        for name in ("good_network.yaml", "weak_network.yaml"):
+            assert sum(map((SCENARIOS / name).read_text().count, INDICATORS)) <= scenario_io.MAX_YAML_DEPTH
+            g.load_scenario(SCENARIOS / name)

@@ -40,6 +40,15 @@ class TestScoreDistribution:
         (atom,) = [a for a in dist.atoms if a.value == 8.0]
         assert set(atom.support) == {(0, 2, 1), (0, 0, 4), (1, 1, 0)}
 
+    def test_tuples_gathered_on_first_use(self):
+        law = g.ClassAlarmLaw(INTERIOR_COUNTS, (0.82, 0.5, 0.0))  # class 3 never alarms: rows left out
+        dist = g.score_distribution((5.0, 3.0, 2.0), law)
+        assert "tuples" not in vars(dist)
+        assert len(dist.order) == 2 * 5
+        np.testing.assert_array_equal(dist.tuples, count_tuples(INTERIOR_COUNTS)[dist.order])
+        assert [len(a.support) for a in dist.atoms] == np.diff(dist.starts, append=len(dist.order)).tolist()
+        assert all(t[2] == 0 for a in dist.atoms for t in a.support)
+
     def test_deterministic_alarms_single_atom(self):
         law = g.ClassAlarmLaw(INTERIOR_COUNTS, (1.0, 1.0, 1.0))
         dist = g.score_distribution((1.0, 1.0, 1.0), law)
