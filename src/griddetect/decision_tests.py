@@ -35,6 +35,7 @@ from .score_dist import (
     atom_tolerance,
     cell_masses,
     cell_scores,
+    exact_sum,
     score_distribution,
     tuple_scores,
 )
@@ -297,10 +298,10 @@ class _RuleForms(NamedTuple):
 def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[float]:
     """P(reject H0) under each law: tuple mass times reject probability, summed over the grid."""
     reject = _reject_probs(rule)
-    # tuples never rejected would add zero terms, which leave the fsum as it is
+    # tuples never rejected would add zero terms, which leave the sum as it is
     hit = reject > 0.0
     reject = reject[hit]
-    return [math.fsum((cell_masses(law)[hit] * reject).tolist()) for law in laws]
+    return [exact_sum(cell_masses(law)[hit] * reject) for law in laws]
 
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:

@@ -318,7 +318,7 @@ def parse_scenario(data: dict) -> ScenarioFile:
 
     n_classes = len(scenario.topology.classes)
     for name, values, check in (
-        ("approx.weights", approx_weights, lambda v: _check_weights(v, n_classes)),
+        ("approx.weights", approx_weights, lambda v: _check_weights(v, scenario.topology.counts)),
         ("approx.alarm_probs", approx_alarm_probs, lambda v: ClassAlarmLaw(scenario.topology.counts, v)),
     ):
         if values is None:

@@ -18,6 +18,13 @@ holds the largest count (so also ``ScoreDistribution.tuples``), and masses,
 scores and int32 score orders for twice as many laws and weight vectors. At
 ``MAX_COUNT_TUPLES`` rows that is at most 24, 8 and 12 MiB an entry, 256 MiB
 in all; a 6x6 cell (117,649 tuples) keeps under 6 MiB.
+
+:func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
+once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
+Ogita and Oishi 2008): a term m * 2**e splits into a float32 head of m and
+an exact tail m - head, up to 2**25 heads or tails of one e add without
+rounding (53 bits at most), ``np.ldexp`` scales each of those sums exactly
+(to a multiple of 2**-1074), and one fsum rounds their total.
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ __all__ = [
     "MAX_COUNT_TUPLES",
     "GRID_CACHE_SIZE",
     "MAX_BINOMIAL_COUNT",
+    "VECTOR_SUM_MIN_LENGTH",
     "atom_tolerance",
+    "exact_sum",
     "ClassAlarmLaw",
     "ScoreAtom",
     "ScoreDistribution",
@@ -70,9 +79,24 @@ MAX_BINOMIAL_COUNT = 1029
 # Count-tuple grids cached; masses and scores are cached for twice as many keys.
 GRID_CACHE_SIZE = 4
 
+# exact_sum calls math.fsum below this length: on a 2-vCPU AMD EPYC both take 7 us at 300-400 masses.
+VECTOR_SUM_MIN_LENGTH = 512
+
 
 def atom_tolerance(value: float) -> float:
     return MERGE_REL_TOL * max(1.0, abs(value))
+
+
+def exact_sum(a: np.ndarray) -> float:
+    """``math.fsum(a.tolist())`` bit for bit, for finite nonnegative float64 terms, at most 2**25 of them."""
+    if len(a) < VECTOR_SUM_MIN_LENGTH:
+        return math.fsum(a.tolist())
+    m, e = np.frexp(a)
+    head = m.astype(np.float32).astype(float)
+    m -= head
+    e -= (low := int(e.min()))
+    sums = np.stack((np.bincount(e, weights=head), np.bincount(e, weights=m)))
+    return math.fsum(np.ldexp(sums, np.arange(low, low + sums.shape[1])).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -144,15 +168,15 @@ class ScoreDistribution:
     def prob_below(self, value: float) -> float:
         """P(X < value), counting atoms within tolerance of ``value`` as equal, not below."""
         cut = value - atom_tolerance(value)
-        return math.fsum(self.probs[self.values < cut].tolist())
+        return exact_sum(self.probs[self.values < cut])
 
     def prob_at(self, value: float) -> float:
         """Mass of the atom matching ``value`` within tolerance, else 0 (also for value = -inf)."""
         tol = atom_tolerance(value)
-        return math.fsum(self.probs[(value - tol <= self.values) & (self.values <= value + tol)].tolist())
+        return exact_sum(self.probs[(value - tol <= self.values) & (self.values <= value + tol)])
 
     def mean(self) -> float:
-        return math.fsum((self.values * self.probs).tolist())
+        return exact_sum(self.values * self.probs)
 
     @property
     def min_value(self) -> float:
@@ -163,14 +187,23 @@ class ScoreDistribution:
         return float(self.values[-1])
 
 
-def _check_weights(weights: tuple[float, ...], n_classes: int) -> None:
-    if len(weights) != n_classes:
-        raise DomainError(f"{len(weights)} weights for {n_classes} classes")
+def _check_weights(weights: tuple[float, ...], counts: Sequence[int]) -> None:
+    if len(weights) != len(counts):
+        raise DomainError(f"{len(weights)} weights for {len(counts)} classes")
     for i, w in enumerate(weights):
         if not math.isfinite(w):
             raise DomainError(f"class {i}: weight must be finite, got {w}")
         if w <= 0.0:
             raise DomainError(f"class {i}: weight must be positive, got {w}")
+    # no score overflows unless the all-alarm one does; summed as tuple_scores sums it, minus numpy's overhead
+    top = 0.0
+    try:
+        for w, n in zip(weights, counts):
+            top += w * n
+    except OverflowError:  # a count past the float range
+        top = math.inf
+    if top == math.inf:
+        raise DomainError("weights too large: the score with every sensor alarming overflows")
 
 
 def count_tuples(counts: Sequence[int]) -> np.ndarray:
@@ -252,8 +285,8 @@ def _assemble(
     # run between such gaps is one atom unless its last score is out of its
     # first's tolerance; only those runs are split, one bisection per atom.
     tol = MERGE_REL_TOL * np.maximum(1.0, scores)
-    runs = np.r_[0, np.flatnonzero(np.diff(scores) > tol[:-1]) + 1]
-    ends = np.r_[runs[1:], len(scores)]
+    runs = np.append(0, np.flatnonzero(np.diff(scores) > tol[:-1]) + 1)
+    ends = np.append(runs[1:], len(scores))
     chained = scores[ends - 1] - scores[runs] > tol[runs]
     heads = []
     for head, end in zip(runs[chained].tolist(), ends[chained].tolist()):
@@ -263,19 +296,20 @@ def _assemble(
             if head == end:
                 break
             heads.append(head)
-    starts = np.sort(np.r_[runs, heads]) if heads else runs
+    starts = np.sort(np.append(runs, heads)) if heads else runs
 
     probs = masses[starts]
-    bounds = np.r_[starts, len(scores)]
-    for i in np.flatnonzero(np.diff(bounds) > 1).tolist():
-        probs[i] = math.fsum(masses[bounds[i] : bounds[i + 1]].tolist())
+    bounds = np.append(starts, len(scores))
+    multi = np.flatnonzero(np.diff(bounds) > 1)
+    flat = masses.tolist() if len(multi) else []
+    probs[multi] = [math.fsum(flat[a:b]) for a, b in zip(bounds[multi].tolist(), bounds[multi + 1].tolist())]
     return ScoreDistribution(values=scores[starts], probs=probs, starts=starts, order=order, grid=grid)
 
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
-    _check_weights(weights, len(law.counts))
+    _check_weights(weights, law.counts)
     return _assemble(*cell_scores(law.counts, weights), cell_masses(law), cell_grid(law.counts))
 
 
@@ -287,7 +321,7 @@ def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> Sc
     closed form. Must match :func:`score_distribution` atom for atom.
     """
     weights = tuple(float(w) for w in weights)
-    _check_weights(weights, len(law.counts))
+    _check_weights(weights, law.counts)
     total = law.total_count
     if total > BRUTE_FORCE_MAX_SENSORS:
         raise DomainError(

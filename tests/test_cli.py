@@ -312,6 +312,15 @@ class TestInvalidInputs:
         result = runner.invoke(main, [command, "--scenario", str(path)])
         self.assert_one_error_line(result, "class 1: count 2000 is too large")
 
+    @pytest.mark.parametrize("command", ["errors", "bayes", "mp", "dist", "simulate"])
+    def test_overflowing_approx_weights(self, runner, tmp_path, command):
+        # every weight is finite, but the all-alarm score is not: no rule or score law exists
+        path = tmp_path / "overflow.yaml"
+        text = Path(GOOD).read_text().replace("weights: [5, 3, 2]", "weights: [1.0e+308, 1.0e+308, 1.0e+308]")
+        path.write_text(text)
+        result = runner.invoke(main, [command, "--scenario", str(path)])
+        self.assert_one_error_line(result, "approx.weights: weights too large")
+
     def test_oversized_simulation(self, runner, tmp_path):
         # Bayes rules only, so no count-tuple grid is built before the trials
         path = tmp_path / "huge.yaml"

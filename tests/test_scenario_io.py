@@ -226,6 +226,28 @@ class TestRejections:
             "approx.weights.*class 1.*finite",
         )
 
+    def test_overflowing_approx_weights_named(self):
+        # each weight is finite, but four class-1 alarms score 2e308
+        self.reject(
+            GOOD_YAML.replace("weights: [5, 3, 2]", "weights: [5, 5.0e+307, 2]"),
+            "approx.weights: weights too large: the score with every sensor alarming overflows",
+        )
+
+    def test_count_past_the_float_range_overflows_approx_weights(self):
+        self.reject(
+            f"""
+            schema: 1
+            channel: {{p_c: 0.9, p_w: 0.1}}
+            topology:
+              kind: custom
+              classes:
+                - {{label: far, count: {10**400}, p_detect: 0.9}}
+                - {{label: near, count: 2, p_detect: 0.4}}
+            approx: {{weights: [1, 1]}}
+            """,
+            "approx.weights: weights too large",
+        )
+
     def test_topology_tie_named(self):
         self.reject(
             """

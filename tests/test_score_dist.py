@@ -1,13 +1,25 @@
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import griddetect as g
 from griddetect import DomainError
-from griddetect.score_dist import MAX_COUNT_TUPLES, _assemble, atom_tolerance, count_tuples
+from griddetect.score_dist import (
+    MAX_COUNT_TUPLES,
+    VECTOR_SUM_MIN_LENGTH,
+    _assemble,
+    _check_weights,
+    atom_tolerance,
+    count_tuples,
+    exact_sum,
+    tuple_scores,
+)
 
 from cases import (
     GOOD_CHANNEL,
@@ -80,11 +92,27 @@ class TestScoreDistribution:
         assert dist.prob_below(dist.max_value + 1.0) == pytest.approx(1.0, abs=1e-12)
         assert dist.prob_at(dist.max_value + 1.0) == 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e308])  # 1e308: the (1, 2) score overflows
     def test_weight_validation(self, bad):
         law = g.ClassAlarmLaw((1, 2), (0.5, 0.5))
         with pytest.raises(DomainError):
             g.score_distribution((1.0, bad), law)
+
+    def test_overflow_check_reads_the_all_alarm_score_of_tuple_scores(self):
+        # weights whose exact all-alarm score lies within 1e-15 of the float range either way
+        rng = random.Random(11)
+        for _ in range(300):
+            counts = tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 5)))  # >= 2: every weight finite
+            shares = [rng.random() + 0.01 for _ in counts]
+            total, nudge = math.fsum(shares), 1 + rng.uniform(-1e-15, 1e-15)
+            weights = tuple(s / total / n * sys.float_info.max * nudge for s, n in zip(shares, counts))
+            with np.errstate(over="ignore"):
+                top = tuple_scores(weights, np.array([counts]))[0]
+            if math.isinf(top):
+                with pytest.raises(DomainError, match="weights too large"):
+                    _check_weights(weights, counts)
+            else:
+                _check_weights(weights, counts)
 
     def test_weight_length_mismatch(self):
         with pytest.raises(DomainError):
@@ -211,3 +239,44 @@ class TestDistributionProperties:
             for atom in lo.atoms:
                 v = atom.value
                 assert 1.0 - hi.prob_below(v) >= 1.0 - lo.prob_below(v) - 1e-12
+
+
+def assert_sums_as_fsum(a):
+    a = np.asarray(a, dtype=float)
+    assert exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+
+
+class TestExactSum:
+    """exact_sum equals math.fsum bit for bit, on both sides of VECTOR_SUM_MIN_LENGTH."""
+
+    LENGTHS = (0, 1, VECTOR_SUM_MIN_LENGTH - 1, VECTOR_SUM_MIN_LENGTH, VECTOR_SUM_MIN_LENGTH + 1)
+    TERMS = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 2.0**-1022, exclude_max=True),  # subnormals
+        st.floats(1e-300, 1.0),
+        st.integers(-1074, 0).map(lambda e: 2.0**e),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.sampled_from(LENGTHS), pool=st.lists(TERMS, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_terms_from_a_small_pool(self, n, pool, seed):
+        # n terms drawn from a few values, so equal terms recur in every bucket
+        assert_sums_as_fsum(np.random.default_rng(seed).choice(pool, size=n))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_terms_spanning_1e_300_to_1(self, n):
+        assert_sums_as_fsum(10.0 ** -np.random.default_rng(n).uniform(0, 300, n))
+
+    @pytest.mark.parametrize("n", LENGTHS[2:])
+    @pytest.mark.parametrize("e", [0, -30, -1000])
+    @pytest.mark.parametrize("halves", [1, 2, 3, 5])
+    @pytest.mark.parametrize("nudge", [0.0, 2.0**-1074])
+    def test_half_way_ties(self, n, e, halves, nudge):
+        # 2**e plus k half-ulps lands on a tie for odd k, which rounds to even unless nudged
+        terms = [2.0**e] + [2.0 ** (e - 53)] * halves + [nudge]
+        assert_sums_as_fsum(terms + [0.0] * (n - len(terms)))
+
+    def test_max_count_tuples_equal_terms(self):
+        # 2**20 copies of a term with a full mantissa: every head and tail sits in one bucket
+        assert_sums_as_fsum(np.full(MAX_COUNT_TUPLES, 0.1))
+
