@@ -9,8 +9,9 @@ When p_w = 0 both are the same rule on unit weights with t = 0: reject
 only the all-silent observation, with the MP rule's k, or with k = 1 for
 an applicable Bayes rule and k = 0 otherwise. That (weights, t, k) form
 gives each count tuple a reject probability, which decides observations.
-An exact error rate is its mass-weighted sum over the count-tuple grid,
-under the event law (type I error) or the normal law (power). Only the
+Those tuples form a prefix of the cell's stable score order, so an exact
+error rate sums the masses of the reject prefix, the boundary rows' times
+k, under the event law (type I error) or the normal law (power). Only the
 most-powerful rule builds a score law: the event law it walks to t.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
@@ -34,7 +35,7 @@ from .score_dist import (
     ScoreDistribution,
     atom_tolerance,
     cell_masses,
-    cell_scores,
+    cell_ranking,
     exact_sum,
     score_distribution,
     tuple_scores,
@@ -264,12 +265,6 @@ def _threshold_probs(score: np.ndarray, lo, hi, k) -> np.ndarray:
     return np.where(score < lo, 1.0, np.where(score <= hi, k, 0.0))
 
 
-def _reject_probs(rule: MPTest | BayesTest) -> np.ndarray:
-    """Per count tuple of the cell's grid: the probability that ``rule`` rejects H0."""
-    weights, lo, hi, k = _rule_form(rule)
-    return _threshold_probs(cell_scores(rule.class_counts, weights)[0], lo, hi, k)
-
-
 class _RuleForms(NamedTuple):
     """Several rules' (weights, lo, hi, k) forms side by side, one column per rule.
 
@@ -296,12 +291,18 @@ class _RuleForms(NamedTuple):
 
 
 def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[float]:
-    """P(reject H0) under each law: tuple mass times reject probability, summed over the grid."""
-    reject = _reject_probs(rule)
-    # tuples never rejected would add zero terms, which leave the sum as it is
-    hit = reject > 0.0
-    reject = reject[hit]
-    return [exact_sum(cell_masses(law)[hit] * reject) for law in laws]
+    """P(reject H0) under each law: the masses of ranks below i, plus k times those of ranks i to j."""
+    # scores of rank below i are under lo, up to j at most hi; a nan bound compares false, as in _threshold_probs
+    weights, lo, hi, k = _rule_form(rule)
+    order, ranked = cell_ranking(rule.class_counts, weights)[:2]
+    i = 0 if math.isnan(lo) else int(ranked.searchsorted(lo, "left"))
+    j = i if k == 0.0 or math.isnan(hi) else max(i, int(ranked.searchsorted(hi, "right")))
+    rates = []
+    for law in laws:
+        masses = cell_masses(law)[order[:j]]
+        masses[i:] *= k
+        rates.append(exact_sum(masses))
+    return rates
 
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:

@@ -6,18 +6,22 @@ hypothesis the x_i are independent binomials, so every exact quantity is
 a sum over a cell's grid of count tuples (:func:`cell_grid`), weighted by
 each tuple's probability under a law (:func:`cell_masses`). Its score
 (:func:`tuple_scores`) is the one definition that atoms, decision rules and
-the simulator all compare. :func:`score_distribution` walks the grid in
-stable score order (:func:`cell_scores`) and merges near-equal scores into
-atoms, held as arrays: atom values and masses, the grid rows in score
-order and each atom's first row. The count tuples in that order and
-``ScoreAtom`` objects are built on request.
+the simulator all compare. :func:`cell_ranking` sorts a cell's tuples by
+score once per weight vector and merges near-equal scores into atoms;
+:func:`score_distribution` gathers a law's masses in that order and adds
+them up per atom. A score law is held as arrays: atom values and masses,
+the grid rows in score order and each atom's first row. The count tuples
+in that order and ``ScoreAtom`` objects are built on request.
 
 The grid functions keep read-only arrays in least-recently-used caches: the
 tuples of ``GRID_CACHE_SIZE`` cells, in the smallest unsigned dtype that
-holds the largest count (so also ``ScoreDistribution.tuples``), and masses,
-scores and int32 score orders for twice as many laws and weight vectors. At
-``MAX_COUNT_TUPLES`` rows that is at most 24, 8 and 12 MiB an entry, 256 MiB
-in all; a 6x6 cell (117,649 tuples) keeps under 6 MiB.
+holds the largest count (so also ``ScoreDistribution.tuples``), and masses
+and rankings for twice as many laws and weight vectors. A ranking holds
+the int32 stable score order, the scores in that order and each atom's
+first rank and value, shared by every score law of positive masses. At
+``MAX_COUNT_TUPLES`` rows that is at most 24, 8 and 28 MiB an entry (12
+bytes a row, 16 an atom), 384 MiB in all; a 6x6 cell (117,649 tuples)
+with two laws and two weight vectors keeps under 9 MiB.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
@@ -56,7 +60,7 @@ __all__ = [
     "tuple_scores",
     "cell_grid",
     "cell_masses",
-    "cell_scores",
+    "cell_ranking",
     "score_distribution",
     "brute_force_distribution",
 ]
@@ -260,30 +264,23 @@ def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2 * GRID_CACHE_SIZE)
-def cell_scores(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Score of each count tuple of the cell, and the tuples' stable ascending score order."""
-    scores = _frozen(tuple_scores(weights, cell_grid(counts)))
-    return scores, _frozen(np.argsort(scores, kind="stable").astype(np.int32))
+def cell_ranking(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """(order, ranked, starts, values): the cell's int32 stable ascending score order, the scores in
+    that order, and each atom's first rank and value, near-equal scores merged over the whole grid."""
+    scores = tuple_scores(weights, cell_grid(counts))
+    order = np.argsort(scores, kind="stable").astype(np.int32)
+    ranked = scores[order]
+    starts = _atom_starts(ranked)
+    return tuple(map(_frozen, (order, ranked, starts, ranked[starts])))
 
 
-def _assemble(
-    scores: np.ndarray, order: np.ndarray, masses: np.ndarray, grid: np.ndarray
-) -> ScoreDistribution:
-    """Take the rows in ``order``, a stable sort by score, and merge near-equal scores into atoms.
+def _atom_starts(scores: np.ndarray) -> np.ndarray:
+    """First row of each atom of ascending ``scores``: a head and every later score within its tolerance.
 
-    Ties keep the (lexicographic) order of ``grid``. An atom's value is the
-    score of its first tuple, its head; it takes every later score within
-    tolerance of the head, and its mass is the fsum of their masses.
+    Scores are >= 0, so no head has a wider tolerance than a later score: a gap wider than the
+    tolerance of the score before it starts an atom. A run between such gaps is one atom unless its
+    last score is out of its first's tolerance; only those runs are split, one bisection per atom.
     """
-    # zero-mass tuples (alarm probabilities of exactly 0 or 1) are not atoms;
-    # what is left of a stable order is the stable order of what is left
-    order = order[masses[order] > 0.0]
-    scores, masses = scores[order], masses[order]
-
-    # Scores are >= 0, so no head has a wider tolerance than a later score: a
-    # gap wider than the tolerance of the score before it starts an atom. A
-    # run between such gaps is one atom unless its last score is out of its
-    # first's tolerance; only those runs are split, one bisection per atom.
     tol = MERGE_REL_TOL * np.maximum(1.0, scores)
     runs = np.append(0, np.flatnonzero(np.diff(scores) > tol[:-1]) + 1)
     ends = np.append(runs[1:], len(scores))
@@ -296,21 +293,37 @@ def _assemble(
             if head == end:
                 break
             heads.append(head)
-    starts = np.sort(np.append(runs, heads)) if heads else runs
+    return np.sort(np.append(runs, heads)) if heads else runs
 
-    probs = masses[starts]
-    bounds = np.append(starts, len(scores))
+
+def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, grid: np.ndarray) -> ScoreDistribution:
+    """Gather a law's masses in rank order and add them up per atom; ties keep the order of ``grid``.
+
+    Zero-mass tuples (alarm probabilities of 0 or 1) are no atoms: the rest keeps its order, merged afresh.
+    """
+    order, scores, starts, values = ranking
+    ranked = masses[order]
+    if not ranked.all():
+        keep = ranked > 0.0
+        order, scores, ranked = order[keep], scores[keep], ranked[keep]
+        starts = _atom_starts(scores)
+        values = scores[starts]
+    if len(starts) == len(ranked):  # every atom is one row
+        return ScoreDistribution(values=values, probs=ranked, starts=starts, order=order, grid=grid)
+    probs = ranked[starts]
+    bounds = np.append(starts, len(ranked))
     multi = np.flatnonzero(np.diff(bounds) > 1)
-    flat = masses.tolist() if len(multi) else []
-    probs[multi] = [math.fsum(flat[a:b]) for a, b in zip(bounds[multi].tolist(), bounds[multi + 1].tolist())]
-    return ScoreDistribution(values=scores[starts], probs=probs, starts=starts, order=order, grid=grid)
+    flat = ranked.tolist()
+    probs[multi] = [exact_sum(ranked[a:b]) if b - a >= VECTOR_SUM_MIN_LENGTH else math.fsum(flat[a:b])
+                    for a, b in zip(bounds[multi].tolist(), bounds[multi + 1].tolist())]
+    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
 
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
     _check_weights(weights, law.counts)
-    return _assemble(*cell_scores(law.counts, weights), cell_masses(law), cell_grid(law.counts))
+    return _assemble(cell_ranking(law.counts, weights), cell_masses(law), cell_grid(law.counts))
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
@@ -342,4 +355,4 @@ def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> Sc
         tuple_probs[key] = tuple_probs.get(key, 0.0) + p
     # every count tuple is reachable, so the sorted keys are the rows of the cell's grid
     masses = np.array([tuple_probs[key] for key in sorted(tuple_probs)])
-    return _assemble(*cell_scores(law.counts, weights), masses, cell_grid(law.counts))
+    return _assemble(cell_ranking(law.counts, weights), masses, cell_grid(law.counts))

@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import griddetect as g
 from griddetect import DomainError, Verdict, decision_tests
-from griddetect.score_dist import tuple_scores
+from griddetect.scenario_io import load_scenario
+from griddetect.score_dist import MERGE_REL_TOL, atom_tolerance, cell_grid, cell_masses, exact_sum, tuple_scores
 
 from cases import (
     FixedCoin,
@@ -18,6 +21,8 @@ from cases import (
     random_scenario,
     weak_scenario,
 )
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
 # Frozen by exact atom enumeration of the integer-approximated laws; the
 # reference table prints these k values rounded to two decimals.
@@ -559,3 +564,97 @@ class TestDegenerateChannel:
         ops = g.operating_characteristics(test, sc)
         assert ops.type1 == pytest.approx(test.boundary_prob * all_silent, abs=1e-15)
         assert ops.power == pytest.approx(test.boundary_prob, abs=1e-15)
+
+
+def _grid_mask_rates(rule, *laws):
+    """Error rates summed over the whole grid: each tuple's reject probability
+    from its score, the rejecting tuples masked out, their weighted masses summed."""
+    weights, lo, hi, k = decision_tests._rule_form(rule)
+    scores = tuple_scores(weights, cell_grid(rule.class_counts))
+    reject = np.where(scores < lo, 1.0, np.where(scores <= hi, k, 0.0))
+    hit = reject > 0.0
+    return [exact_sum(cell_masses(law)[hit] * reject[hit]) for law in laws]
+
+
+def _assert_prefix_rates_match(rule, sc, solved=True):
+    counts = sc.topology.counts
+    event = g.ClassAlarmLaw(counts, sc.derived().alarm_probs)
+    normal = g.ClassAlarmLaw(counts, (sc.channel.p_w,) * len(counts))
+    want = [x.hex() for x in _grid_mask_rates(rule, event, normal)]
+    assert [x.hex() for x in g.operating_characteristics(rule, sc)] == want
+    if isinstance(rule, g.MPTest) and solved:
+        assert rule.exact_power.hex() == want[1]
+
+
+def _threshold_on(bound, score):
+    """A threshold whose lo (t - tolerance) or hi (t + tolerance) bound is exactly ``score``."""
+    sign = -1.0 if bound == "lo" else 1.0
+    t = score / (1.0 + sign * MERGE_REL_TOL)
+    for _ in range(64):
+        edge = t + sign * atom_tolerance(t)
+        if edge == score:
+            return t
+        t = math.nextafter(t, math.inf if edge < score else -math.inf)
+    raise AssertionError(f"no threshold puts {bound} on {score}")
+
+
+class TestPrefixRates:
+    """Error rates summed over the reject prefix of the cell's score order
+    have the bits of the sum over the whole grid's reject mask."""
+
+    @pytest.mark.parametrize("name", ["good", "weak"])
+    def test_shipped_networks(self, name):
+        sf = load_scenario(SHIPPED / f"{name}_network.yaml")
+        sc = sf.scenario
+        for size in sf.sizes:
+            _assert_prefix_rates_match(g.solve_mp_test(sc, size), sc)
+            _assert_prefix_rates_match(g.solve_mp_test(sc, size, **sf.mp_overrides()), sc)
+        for prior in sf.priors():
+            for loss in sf.loss_ratios:
+                _assert_prefix_rates_match(g.bayes_test(sc, prior, g.LossRatio(loss)), sc)
+
+    def test_random_scenarios(self):
+        rng = random.Random("prefix-rates")
+        for _ in range(30):
+            sc = random_scenario(rng, max_classes=4, max_count=5)
+            w = sc.derived().weights
+            int_w = tuple(float(max(1, round(3 * x / min(w)))) for x in w)
+            for weights in (None, int_w):
+                _assert_prefix_rates_match(g.solve_mp_test(sc, rng.uniform(0.005, 0.5), weights=weights), sc)
+            _assert_prefix_rates_match(g.bayes_test(sc, g.Prior(rng.uniform(0.05, 0.5)), g.LossRatio(rng.uniform(1, 40))), sc)
+
+    def test_non_applicable_and_p_w_zero_rules(self):
+        weak = weak_scenario()
+        rule = g.bayes_test(weak, g.Prior(0.3), g.LossRatio(20))
+        assert not rule.applicable
+        _assert_prefix_rates_match(rule, weak)
+        sc = degenerate_scenario()
+        for size in (0.001, 0.01):
+            _assert_prefix_rates_match(g.solve_mp_test(sc, size), sc)
+        for loss in (5, 1e4):
+            _assert_prefix_rates_match(g.bayes_test(sc, g.Prior(0.1), g.LossRatio(loss)), sc)
+
+    def test_hand_built_rules(self):
+        sc = good_scenario()
+        rule = g.solve_mp_test(sc, 0.05, **GOOD_APPROX)
+        # threshold -inf (lo = -inf, hi = nan: nothing rejects), and k = 0 and
+        # k = 1 on the boundary atom
+        never = replace(rule, threshold=-math.inf, boundary_prob=0.5)
+        assert g.operating_characteristics(never, sc) == (0.0, 0.0)
+        for k in (0.0, 1.0, 0.5):
+            _assert_prefix_rates_match(replace(never, boundary_prob=k), sc, solved=False)
+            _assert_prefix_rates_match(replace(rule, boundary_prob=k), sc, solved=False)
+        # a score exactly on lo is a boundary row, one exactly on hi too
+        for bound in ("lo", "hi"):
+            edge = replace(rule, threshold=_threshold_on(bound, rule.threshold), boundary_prob=0.5)
+            weights, lo, hi, _ = decision_tests._rule_form(edge)
+            assert (lo if bound == "lo" else hi) == rule.threshold
+            _assert_prefix_rates_match(edge, sc, solved=False)
+
+    def test_boundary_atom_of_several_tuples(self):
+        sc = good_scenario()
+        rule = g.solve_mp_test(sc, 0.05, **GOOD_APPROX)
+        scores = tuple_scores(rule.weights, cell_grid(sc.topology.counts))
+        assert np.count_nonzero(scores == rule.threshold) > 1
+        assert 0.0 < rule.boundary_prob < 1.0
+        _assert_prefix_rates_match(rule, sc)

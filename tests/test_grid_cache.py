@@ -20,7 +20,7 @@ from griddetect.decision_tests import bayes_test, operating_characteristics, sol
 from cases import random_scenario
 
 
-CACHES = (score_dist.cell_grid, score_dist.cell_masses, score_dist.cell_scores, score_dist._binomial_pmf)
+CACHES = (score_dist.cell_grid, score_dist.cell_masses, score_dist.cell_ranking, score_dist._binomial_pmf)
 
 
 def _clear_caches() -> None:
@@ -119,9 +119,9 @@ def test_cached_arrays_are_read_only():
     operating_characteristics(solve_mp_test(sc, 0.05), sc)
     grid = score_dist.cell_grid(sc.topology.counts)
     assert grid.dtype == np.uint8 and grid.shape == (7**6, 6)
-    scores, order = score_dist.cell_scores(sc.topology.counts, sc.derived().weights)
-    assert order.dtype == np.int32
-    cached = [grid, scores, order, score_dist._binomial_pmf(6, 0.15)]
+    ranking = score_dist.cell_ranking(sc.topology.counts, sc.derived().weights)
+    assert ranking[0].dtype == np.int32
+    cached = [grid, *ranking, score_dist._binomial_pmf(6, 0.15)]
     for probs in (sc.derived().alarm_probs, (0.15,) * 6):
         cached.append(score_dist.cell_masses(g.ClassAlarmLaw((6,) * 6, probs)))
     for limbs in _streams._jumps(25):

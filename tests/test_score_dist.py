@@ -13,9 +13,10 @@ from griddetect import DomainError
 from griddetect.score_dist import (
     MAX_COUNT_TUPLES,
     VECTOR_SUM_MIN_LENGTH,
-    _assemble,
+    _atom_starts,
     _check_weights,
     atom_tolerance,
+    cell_ranking,
     count_tuples,
     exact_sum,
     tuple_scores,
@@ -167,9 +168,71 @@ class TestAtomMerge:
             values = rng.permutation(np.cumsum(rng.choice(gaps, size=n) * max(1.0, scale)) + scale)
             masses = rng.random(n) + 0.01
             order = np.argsort(values, kind="stable")
-            dist = _assemble(values, order, masses, np.eye(n, dtype=np.int32))
-            want = _sequential_atoms(values[order].tolist(), masses[order].tolist())
-            assert list(zip(dist.values.tolist(), dist.probs.tolist())) == want
+            ranked, ranked_masses = values[order].tolist(), masses[order].tolist()
+            bounds = [*_atom_starts(values[order]).tolist(), n]
+            got = [(ranked[a], math.fsum(ranked_masses[a:b])) for a, b in zip(bounds, bounds[1:])]
+            assert got == _sequential_atoms(ranked, ranked_masses)
+
+
+def _positive_mass_reference(weights, law):
+    """Sequential merge of the positive-mass count tuples in stable score order,
+    each tuple's mass its binomial masses multiplied in class order."""
+    rows = count_tuples(law.counts).tolist()
+    scores = tuple_scores(weights, np.array(rows)).tolist()
+    masses = []
+    for xs in rows:
+        m = 1.0
+        for x, n, q in zip(xs, law.counts, law.alarm_probs):
+            m *= math.comb(n, x) * q**x * (1.0 - q) ** (n - x)
+        masses.append(m)
+    ranked = sorted((i for i in range(len(rows)) if masses[i] > 0.0), key=scores.__getitem__)
+    return ranked, _sequential_atoms([scores[i] for i in ranked], [masses[i] for i in ranked])
+
+
+class TestZeroMassFallback:
+    """Alarm probabilities of exactly 0 or 1 leave tuples of zero mass, which
+    are dropped and the rest merged afresh, not read off the cached atoms."""
+
+    WEIGHTS = (2.0, 1.0, 1.0, 3.0)
+    LAW = g.ClassAlarmLaw((2, 3, 3, 2), (0.0, 0.6, 0.35, 1.0))
+
+    def test_matches_reference_and_brute_force(self):
+        dist = g.score_distribution(self.WEIGHTS, self.LAW)
+        order, want = _positive_mass_reference(self.WEIGHTS, self.LAW)
+        assert dist.order.tolist() == order
+        assert list(zip(dist.values.tolist(), dist.probs.tolist())) == want
+        assert max(np.diff(dist.starts, append=len(dist.order))) > 1
+        TestBruteForceOracle().equivalent(self.WEIGHTS, self.LAW)
+
+    def test_mp_rule_on_the_fallback(self):
+        topology = g.builtin_topology("custom", (0.9, 0.6, 0.4, 0.2), counts=self.LAW.counts)
+        sc = g.validate(g.ChannelModel(p_c=0.9, p_w=0.1), topology)
+        rule = g.solve_mp_test(sc, 0.1, weights=self.WEIGHTS, event_alarm_probs=self.LAW.alarm_probs)
+        _, want = _positive_mass_reference(self.WEIGHTS, self.LAW)
+        assert rule.threshold in [v for v, _ in want]
+        assert rule.exact_size == pytest.approx(0.1, abs=1e-12)
+
+    def test_drops_a_head_and_merges_afresh(self):
+        # (1, 0, 0) heads an atom with (0, 1, 0) on the whole grid, leaving
+        # (0, 0, 1) 1.2e-9 past it; without it the other two are one atom
+        weights = (1.0, 1.0 + 6e-10, 1.0 + 1.2e-9)
+        assert cell_ranking((1, 1, 1), weights)[3].tolist()[1:3] == [1.0, 1.0 + 1.2e-9]
+        law = g.ClassAlarmLaw((1, 1, 1), (0.0, 0.4, 0.5))
+        dist = g.score_distribution(weights, law)
+        _, want = _positive_mass_reference(weights, law)
+        assert list(zip(dist.values.tolist(), dist.probs.tolist())) == want
+        assert dist.values.tolist()[1] == 1.0 + 6e-10 and len(dist.values) == 3
+        TestBruteForceOracle().equivalent(weights, law)
+
+    def test_cached_and_shared_arrays_are_read_only(self):
+        law = g.ClassAlarmLaw(self.LAW.counts, (0.1, 0.6, 0.35, 0.9))
+        order, ranked, starts, values = ranking = cell_ranking(law.counts, self.WEIGHTS)
+        dist = g.score_distribution(self.WEIGHTS, law)
+        assert dist.order is order and dist.starts is starts and dist.values is values
+        assert order.dtype == np.int32 and np.all(np.diff(ranked) >= 0.0)
+        for a in ranking:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
 
 class TestBruteForceOracle:
