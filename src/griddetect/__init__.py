@@ -35,6 +35,7 @@ from .estimation import (
 )
 from .model import (
     ChannelModel,
+    ClassAlarmLaw,
     DerivedStats,
     DomainError,
     LossRatio,
@@ -49,7 +50,6 @@ from .model import (
 from .node_errors import NodeErrorReport, node_error_report
 from .scenario_io import ScenarioError, ScenarioFile, load_scenario, parse_scenario
 from .score_dist import (
-    ClassAlarmLaw,
     ScoreAtom,
     ScoreDistribution,
     brute_force_distribution,

@@ -16,9 +16,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .decision_tests import (
-    BayesTest,
-    MPTest,
+from .decision_tests import (  # solve_mp_test is not called here; the benchmark traces cli.solve_mp_test
     bayes_test,
     operating_characteristics,
     solve_mp_test,
@@ -31,10 +29,10 @@ from .estimation import (
     estimate_false_response,
     read_log_file,
 )
-from .model import DomainError, LossRatio, Prior
+from .model import ClassAlarmLaw, DomainError, LossRatio
 from .node_errors import node_error_report
-from .scenario_io import ScenarioFile, load_scenario
-from .score_dist import ClassAlarmLaw, score_distribution
+from .scenario_io import load_scenario
+from .score_dist import score_distribution
 from .simulator import GENERATOR_NAME, run_trials
 from .tables import Table, render
 
@@ -198,12 +196,12 @@ def cmd_dist(
     """Dump the exact score distribution for debugging."""
     sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
     stats = sf.scenario.derived()
-    counts = sf.scenario.topology.counts
     overrides = sf.mp_overrides()
     weights = overrides.get("weights") or stats.weights
-    q_event = overrides.get("event_alarm_probs") or stats.alarm_probs
-    q = q_event if under == "event" else (sf.scenario.channel.p_w,) * len(counts)
-    dist = score_distribution(weights, ClassAlarmLaw(counts, q))
+    law = stats.event_law if under == "event" else stats.normal_law
+    if under == "event" and overrides.get("event_alarm_probs"):
+        law = ClassAlarmLaw(law.counts, overrides["event_alarm_probs"])
+    dist = score_distribution(weights, law)
     # cumsum adds the masses one by one, as a running sum does
     columns = (dist.values, dist.probs, np.cumsum(dist.probs), np.diff(dist.starts, append=len(dist.order)))
     table = Table(
@@ -212,17 +210,6 @@ def cmd_dist(
         rows=tuple(zip(*(c.tolist() for c in columns))),
     )
     _emit(table, fmt, out)
-
-
-def _sim_tests(sf: ScenarioFile, prior: Prior) -> list[tuple[str, MPTest | BayesTest]]:
-    tests: list[tuple[str, MPTest | BayesTest]] = []
-    for l in sf.loss_ratios:
-        tests.append((f"bayes l={l:g}", bayes_test(sf.scenario, prior, LossRatio(l))))
-    for size in sf.sizes:
-        tests.append(
-            (f"mp size={size:g}", solve_mp_test(sf.scenario, size, **sf.mp_overrides()))
-        )
-    return tests
 
 
 @main.command("simulate")
@@ -242,9 +229,14 @@ def cmd_simulate(
         raise DomainError("simulation needs a prior sweep (prior.p_e)")
     n_trials = trials if trials is not None else sf.simulation.n_trials
     master_seed = seed if seed is not None else sf.simulation.master_seed
+    # MP rules do not depend on the prior: solved, and their rates found, once for every prior
+    mp_tests = [(f"mp size={size:g}", test)
+                for size, test in zip(sf.sizes, solve_mp_tests(sf.scenario, sf.sizes, **sf.mp_overrides()))]
+    mp_ops = [operating_characteristics(test, sf.scenario) for _, test in mp_tests]
     rows = []
     for prior in sf.priors():
-        tests = _sim_tests(sf, prior)
+        bayes = [(f"bayes l={l:g}", bayes_test(sf.scenario, prior, LossRatio(l))) for l in sf.loss_ratios]
+        tests = bayes + mp_tests
         report = run_trials(sf.scenario, prior, tests, n_trials, master_seed)
         errors = node_error_report(sf.scenario, prior)
         for i, cs in enumerate(report.class_stats):
@@ -258,8 +250,8 @@ def cmd_simulate(
             ):
                 rows.append((prior.event_prob, stat, cs.label, emp, exact,
                              abs(emp - exact), num, denom))
-        for (name, test), ts in zip(tests, report.test_stats):
-            ops = operating_characteristics(test, sf.scenario)
+        all_ops = [operating_characteristics(test, sf.scenario) for _, test in bayes] + mp_ops
+        for (name, _), ts, ops in zip(tests, report.test_stats, all_ops):
             rows.append((prior.event_prob, "accept_given_event", name,
                          ts.accept_given_event, 1.0 - ops.type1,
                          abs(ts.accept_given_event - (1.0 - ops.type1)),

@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .model import DomainError, LossRatio, Prior, ValidatedScenario
+from .model import ClassAlarmLaw, DomainError, LossRatio, Prior, ValidatedScenario
 from .score_dist import (
-    ClassAlarmLaw,
     ScoreDistribution,
     atom_tolerance,
     cell_masses,
@@ -158,11 +157,6 @@ class OperatingCharacteristics(NamedTuple):
     power: float
 
 
-def _normal_law(scenario: ValidatedScenario) -> ClassAlarmLaw:
-    counts = scenario.topology.counts
-    return ClassAlarmLaw(counts, (scenario.channel.p_w,) * len(counts))
-
-
 def _require_finite_weights(scenario: ValidatedScenario) -> tuple[float, ...]:
     stats = scenario.derived()
     for cls, w in zip(scenario.topology.classes, stats.weights):
@@ -218,7 +212,6 @@ def solve_mp_tests(
     counts = scenario.topology.counts
     stats = scenario.derived()
     degenerate = scenario.channel.silent_when_undetected
-    normal = _normal_law(scenario)
     h0, tests = None, []
     for size in map(float, sizes):
         if not (0.0 < size < 1.0):
@@ -232,12 +225,12 @@ def solve_mp_tests(
         else:
             if h0 is None:
                 w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
-                q0 = stats.alarm_probs if event_alarm_probs is None else tuple(event_alarm_probs)
-                h0 = score_distribution(w, ClassAlarmLaw(counts, q0))
+                law = stats.event_law if event_alarm_probs is None else ClassAlarmLaw(counts, event_alarm_probs)
+                h0 = score_distribution(w, law)
             threshold, k, exact_size = _walk_to_threshold(h0, size)
-        test = MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k, requested_size=size,
-                      exact_size=exact_size, exact_power=math.nan, degenerate=degenerate)
-        tests.append(replace(test, exact_power=_rejection_rates(test, normal)[0]))
+        power = _rejection_rates(counts, _threshold_form(w, threshold, k, degenerate), stats.normal_law)[0]
+        tests.append(MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k,
+                            requested_size=size, exact_size=exact_size, exact_power=power, degenerate=degenerate))
     return tests
 
 
@@ -245,16 +238,20 @@ def _rule_form(rule: MPTest | BayesTest) -> tuple[tuple[float, ...], float, floa
     """A rule as (weights, lo, hi, k): reject with probability 1 for a score below lo, k up to hi, else 0.
 
     lo and hi are the threshold t less and plus its atom tolerance. Bayes
-    rules take k = 0.
+    rules take k = 0, except an applicable p_w = 0 rule, which takes 1.
     """
-    mp = isinstance(rule, MPTest)
-    if rule.degenerate:
-        # p_w = 0: the all-silent tuple is the only one scoring 0 on unit weights
-        weights, t = (1.0,) * len(rule.class_counts), 0.0
-        k = rule.boundary_prob if mp else float(rule.applicable)
+    if isinstance(rule, MPTest):
+        k = rule.boundary_prob
     else:
-        weights, t = rule.weights, rule.threshold
-        k = rule.boundary_prob if mp else 0.0
+        k = float(rule.applicable) if rule.degenerate else 0.0
+    return _threshold_form(rule.weights, rule.threshold, k, rule.degenerate)
+
+
+def _threshold_form(weights: tuple[float, ...], t: float, k: float, degenerate: bool) -> tuple:
+    """The form of a rule with these weights, threshold t, boundary k and p_w = 0 flag."""
+    if degenerate:
+        # p_w = 0: the all-silent tuple is the only one scoring 0 on unit weights
+        weights, t = (1.0,) * len(weights), 0.0
     tol = atom_tolerance(t)
     # a threshold of -inf has infinite tolerance: lo is -inf and hi nan, so
     # no score rejects
@@ -290,11 +287,12 @@ class _RuleForms(NamedTuple):
         return _threshold_probs(tuple_scores(self.weights, counts), self.lo, self.hi, self.k)
 
 
-def _rejection_rates(rule: MPTest | BayesTest, *laws: ClassAlarmLaw) -> list[float]:
-    """P(reject H0) under each law: the masses of ranks below i, plus k times those of ranks i to j."""
+def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw) -> list[float]:
+    """P(reject H0) of a rule's form under each law of the cell: the masses of ranks below i, plus k
+    times those of ranks i to j."""
     # scores of rank below i are under lo, up to j at most hi; a nan bound compares false, as in _threshold_probs
-    weights, lo, hi, k = _rule_form(rule)
-    order, ranked = cell_ranking(rule.class_counts, weights)[:2]
+    weights, lo, hi, k = form
+    order, ranked = cell_ranking(counts, weights)[:2]
     i = 0 if math.isnan(lo) else int(ranked.searchsorted(lo, "left"))
     j = i if k == 0.0 or math.isnan(hi) else max(i, int(ranked.searchsorted(hi, "right")))
     rates = []
@@ -394,8 +392,8 @@ def operating_characteristics(
         raise DomainError(
             f"rule was built for class counts {rule.class_counts}, scenario has {counts}"
         )
-    event = ClassAlarmLaw(counts, scenario.derived().alarm_probs)
-    return OperatingCharacteristics(*_rejection_rates(rule, event, _normal_law(scenario)))
+    stats = scenario.derived()
+    return OperatingCharacteristics(*_rejection_rates(counts, _rule_form(rule), stats.event_law, stats.normal_law))
 
 
 def _response_vector_masses(

@@ -4,7 +4,9 @@ A scenario is a response-fault channel plus a topology: the classes of
 sensors that can detect a candidate event cell, each with a node count and
 a detection probability. Everything downstream (node error reports, score
 distributions, decision tests, simulation) consumes a validated scenario
-and the per-class quantities derived from it.
+and the per-class quantities derived from it, its event and normal alarm
+laws included. The pure checks of score weights and master seeds live
+here too, so that reading a scenario file needs no other module.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "DomainError",
@@ -22,6 +25,7 @@ __all__ = [
     "LossRatio",
     "ValidatedScenario",
     "DerivedStats",
+    "ClassAlarmLaw",
     "TOPOLOGY_KINDS",
     "builtin_topology",
     "validate",
@@ -44,6 +48,31 @@ def _check_unit(name: str, value: float, low_open: bool = False, high_open: bool
     if high_open and value == 1.0:
         raise DomainError(f"{name} must be < 1")
     return value
+
+
+def _check_weights(weights: tuple[float, ...], counts: Sequence[int]) -> None:
+    if len(weights) != len(counts):
+        raise DomainError(f"{len(weights)} weights for {len(counts)} classes")
+    for i, w in enumerate(weights):
+        if not math.isfinite(w):
+            raise DomainError(f"class {i}: weight must be finite, got {w}")
+        if w <= 0.0:
+            raise DomainError(f"class {i}: weight must be positive, got {w}")
+    # no score overflows unless the all-alarm one does; added in score_dist.tuple_scores' order, in plain floats
+    top = 0.0
+    try:
+        for w, n in zip(weights, counts):
+            top += w * n
+    except OverflowError:  # a count past the float range
+        top = math.inf
+    if top == math.inf:
+        raise DomainError("weights too large: the score with every sensor alarming overflows")
+
+
+def _check_master_seed(master_seed: int) -> int:
+    if int(master_seed) != master_seed or not 0 <= master_seed < 2**64:
+        raise DomainError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")
+    return int(master_seed)
 
 
 @dataclass(frozen=True)
@@ -108,21 +137,21 @@ class Topology:
             raise DomainError("topology needs at least one sensor class")
         object.__setattr__(self, "classes", tuple(self.classes))
 
-    @property
+    @functools.cached_property
     def counts(self) -> tuple[int, ...]:
         return tuple(c.count for c in self.classes)
 
-    @property
+    @functools.cached_property
     def detect_probs(self) -> tuple[float, ...]:
         return tuple(c.detect_prob for c in self.classes)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.classes)
 
-    @property
+    @functools.cached_property
     def total_count(self) -> int:
-        return sum(c.count for c in self.classes)
+        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -240,6 +269,34 @@ def validate(
 
 
 @dataclass(frozen=True)
+class ClassAlarmLaw:
+    """Independent per-class alarm counts: x_i ~ Binomial(counts[i], alarm_probs[i])."""
+
+    counts: tuple[int, ...]
+    alarm_probs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", tuple(self.counts))
+        object.__setattr__(self, "alarm_probs", tuple(float(q) for q in self.alarm_probs))
+        if len(self.counts) != len(self.alarm_probs):
+            raise DomainError(
+                f"law has {len(self.counts)} counts but {len(self.alarm_probs)} alarm probabilities"
+            )
+        if not self.counts:
+            raise DomainError("alarm law needs at least one class")
+        for i, n in enumerate(self.counts):
+            if int(n) != n or n < 1:
+                raise DomainError(f"class {i}: count must be a positive integer, got {n}")
+        for i, q in enumerate(self.alarm_probs):
+            if not (0.0 <= q <= 1.0):
+                raise DomainError(f"class {i}: alarm probability out of [0, 1], got {q}")
+
+    @property
+    def total_count(self) -> int:
+        return sum(self.counts)
+
+
+@dataclass(frozen=True)
 class DerivedStats:
     """Per-class quantities implied by a validated scenario.
 
@@ -252,6 +309,9 @@ class DerivedStats:
     weight is +inf. Nothing reads it to choose a rule: the all-silent
     rejection region is keyed on ``channel.silent_when_undetected``, and
     a rule built from the exact weights refuses the certain-alarm case.
+    ``event_law`` and ``normal_law`` are the cell's alarm counts under the
+    event (``alarm_probs``) and under the normal hypothesis (p_w in every
+    class), built once here for every exact error rate and score law.
     """
 
     alarm_margin: float
@@ -259,6 +319,8 @@ class DerivedStats:
     silence_probs: tuple[float, ...]
     weights: tuple[float, ...]
     degenerate: bool
+    event_law: ClassAlarmLaw
+    normal_law: ClassAlarmLaw
 
 
 def derived_stats(channel: ChannelModel, topology: Topology) -> DerivedStats:
@@ -279,4 +341,6 @@ def derived_stats(channel: ChannelModel, topology: Topology) -> DerivedStats:
         silence_probs=silence,
         weights=tuple(weights),
         degenerate=any(math.isinf(w) for w in weights),
+        event_law=ClassAlarmLaw(topology.counts, alarm),
+        normal_law=ClassAlarmLaw(topology.counts, (p_w,) * len(alarm)),
     )

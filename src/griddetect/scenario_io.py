@@ -48,17 +48,18 @@ import yaml
 
 from .model import (
     ChannelModel,
+    ClassAlarmLaw,
     DomainError,
     LossRatio,
     Prior,
     SensorClass,
     Topology,
     ValidatedScenario,
+    _check_master_seed,
+    _check_weights,
     builtin_topology,
     validate,
 )
-from .score_dist import ClassAlarmLaw, _check_weights
-from .simulator import _check_master_seed
 
 __all__ = ["ScenarioError", "SimulationSettings", "ScenarioFile", "load_scenario", "parse_scenario"]
 

@@ -17,11 +17,13 @@ The grid functions keep read-only arrays in least-recently-used caches: the
 tuples of ``GRID_CACHE_SIZE`` cells, in the smallest unsigned dtype that
 holds the largest count (so also ``ScoreDistribution.tuples``), and masses
 and rankings for twice as many laws and weight vectors. A ranking holds
-the int32 stable score order, the scores in that order and each atom's
-first rank and value, shared by every score law of positive masses. At
-``MAX_COUNT_TUPLES`` rows that is at most 24, 8 and 28 MiB an entry (12
-bytes a row, 16 an atom), 384 MiB in all; a 6x6 cell (117,649 tuples)
-with two laws and two weight vectors keeps under 9 MiB.
+the int32 stable score order, the scores in that order, each atom's first
+rank and value, and the int32 index and first and end ranks of each atom
+of more than one row, shared by every score law of positive masses, which
+then only gathers its masses and sums those atoms. At ``MAX_COUNT_TUPLES``
+rows that is at most 24, 8 and 28 MiB an entry (12 bytes a row, 16 an
+atom, 12 more an atom of several rows), 384 MiB in all; a 6x6 cell
+(117,649 tuples) with two laws and two weight vectors keeps under 9 MiB.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
@@ -42,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import DomainError
+from .model import ClassAlarmLaw, DomainError, _check_weights
 
 __all__ = [
     "MERGE_REL_TOL",
@@ -101,34 +103,6 @@ def exact_sum(a: np.ndarray) -> float:
     e -= (low := int(e.min()))
     sums = np.stack((np.bincount(e, weights=head), np.bincount(e, weights=m)))
     return math.fsum(np.ldexp(sums, np.arange(low, low + sums.shape[1])).ravel().tolist())
-
-
-@dataclass(frozen=True)
-class ClassAlarmLaw:
-    """Independent per-class alarm counts: x_i ~ Binomial(counts[i], alarm_probs[i])."""
-
-    counts: tuple[int, ...]
-    alarm_probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        object.__setattr__(self, "alarm_probs", tuple(float(q) for q in self.alarm_probs))
-        if len(self.counts) != len(self.alarm_probs):
-            raise DomainError(
-                f"law has {len(self.counts)} counts but {len(self.alarm_probs)} alarm probabilities"
-            )
-        if not self.counts:
-            raise DomainError("alarm law needs at least one class")
-        for i, n in enumerate(self.counts):
-            if int(n) != n or n < 1:
-                raise DomainError(f"class {i}: count must be a positive integer, got {n}")
-        for i, q in enumerate(self.alarm_probs):
-            if not (0.0 <= q <= 1.0):
-                raise DomainError(f"class {i}: alarm probability out of [0, 1], got {q}")
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -191,25 +165,6 @@ class ScoreDistribution:
         return float(self.values[-1])
 
 
-def _check_weights(weights: tuple[float, ...], counts: Sequence[int]) -> None:
-    if len(weights) != len(counts):
-        raise DomainError(f"{len(weights)} weights for {len(counts)} classes")
-    for i, w in enumerate(weights):
-        if not math.isfinite(w):
-            raise DomainError(f"class {i}: weight must be finite, got {w}")
-        if w <= 0.0:
-            raise DomainError(f"class {i}: weight must be positive, got {w}")
-    # no score overflows unless the all-alarm one does; summed as tuple_scores sums it, minus numpy's overhead
-    top = 0.0
-    try:
-        for w, n in zip(weights, counts):
-            top += w * n
-    except OverflowError:  # a count past the float range
-        top = math.inf
-    if top == math.inf:
-        raise DomainError("weights too large: the score with every sensor alarming overflows")
-
-
 def count_tuples(counts: Sequence[int]) -> np.ndarray:
     """(N, K) array of every count tuple with 0 <= x_i <= counts[i], in lexicographic order."""
     dims = tuple(int(n) + 1 for n in counts)
@@ -265,13 +220,15 @@ def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
 
 @functools.lru_cache(maxsize=2 * GRID_CACHE_SIZE)
 def cell_ranking(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """(order, ranked, starts, values): the cell's int32 stable ascending score order, the scores in
-    that order, and each atom's first rank and value, near-equal scores merged over the whole grid."""
+    """(order, ranked, starts, values, multi, spans): the cell's int32 stable ascending score order, the
+    scores in that order, each atom's first rank and value, near-equal scores merged over the whole
+    grid, and _multi_row_atoms of those atoms."""
     scores = tuple_scores(weights, cell_grid(counts))
     order = np.argsort(scores, kind="stable").astype(np.int32)
     ranked = scores[order]
     starts = _atom_starts(ranked)
-    return tuple(map(_frozen, (order, ranked, starts, ranked[starts])))
+    multi = _multi_row_atoms(starts, len(ranked))
+    return tuple(map(_frozen, (order, ranked, starts, ranked[starts], *multi)))
 
 
 def _atom_starts(scores: np.ndarray) -> np.ndarray:
@@ -296,26 +253,32 @@ def _atom_starts(scores: np.ndarray) -> np.ndarray:
     return np.sort(np.append(runs, heads)) if heads else runs
 
 
+def _multi_row_atoms(starts: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of more than one of ``n_rows`` ranks: their int32 indices and (M, 2) int32 first and end ranks."""
+    bounds = np.append(starts, n_rows)
+    multi = np.flatnonzero(np.diff(bounds) > 1)
+    return multi.astype(np.int32), np.stack((bounds[multi], bounds[multi + 1]), axis=1).astype(np.int32)
+
+
 def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, grid: np.ndarray) -> ScoreDistribution:
     """Gather a law's masses in rank order and add them up per atom; ties keep the order of ``grid``.
 
     Zero-mass tuples (alarm probabilities of 0 or 1) are no atoms: the rest keeps its order, merged afresh.
     """
-    order, scores, starts, values = ranking
+    order, scores, starts, values, multi, spans = ranking
     ranked = masses[order]
     if not ranked.all():
         keep = ranked > 0.0
         order, scores, ranked = order[keep], scores[keep], ranked[keep]
         starts = _atom_starts(scores)
         values = scores[starts]
-    if len(starts) == len(ranked):  # every atom is one row
+        multi, spans = _multi_row_atoms(starts, len(ranked))
+    if not len(multi):  # every atom is one row
         return ScoreDistribution(values=values, probs=ranked, starts=starts, order=order, grid=grid)
     probs = ranked[starts]
-    bounds = np.append(starts, len(ranked))
-    multi = np.flatnonzero(np.diff(bounds) > 1)
     flat = ranked.tolist()
     probs[multi] = [exact_sum(ranked[a:b]) if b - a >= VECTOR_SUM_MIN_LENGTH else math.fsum(flat[a:b])
-                    for a, b in zip(bounds[multi].tolist(), bounds[multi + 1].tolist())]
+                    for a, b in spans.tolist()]
     return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
 
 

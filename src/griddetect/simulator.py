@@ -45,7 +45,7 @@ from .decision_tests import (
     bayes_decide,
     mp_decide,
 )
-from .model import DomainError, Prior, ValidatedScenario
+from .model import DomainError, Prior, ValidatedScenario, _check_master_seed
 
 __all__ = [
     "GENERATOR_NAME",
@@ -103,12 +103,6 @@ class TrialOutcome:
     @property
     def alarm_counts(self) -> tuple[int, ...]:
         return tuple(sum(cls) for cls in self.responses)
-
-
-def _check_master_seed(master_seed: int) -> int:
-    if int(master_seed) != master_seed or not 0 <= master_seed < 2**64:
-        raise DomainError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")
-    return int(master_seed)
 
 
 def derive_trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:

@@ -6,8 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 import griddetect as g
-from griddetect import scenario_io
+from griddetect import decision_tests, scenario_io
 from griddetect.cli import main
+from griddetect.tables import format_cell
 
 from cases import YAML_LOADERS
 
@@ -233,6 +234,35 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--scenario", str(path)])
         assert result.exit_code == 1
         assert "prior" in result.output
+
+    @pytest.mark.parametrize("mode", ["exact", "paper-approx"])
+    def test_solves_each_mp_size_once(self, runner, monkeypatch, mode):
+        calls = []
+        law = decision_tests.score_distribution
+        monkeypatch.setattr(decision_tests, "score_distribution", lambda *a: calls.append(a) or law(*a))
+        result = invoke(runner, "simulate", "--scenario", GOOD, "--trials", "300", "--weight-mode", mode,
+                        "--format", "csv")
+        assert result.exit_code == 0
+        assert len(calls) == 1  # one event score law for every size and prior
+        # every decision row equals that of MP rules solved afresh for each prior
+        sf = g.load_scenario(GOOD).with_weight_mode(mode)
+        want = []
+        for prior in sf.priors():
+            tests = [(f"bayes l={l:g}", g.bayes_test(sf.scenario, prior, g.LossRatio(l))) for l in sf.loss_ratios]
+            tests += [(f"mp size={size:g}", g.solve_mp_test(sf.scenario, size, **sf.mp_overrides()))
+                      for size in sf.sizes]
+            report = g.run_trials(sf.scenario, prior, tests, 300, sf.simulation.master_seed)
+            for (name, test), ts in zip(tests, report.test_stats):
+                type1, power = g.operating_characteristics(test, sf.scenario)
+                for stat, emp, exact, num, denom in (
+                    ("accept_given_event", ts.accept_given_event, 1.0 - type1, ts.n_accept_event, ts.n_event),
+                    ("reject_given_normal", ts.reject_given_normal, power, ts.n_reject_normal, ts.n_normal),
+                ):
+                    row = (prior.event_prob, stat, name, emp, exact, abs(emp - exact), num, denom)
+                    want.append(",".join(map(format_cell, row)))
+        got = [line.split(",", 1)[1] for line in result.output.splitlines()[1:]
+               if line.split(",")[2] in ("accept_given_event", "reject_given_normal")]
+        assert got == want and len(want) == 5 * 6 * 2
 
 
 class TestEstimateCommand:

@@ -658,3 +658,28 @@ class TestPrefixRates:
         assert np.count_nonzero(scores == rule.threshold) > 1
         assert 0.0 < rule.boundary_prob < 1.0
         _assert_prefix_rates_match(rule, sc)
+
+
+def test_scenario_laws_give_the_rates_of_fresh_laws():
+    """Rates read from the laws DerivedStats keeps carry the bits of laws built afresh,
+    for exact, override and p_w = 0 rules."""
+    rng = random.Random("scenario-laws")
+    for _ in range(12):
+        sc = random_scenario(rng, max_classes=4, max_count=4)
+        silent = g.validate(g.ChannelModel(p_c=sc.channel.p_c, p_w=0.0), sc.topology)
+        for cell in (sc, silent):
+            counts, stats = cell.topology.counts, cell.derived()
+            assert stats.event_law == g.ClassAlarmLaw(counts, stats.alarm_probs)
+            assert stats.normal_law == g.ClassAlarmLaw(counts, (cell.channel.p_w,) * len(counts))
+        w = sc.derived().weights
+        overrides = dict(weights=tuple(float(max(1, round(3 * x / min(w)))) for x in w),
+                         event_alarm_probs=tuple(round(q, 1) for q in sc.derived().alarm_probs))
+        size, prior, loss = rng.uniform(0.005, 0.5), g.Prior(rng.uniform(0.05, 0.5)), g.LossRatio(rng.uniform(1, 40))
+        for cell, rule in [
+            (sc, g.solve_mp_test(sc, size)),
+            (sc, g.solve_mp_test(sc, size, **overrides)),
+            (sc, g.bayes_test(sc, prior, loss)),
+            (silent, g.solve_mp_test(silent, size)),
+            (silent, g.bayes_test(silent, prior, loss)),
+        ]:
+            _assert_prefix_rates_match(rule, cell)

@@ -121,7 +121,9 @@ def test_cached_arrays_are_read_only():
     assert grid.dtype == np.uint8 and grid.shape == (7**6, 6)
     ranking = score_dist.cell_ranking(sc.topology.counts, sc.derived().weights)
     assert ranking[0].dtype == np.int32
-    cached = [grid, *ranking, score_dist._binomial_pmf(6, 0.15)]
+    int_ranking = score_dist.cell_ranking(sc.topology.counts, _int_weights(sc.derived().weights))
+    assert len(int_ranking[4]) > 0  # integer weights tie: atoms of several rows, with their bounds
+    cached = [grid, *ranking, *int_ranking, score_dist._binomial_pmf(6, 0.15)]
     for probs in (sc.derived().alarm_probs, (0.15,) * 6):
         cached.append(score_dist.cell_masses(g.ClassAlarmLaw((6,) * 6, probs)))
     for limbs in _streams._jumps(25):
@@ -130,3 +132,17 @@ def test_cached_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     assert score_dist.cell_masses.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("kind", ["exact", "integer"])
+def test_ranking_holds_the_bounds_of_its_multi_row_atoms(kind):
+    rng = random.Random(f"atom-bounds/{kind}")
+    for _ in range(12):
+        sc = random_scenario(rng, max_classes=4, max_count=5)
+        weights = sc.derived().weights
+        order, ranked, starts, values, multi, spans = score_dist.cell_ranking(
+            sc.topology.counts, _int_weights(weights) if kind == "integer" else weights)
+        ends = np.append(starts[1:], len(ranked))
+        assert multi.tolist() == np.flatnonzero(ends - starts > 1).tolist()
+        assert spans.tolist() == [[starts[i], ends[i]] for i in multi.tolist()]
+        assert multi.dtype == spans.dtype == np.int32 and spans.shape == (len(multi), 2)

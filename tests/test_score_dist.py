@@ -226,7 +226,7 @@ class TestZeroMassFallback:
 
     def test_cached_and_shared_arrays_are_read_only(self):
         law = g.ClassAlarmLaw(self.LAW.counts, (0.1, 0.6, 0.35, 0.9))
-        order, ranked, starts, values = ranking = cell_ranking(law.counts, self.WEIGHTS)
+        order, ranked, starts, values, *_ = ranking = cell_ranking(law.counts, self.WEIGHTS)
         dist = g.score_distribution(self.WEIGHTS, law)
         assert dist.order is order and dist.starts is starts and dist.values is values
         assert order.dtype == np.int32 and np.all(np.diff(ranked) >= 0.0)
