@@ -141,7 +141,9 @@ class BayesTest:
     threshold is not positive the rule accepts H0 for every observation
     and ``applicable`` is False. ``normalized_weights`` rescales the
     weights by the threshold (defined only when applicable), so the rule
-    reads: reject when the normalized score is below one.
+    reads: reject when the normalized score is below one. A p_w = 0 rule
+    (``degenerate`` set) reports threshold nan and no normalized weights,
+    and when applicable rejects only the all-silent observation.
     """
 
     weights: tuple[float, ...]
@@ -328,43 +330,35 @@ def bayes_test(scenario: ValidatedScenario, prior: Prior, loss: LossRatio) -> Ba
     """Construct the Bayes rule for two-point losses.
 
     The threshold is log(p_n / (l * p_e)) plus one log term per sensor
-    comparing silence probabilities under the two hypotheses. A
-    non-positive threshold means no observation can favor the normal
-    hypothesis strongly enough, and the rule accepts H0 everywhere.
+    comparing silence probabilities under the two hypotheses; an odds
+    quotient that underflows or overflows is taken as a difference of logs.
+    The rule is applicable when the threshold is positive; otherwise no
+    observation can favor the normal hypothesis strongly enough, and the
+    rule accepts H0 everywhere.
 
-    With p_w = 0 the rule collapses to rejecting on the all-silent
-    observation, applicable exactly when the loss ratio is below
-    (p_n / p_e) * prod(silence_probs[i] ** -count[i]).
+    With p_w = 0 the threshold is positive exactly when the loss ratio is
+    below (p_n / p_e) * prod(silence_probs[i] ** -count[i]), +inf for a
+    class that never stays silent; the rule reports it as nan.
     """
     counts = scenario.topology.counts
     stats = scenario.derived()
     p_e, p_n, l = prior.event_prob, prior.normal_prob, loss.value
-
-    if scenario.channel.silent_when_undetected:
-        all_silent = math.prod(q**n for q, n in zip(stats.silence_probs, counts))
-        bound = math.inf if all_silent == 0.0 else (p_n / p_e) / all_silent
-        return BayesTest(
-            weights=stats.weights,
-            class_counts=counts,
-            threshold=math.nan,
-            applicable=l < bound,
-            normalized_weights=None,
-            degenerate=True,
-        )
-
-    w = _require_finite_weights(scenario)
+    degenerate = scenario.channel.silent_when_undetected
+    w = stats.weights if degenerate else _require_finite_weights(scenario)
     p_w = scenario.channel.p_w
-    threshold = math.log(p_n / (l * p_e)) + math.fsum(
-        n * math.log((1.0 - p_w) / q)
-        for n, q in zip(counts, stats.silence_probs)
+    odds = p_n / (l * p_e) if l * p_e > 0.0 else math.inf
+    log_odds = math.log(odds) if 0.0 < odds < math.inf else math.log(p_n) - math.log(l) - math.log(p_e)
+    threshold = log_odds + math.fsum(
+        n * math.log((1.0 - p_w) / q) if q else math.inf for n, q in zip(counts, stats.silence_probs)
     )
     applicable = threshold > 0.0
     return BayesTest(
         weights=w,
         class_counts=counts,
-        threshold=threshold,
+        threshold=math.nan if degenerate else threshold,
         applicable=applicable,
-        normalized_weights=tuple(x / threshold for x in w) if applicable else None,
+        normalized_weights=tuple(x / threshold for x in w) if applicable and not degenerate else None,
+        degenerate=degenerate,
     )
 
 

@@ -305,20 +305,16 @@ class DerivedStats:
     its complement, and ``weights[i]`` the log-likelihood-ratio weight of
     one class-i alarm. A weight is +inf when p_w = 0 (an alarm is then
     conclusive) or when the class's alarm is certain under the event
-    (p_c = detect_prob = 1 with p_w > 0). ``degenerate`` is true when any
-    weight is +inf. Nothing reads it to choose a rule: the all-silent
-    rejection region is keyed on ``channel.silent_when_undetected``, and
-    a rule built from the exact weights refuses the certain-alarm case.
+    (p_c = detect_prob = 1 with p_w > 0). Rules read the first case from
+    ``channel.silent_when_undetected`` and refuse the second.
     ``event_law`` and ``normal_law`` are the cell's alarm counts under the
     event (``alarm_probs``) and under the normal hypothesis (p_w in every
     class), built once here for every exact error rate and score law.
     """
 
-    alarm_margin: float
     alarm_probs: tuple[float, ...]
     silence_probs: tuple[float, ...]
     weights: tuple[float, ...]
-    degenerate: bool
     event_law: ClassAlarmLaw
     normal_law: ClassAlarmLaw
 
@@ -336,11 +332,9 @@ def derived_stats(channel: ChannelModel, topology: Topology) -> DerivedStats:
         else:
             weights.append(math.log(a * (1.0 - p_w) / ((1.0 - a) * p_w)))
     return DerivedStats(
-        alarm_margin=d,
         alarm_probs=alarm,
         silence_probs=silence,
         weights=tuple(weights),
-        degenerate=any(math.isinf(w) for w in weights),
         event_law=ClassAlarmLaw(topology.counts, alarm),
         normal_law=ClassAlarmLaw(topology.counts, (p_w,) * len(alarm)),
     )

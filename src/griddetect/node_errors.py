@@ -45,9 +45,9 @@ def node_error_report(scenario: ValidatedScenario, prior: Prior) -> NodeErrorRep
     event_given_silent = tuple(
         p_e * q / (p_n * (1.0 - p_w) + p_e * q) for q in stats.silence_probs
     )
-    # p_e * a > 0 always (a >= detect_prob * p_c > 0), so this is safe at p_w = 0
+    # at p_w = 0 an alarm is impossible under the normal hypothesis, and p_e * a may underflow to 0
     normal_given_alarm = tuple(
-        p_n * p_w / (p_n * p_w + p_e * a) for a in stats.alarm_probs
+        p_n * p_w / (p_n * p_w + p_e * a) if p_w else 0.0 for a in stats.alarm_probs
     )
     return NodeErrorReport(
         labels=scenario.topology.labels,

@@ -193,11 +193,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=256)
-def _binomial_pmf(n: int, q: float) -> np.ndarray:
-    return _frozen(np.array([math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)]))
-
-
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def cell_grid(counts: tuple[int, ...]) -> np.ndarray:
     """count_tuples of a cell, row-major so that rows gather whole."""
@@ -214,7 +209,8 @@ def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
             raise DomainError(
                 f"class {i}: count {n} is too large for the exact score law (at most {MAX_BINOMIAL_COUNT})"
             )
-        masses *= _binomial_pmf(n, q)[tuples[:, i]]
+        pmf = np.array([math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)])
+        masses *= pmf[tuples[:, i]]
     return _frozen(masses)
 
 

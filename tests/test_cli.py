@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import griddetect as g
@@ -296,6 +297,32 @@ class TestEstimateCommand:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: cannot read log file")
         assert len(result.output.strip().splitlines()) == 1
+
+
+class TestFloatExtremes:
+    """Priors and loss ratios at the ends of the float range: every (p_e, l) pair of the sweep
+    runs, on a p_w > 0 channel and on a p_w = 0 channel, under each YAML loader."""
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("p_w", [0.1, 0.0])
+    @pytest.mark.parametrize("command", ["errors", "bayes", "simulate"])
+    def test_exits_zero_with_empty_stderr(self, runner, tmp_path, monkeypatch, loader, p_w, command):
+        monkeypatch.setattr(scenario_io, "_LOADER", loader)
+        path = tmp_path / "extremes.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema": 1,
+            "channel": {"p_c": 0.9, "p_w": p_w},
+            "topology": {"kind": "interior_square", "detect_probs": [0.9, 0.5, 0.3]},
+            "prior": {"p_e": [0.9999999999999999, 1e-300, 0.5, 5e-324]},
+            "loss_ratio": [1e308, 1e-300, 1e-10, 5.0],
+            "sizes": [0.1],
+            "simulation": {"n_trials": 100000, "master_seed": 7},
+        }))
+        args = [command, "--scenario", str(path)] + (["--trials", "50"] if command == "simulate" else [])
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stderr) == (0, ""), result.exception
+        if command == "bayes" and p_w > 0.0:  # a finite threshold for every pair
+            assert "inf" not in result.stdout and "nan" not in result.stdout
 
 
 class TestInvalidInputs:

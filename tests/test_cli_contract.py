@@ -57,8 +57,10 @@ SETTINGS = dict(
 
 # small counts keep every count-tuple grid tiny; the extremes hit the caps
 small_ints = st.integers(-3, 12) | st.sampled_from([10**20, 2**64, -(2**64)])
+# priors and loss ratios whose products and quotients underflow or overflow
+float_extremes = st.sampled_from([0.9999999999999999, 1e-300, 1e-10, 1e308, 5e-324])
 scalars = (
-    st.none() | st.booleans() | small_ints | st.floats(0, 1) | st.floats() | st.text(max_size=6)
+    st.none() | st.booleans() | small_ints | st.floats(0, 1) | st.floats() | float_extremes | st.text(max_size=6)
     | st.sampled_from(["custom", "interior_square", "hexagon_interior", "exact", "paper_approx"])
 )
 values = st.recursive(

@@ -683,3 +683,85 @@ def test_scenario_laws_give_the_rates_of_fresh_laws():
             (silent, g.bayes_test(silent, prior, loss)),
         ]:
             _assert_prefix_rates_match(rule, cell)
+
+
+def _quotient_threshold(sc, prior, loss):
+    """The p_w > 0 threshold as one expression: log(p_n / (l * p_e)) plus the per-sensor silence terms."""
+    p_e, p_n, l, p_w = prior.event_prob, prior.normal_prob, loss.value, sc.channel.p_w
+    return math.log(p_n / (l * p_e)) + math.fsum(
+        n * math.log((1.0 - p_w) / q) for n, q in zip(sc.topology.counts, sc.derived().silence_probs)
+    )
+
+
+def _all_silent_bound(sc, prior):
+    """(p_n / p_e) over the all-silent tuple's event mass: a p_w = 0 rule is applicable for losses below it."""
+    all_silent = math.prod(q**n for q, n in zip(sc.derived().silence_probs, sc.topology.counts))
+    return math.inf if all_silent == 0.0 else (prior.normal_prob / prior.event_prob) / all_silent
+
+
+FLOAT_EXTREMES = [(0.9999999999999999, 1e308), (1e-300, 1e-300), (1e-300, 1e-10), (0.5, 1e-300), (5e-324, 5.0)]
+
+
+class TestOneBayesThreshold:
+    """One log-odds threshold decides applicability in both channel regimes."""
+
+    def test_p_w_positive_keeps_the_bits_of_the_quotient(self):
+        rng = random.Random("one-threshold/p_w>0")
+        checked = 0
+        for _ in range(300):
+            sc = random_scenario(rng, max_classes=4, max_count=6)
+            p_e = rng.choice([rng.uniform(0.001, 0.999), 10 ** rng.uniform(-320, -3), 1.0 - 10 ** rng.uniform(-16, -3)])
+            prior = g.Prior(p_e)
+            loss = g.LossRatio(rng.choice([math.exp(rng.uniform(-5, 10)), 10 ** rng.uniform(-300, 300)]))
+            den = loss.value * prior.event_prob
+            if not (den > 0.0 and 0.0 < prior.normal_prob / den < math.inf):
+                continue
+            rule = g.bayes_test(sc, prior, loss)
+            assert rule.threshold.hex() == _quotient_threshold(sc, prior, loss).hex()
+            assert rule.applicable == (rule.threshold > 0.0)
+            checked += 1
+        assert checked > 200
+
+    def test_p_w_zero_applicability_is_the_all_silent_bound(self):
+        rng = random.Random("one-threshold/p_w=0")
+        for _ in range(300):
+            base = random_scenario(rng, max_classes=6, max_count=8)
+            sc = g.validate(g.ChannelModel(p_c=base.channel.p_c, p_w=0.0), base.topology)
+            prior = g.Prior(rng.uniform(0.01, 0.99))
+            bound = _all_silent_bound(sc, prior)
+            for loss in (bound * math.exp(rng.uniform(-5, 5)), bound * (1.0 + rng.uniform(-1e-10, 1e-10))):
+                if not 0.0 < loss < math.inf or abs(loss - bound) <= 1e-12 * bound:
+                    continue
+                rule = g.bayes_test(sc, prior, g.LossRatio(loss))
+                assert rule.applicable == (loss < bound)
+                assert rule.degenerate and math.isnan(rule.threshold) and rule.normalized_weights is None
+
+    def test_p_w_zero_class_that_never_stays_silent(self):
+        # p_c = detect_prob = 1: the all-silent tuple has event mass 0, so every loss ratio is below the bound
+        sc = g.validate(g.ChannelModel(p_c=1.0, p_w=0.0), g.builtin_topology("custom", (1.0, 0.5), counts=(2, 3)))
+        for p_e, loss in FLOAT_EXTREMES:
+            rule = g.bayes_test(sc, g.Prior(p_e), g.LossRatio(loss))
+            assert rule.applicable
+            assert g.operating_characteristics(rule, sc) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("p_w", [0.1, 0.0])
+    @pytest.mark.parametrize("p_e, loss", FLOAT_EXTREMES)
+    def test_float_extremes(self, p_w, p_e, loss):
+        sc = g.validate(g.ChannelModel(p_c=0.9, p_w=p_w), g.builtin_topology("interior_square", (0.9, 0.5, 0.3)))
+        rule = g.bayes_test(sc, g.Prior(p_e), g.LossRatio(loss))
+        assert math.isfinite(rule.threshold) or p_w == 0.0
+        # only the first pair, a loss ratio of 1e308 against p_n of 1e-16, accepts H0 everywhere
+        assert rule.applicable == (loss < 1e300)
+        ops = g.operating_characteristics(rule, sc)
+        _assert_prefix_rates_match(rule, sc)
+        counts = sc.topology.counts
+        reject = decision_tests._RuleForms.of([rule], len(counts)).reject_probs(cell_grid(counts))[:, 0]
+        stats = sc.derived()
+        if not rule.applicable:
+            assert ops == (0.0, 0.0)
+        elif p_w > 0.0:  # the threshold is past every score: the rates are the masses of the whole grid
+            assert reject.all()
+            assert list(ops) == [exact_sum(cell_masses(law)) for law in (stats.event_law, stats.normal_law)]
+        else:
+            assert reject.tolist() == [1.0] + [0.0] * (len(reject) - 1)
+            assert list(ops) == [cell_masses(stats.event_law)[0], 1.0]

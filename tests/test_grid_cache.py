@@ -20,7 +20,7 @@ from griddetect.decision_tests import bayes_test, operating_characteristics, sol
 from cases import random_scenario
 
 
-CACHES = (score_dist.cell_grid, score_dist.cell_masses, score_dist.cell_ranking, score_dist._binomial_pmf)
+CACHES = (score_dist.cell_grid, score_dist.cell_masses, score_dist.cell_ranking)
 
 
 def _clear_caches() -> None:
@@ -108,7 +108,7 @@ def test_cache_holds_at_most_its_bound():
         mp = solve_mp_test(sc, 0.1, weights=(2.0, 1.0))
         operating_characteristics(mp, sc)
         operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
-    for cache in CACHES[:3]:
+    for cache in CACHES:
         assert cache.cache_info().currsize == cache.cache_info().maxsize
     assert score_dist.cell_grid.cache_info().maxsize == score_dist.GRID_CACHE_SIZE
 
@@ -123,7 +123,7 @@ def test_cached_arrays_are_read_only():
     assert ranking[0].dtype == np.int32
     int_ranking = score_dist.cell_ranking(sc.topology.counts, _int_weights(sc.derived().weights))
     assert len(int_ranking[4]) > 0  # integer weights tie: atoms of several rows, with their bounds
-    cached = [grid, *ranking, *int_ranking, score_dist._binomial_pmf(6, 0.15)]
+    cached = [grid, *ranking, *int_ranking]
     for probs in (sc.derived().alarm_probs, (0.15,) * 6):
         cached.append(score_dist.cell_masses(g.ClassAlarmLaw((6,) * 6, probs)))
     for limbs in _streams._jumps(25):

@@ -106,14 +106,15 @@ class TestValidate:
 
 class TestDerivedStats:
     def test_good_network_values(self):
-        stats = good_scenario().derived()
-        assert stats.alarm_margin == pytest.approx(0.8)
+        sc = good_scenario()
+        stats = sc.derived()
+        assert sc.channel.alarm_margin == pytest.approx(0.8)
         assert stats.alarm_probs == pytest.approx((0.82, 0.5, 0.34))
         assert stats.silence_probs == pytest.approx((0.18, 0.5, 0.66))
         # first weight is log(41): alarm odds 0.82/0.18 against false-alarm odds 1/9
         assert stats.weights[0] == pytest.approx(math.log(41.0), abs=1e-12)
         assert stats.weights == pytest.approx((3.714, 2.197, 1.534), abs=5e-4)
-        assert not stats.degenerate
+        assert all(math.isfinite(w) for w in stats.weights)
 
     def test_weak_network_weights(self):
         stats = weak_scenario().derived()
@@ -125,7 +126,7 @@ class TestDerivedStats:
         assert stats.alarm_probs == (0.9,)
         assert stats.silence_probs == pytest.approx((0.1,))
         assert stats.weights == (math.inf,)
-        assert stats.degenerate
+        assert sc.channel.silent_when_undetected
 
     def test_complement_identity(self):
         for sc in (good_scenario(), weak_scenario()):

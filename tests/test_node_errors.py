@@ -134,3 +134,11 @@ def test_report_shape_and_bounds():
         assert len(rep.event_given_silent) == len(rep.normal_given_alarm) == k
         for seq in (rep.type1, rep.type2, rep.event_given_silent, rep.normal_given_alarm):
             assert all(0.0 <= v <= 1.0 for v in seq)
+
+
+def test_subnormal_prior_at_p_w_zero():
+    # p_e * A_i underflows to 0, but an alarm is impossible under the normal hypothesis
+    for sc in (degenerate_scenario(), g.validate(g.ChannelModel(0.8, 0.0), good_scenario().topology)):
+        rep = report(sc, 5e-324)
+        assert rep.normal_given_alarm == (0.0,) * 3
+        assert all(0.0 <= x < 1e-300 for x in rep.event_given_silent)
