@@ -14,13 +14,16 @@ install:
 test:
 	$(RUN) -m pytest -q
 
-# Tier-1 tests, the byte-identity check of the simulation tables in out/, then
-# one short sim-interior run: every simulator block against a trial-by-trial
-# replay; one short table-sweep run: every table command against its oracle,
-# and the shipped errors/bayes/mp tables against out/; then one short
-# exact-wide run: every 3- to 6-class design against the enumeration oracle,
-# the closed-form Bayes row and the Neyman-Pearson check.
+# Tier-1 tests; `dist` as a real process writing to stdout, in text and CSV,
+# against its goldens; the byte-identity check of the simulation tables in
+# out/, then one short sim-interior run: every simulator block against a
+# trial-by-trial replay; one short table-sweep run: every table command against
+# its oracle, and the shipped errors/bayes/mp tables against out/; then one
+# short exact-wide run: every 3- to 6-class design against the enumeration
+# oracle, the closed-form Bayes row and the Neyman-Pearson check.
 check: test
+	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact | cmp - tests/golden/dist_weak_normal_exact.txt
+	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact --format csv | cmp - tests/golden/dist_weak_normal_exact.csv
 	$(RUN) bench/run.py --golden-sim
 	$(RUN) bench/run.py --workload sim-interior --seed 1 --seconds 1 --trace 0
 	$(RUN) bench/run.py --workload table-sweep --seed 1 --seconds 1 --trace 0

@@ -56,14 +56,15 @@ _WEIGHT_MODE = click.option(
 
 
 def _emit(table: Table, fmt: str, out: Path | None) -> None:
-    text = render(table, fmt)
+    """Render the table straight into stdout or the --out file, as the same bytes."""
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        try:
-            out.write_text(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        render(table, fmt, sys.stdout)
+        return
+    try:
+        with out.open("w") as stream:
+            render(table, fmt, stream)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 class _Commands(click.Group):
@@ -105,13 +106,9 @@ def cmd_errors(scenario_path: Path, fmt: str, out: Path | None) -> None:
                     report.normal_given_alarm[i],
                 )
             )
-    table = Table(
-        title="node-errors",
-        columns=("p_e", "class", "type1_silent_given_event", "type2_alarm_given_normal",
-                 "event_given_silent", "normal_given_alarm"),
-        rows=tuple(rows),
-    )
-    _emit(table, fmt, out)
+    columns = ("p_e", "class", "type1_silent_given_event", "type2_alarm_given_normal",
+               "event_given_silent", "normal_given_alarm")
+    _emit(Table.from_rows("node-errors", columns, rows), fmt, out)
 
 
 @main.command("bayes")
@@ -132,14 +129,9 @@ def cmd_bayes(scenario_path: Path, fmt: str, out: Path | None) -> None:
                 + tuple(test.weights)
                 + (test.threshold, test.applicable, ops.type1, ops.power)
             )
-    table = Table(
-        title="bayes-tests",
-        columns=("p_e", "loss_ratio")
-        + tuple(f"weight_{i + 1}" for i in range(k))
-        + ("threshold", "applicable", "exact_type1", "exact_power"),
-        rows=tuple(rows),
-    )
-    _emit(table, fmt, out)
+    columns = (("p_e", "loss_ratio") + tuple(f"weight_{i + 1}" for i in range(k))
+               + ("threshold", "applicable", "exact_type1", "exact_power"))
+    _emit(Table.from_rows("bayes-tests", columns, rows), fmt, out)
 
 
 @main.command("mp")
@@ -172,15 +164,9 @@ def cmd_mp(
             + (test.threshold, test.boundary_prob, test.exact_size,
                test.exact_power, ops.type1, ops.power)
         )
-    table = Table(
-        title=f"mp-tests ({sf.weight_mode})",
-        columns=("alpha_printed", "size")
-        + tuple(f"weight_{i + 1}" for i in range(k))
-        + ("threshold", "boundary_prob", "solved_size", "solved_power",
-           "true_type1", "true_power"),
-        rows=tuple(rows),
-    )
-    _emit(table, fmt, out)
+    columns = (("alpha_printed", "size") + tuple(f"weight_{i + 1}" for i in range(k))
+               + ("threshold", "boundary_prob", "solved_size", "solved_power", "true_type1", "true_power"))
+    _emit(Table.from_rows(f"mp-tests ({sf.weight_mode})", columns, rows), fmt, out)
 
 
 @main.command("dist")
@@ -203,11 +189,11 @@ def cmd_dist(
         law = ClassAlarmLaw(law.counts, overrides["event_alarm_probs"])
     dist = score_distribution(weights, law)
     # cumsum adds the masses one by one, as a running sum does
-    columns = (dist.values, dist.probs, np.cumsum(dist.probs), np.diff(dist.starts, append=len(dist.order)))
+    cells = (dist.values, dist.probs, np.cumsum(dist.probs), np.diff(dist.starts, append=len(dist.order)))
     table = Table(
         title=f"score-distribution under {under} ({sf.weight_mode})",
         columns=("value", "prob", "cumulative", "n_count_tuples"),
-        rows=tuple(zip(*(c.tolist() for c in columns))),
+        cells=tuple(c.tolist() for c in cells),
     )
     _emit(table, fmt, out)
 
@@ -260,16 +246,10 @@ def cmd_simulate(
                          ts.reject_given_normal, ops.power,
                          abs(ts.reject_given_normal - ops.power),
                          ts.n_reject_normal, ts.n_normal))
-    table = Table(
-        title=(
-            f"simulation n_trials={n_trials} master_seed={master_seed} "
-            f"rng={GENERATOR_NAME} weights={sf.weight_mode}"
-        ),
-        columns=("p_e", "statistic", "target", "empirical", "exact",
-                 "abs_delta", "numerator", "denominator"),
-        rows=tuple(rows),
-    )
-    _emit(table, fmt, out)
+    title = (f"simulation n_trials={n_trials} master_seed={master_seed} "
+             f"rng={GENERATOR_NAME} weights={sf.weight_mode}")
+    columns = ("p_e", "statistic", "target", "empirical", "exact", "abs_delta", "numerator", "denominator")
+    _emit(Table.from_rows(title, columns, rows), fmt, out)
 
 
 @main.command("estimate")
@@ -296,12 +276,7 @@ def cmd_estimate(log_file: Path, fmt: str, out: Path | None) -> None:
         rows.append(("p_w", est.value, est.std_error, est.n_logs))
     if not rows:
         raise DomainError("log file contains no usable records")
-    table = Table(
-        title="parameter-estimates",
-        columns=("parameter", "estimate", "std_error", "n_logs"),
-        rows=tuple(rows),
-    )
-    _emit(table, fmt, out)
+    _emit(Table.from_rows("parameter-estimates", ("parameter", "estimate", "std_error", "n_logs"), rows), fmt, out)
 
 
 if __name__ == "__main__":

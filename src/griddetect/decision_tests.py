@@ -291,7 +291,7 @@ class _RuleForms(NamedTuple):
 
 def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw) -> list[float]:
     """P(reject H0) of a rule's form under each law of the cell: the masses of ranks below i, plus k
-    times those of ranks i to j."""
+    times those of ranks i to j, at most 1 (the rounded masses of a whole cell may sum past it)."""
     # scores of rank below i are under lo, up to j at most hi; a nan bound compares false, as in _threshold_probs
     weights, lo, hi, k = form
     order, ranked = cell_ranking(counts, weights)[:2]
@@ -301,7 +301,7 @@ def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw)
     for law in laws:
         masses = cell_masses(law)[order[:j]]
         masses[i:] *= k
-        rates.append(exact_sum(masses))
+        rates.append(min(1.0, exact_sum(masses)))
     return rates
 
 

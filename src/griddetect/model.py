@@ -254,18 +254,23 @@ def validate(
 ) -> ValidatedScenario:
     """Check all invariants and normalize class ordering.
 
-    Classes are reordered by descending detection probability. Ties are
-    rejected: classes with equal detection probability are statistically
-    identical and must be merged by the caller.
+    Classes are reordered by descending detection probability. The checks
+    read the derived alarm probabilities, as rounded: with p_w > 0 every
+    class's score weight must be positive, and no two classes may share an
+    alarm probability, since such classes are statistically identical and
+    must be merged by the caller.
     """
     ordered = tuple(sorted(topology.classes, key=lambda c: -c.detect_prob))
-    for a, b in zip(ordered, ordered[1:]):
-        if a.detect_prob == b.detect_prob:
-            raise DomainError(
-                f"classes {a.label!r} and {b.label!r} share detect_prob={a.detect_prob}; "
-                "merge them into one class"
-            )
-    return ValidatedScenario(channel=channel, topology=Topology(ordered), prior=prior)
+    scenario = ValidatedScenario(channel=channel, topology=Topology(ordered), prior=prior)
+    stats = scenario.derived()
+    for i, (c, a, w) in enumerate(zip(ordered, stats.alarm_probs, stats.weights)):
+        if channel.p_w and not w > 0.0:
+            raise DomainError(f"class {c.label!r}: alarm probability {a!r} is too close to p_w={channel.p_w!r} "
+                              "for a positive score weight")
+        if i and a == stats.alarm_probs[i - 1]:
+            raise DomainError(f"classes {ordered[i - 1].label!r} and {c.label!r} share alarm probability {a!r}; "
+                              "merge them into one class")
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -329,8 +334,12 @@ def derived_stats(channel: ChannelModel, topology: Topology) -> DerivedStats:
     for a in alarm:
         if p_w == 0.0 or a == 1.0:
             weights.append(math.inf)
-        else:
-            weights.append(math.log(a * (1.0 - p_w) / ((1.0 - a) * p_w)))
+            continue
+        # at subnormal p_w the quotient's divisor rounds to 0 or it overflows: take a difference of logs
+        den = (1.0 - a) * p_w
+        odds = a * (1.0 - p_w) / den if den else math.inf
+        weights.append(math.log(odds) if 0.0 < odds < math.inf
+                       else math.log(a) + math.log1p(-p_w) - math.log1p(-a) - math.log(p_w))
     return DerivedStats(
         alarm_probs=alarm,
         silence_probs=silence,

@@ -299,6 +299,9 @@ class TestEstimateCommand:
         assert len(result.output.strip().splitlines()) == 1
 
 
+SCENARIO_COMMANDS = ["errors", "bayes", "mp", "dist", "simulate"]
+
+
 class TestFloatExtremes:
     """Priors and loss ratios at the ends of the float range: every (p_e, l) pair of the sweep
     runs, on a p_w > 0 channel and on a p_w = 0 channel, under each YAML loader."""
@@ -325,12 +328,42 @@ class TestFloatExtremes:
             assert "inf" not in result.stdout and "nan" not in result.stdout
 
 
+    @pytest.mark.parametrize("p_w", [5e-324, 1e-310])
+    @pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+    def test_subnormal_p_w(self, runner, tmp_path, p_w, command):
+        # the score weights' odds quotient divides by 0 at 5e-324 and overflows at 1e-310
+        path = tmp_path / "subnormal.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema": 1,
+            "channel": {"p_c": 0.9, "p_w": p_w},
+            "topology": {"kind": "interior_square", "detect_probs": [0.9, 0.7, 0.5]},
+            "prior": {"p_e": [0.2, 0.5]},
+            "loss_ratio": [5.0],
+            "sizes": [0.05],
+            "simulation": {"n_trials": 50, "master_seed": 7},
+        }))
+        result = runner.invoke(main, [command, "--scenario", str(path)])
+        assert (result.exit_code, result.stderr) == (0, ""), result.exception
+
+
 class TestInvalidInputs:
     def assert_one_error_line(self, result, text):
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: ") and text in result.output
         assert len(result.output.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+    def test_alarm_probability_that_rounds_to_p_w(self, runner, tmp_path, command):
+        path = tmp_path / "rounded.yaml"
+        path.write_text(
+            "schema: 1\n"
+            "channel: {p_c: 1.0e-300, p_w: 5.0e-324}\n"
+            "topology: {kind: custom, classes: [{count: 1, p_detect: 1.0e-300}, {count: 2, p_detect: 1.0e-301}]}\n"
+            "prior: {p_e: [0.5]}\n"
+        )
+        result = runner.invoke(main, [command, "--scenario", str(path)])
+        self.assert_one_error_line(result, "topology: class 'class-1': alarm probability 5e-324")
 
     @pytest.mark.parametrize("command", ["bayes", "mp", "dist"])
     def test_oversized_cell(self, runner, tmp_path, command):
@@ -514,6 +547,40 @@ class TestInvalidInputs:
         result = runner.invoke(main, ["mp", "--scenario", GOOD, "--out", str(out)])
         self.assert_one_error_line(result, str(out))
         assert not out.exists()
+
+
+class TestOutputStreams:
+    """Tables are written row by row into stdout or the --out file, as the same bytes."""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    @pytest.mark.parametrize("args", [["mp"], ["dist", "--format", "csv"]], ids=["text", "csv"])
+    def test_failed_write_is_one_error_line(self, runner, args):
+        result = runner.invoke(main, args + ["--scenario", GOOD, "--out", "/dev/full"])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write /dev/full: "), result.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("command", ["dist", "errors"])
+    @pytest.mark.parametrize("label", ["near", "near\x1b[31m"], ids=["plain", "ansi"])
+    def test_stdout_and_out_give_the_same_bytes(self, runner, tmp_path, fmt, command, label):
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump({
+            "schema": 1,
+            "channel": {"p_c": 0.9, "p_w": 0.1},
+            "topology": {"kind": "custom", "classes": [
+                {"label": label, "count": 2, "p_detect": 0.9}, {"label": "far", "count": 3, "p_detect": 0.4}]},
+            "prior": {"p_e": [0.2]},
+        }))
+        args = [command, "--scenario", str(path), "--format", fmt]
+        result = invoke(runner, *args)
+        out = tmp_path / "table"
+        invoke(runner, *args, "--out", str(out))
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout_bytes == out.read_bytes()
+        if command == "errors":  # an escape sequence in a label is kept, not stripped
+            assert label.encode() in result.stdout_bytes
 
 
 class TestBenchmarkTraceTargets:

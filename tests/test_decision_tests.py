@@ -568,12 +568,13 @@ class TestDegenerateChannel:
 
 def _grid_mask_rates(rule, *laws):
     """Error rates summed over the whole grid: each tuple's reject probability
-    from its score, the rejecting tuples masked out, their weighted masses summed."""
+    from its score, the rejecting tuples masked out, their weighted masses summed,
+    at most 1."""
     weights, lo, hi, k = decision_tests._rule_form(rule)
     scores = tuple_scores(weights, cell_grid(rule.class_counts))
     reject = np.where(scores < lo, 1.0, np.where(scores <= hi, k, 0.0))
     hit = reject > 0.0
-    return [exact_sum(cell_masses(law)[hit] * reject[hit]) for law in laws]
+    return [min(1.0, exact_sum(cell_masses(law)[hit] * reject[hit])) for law in laws]
 
 
 def _assert_prefix_rates_match(rule, sc, solved=True):
@@ -759,9 +760,9 @@ class TestOneBayesThreshold:
         stats = sc.derived()
         if not rule.applicable:
             assert ops == (0.0, 0.0)
-        elif p_w > 0.0:  # the threshold is past every score: the rates are the masses of the whole grid
+        elif p_w > 0.0:  # the threshold is past every score: the rates are the masses of the whole grid, at most 1
             assert reject.all()
-            assert list(ops) == [exact_sum(cell_masses(law)) for law in (stats.event_law, stats.normal_law)]
+            assert list(ops) == [min(1.0, exact_sum(cell_masses(law))) for law in (stats.event_law, stats.normal_law)]
         else:
             assert reject.tolist() == [1.0] + [0.0] * (len(reject) - 1)
             assert list(ops) == [cell_masses(stats.event_law)[0], 1.0]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import griddetect as g
@@ -80,6 +80,17 @@ class TestValidate:
         with pytest.raises(DomainError, match="merge"):
             g.validate(g.ChannelModel(0.8, 0.2), topo)
 
+    def test_alarm_probability_that_rounds_to_p_w_rejected(self):
+        topo = g.builtin_topology("custom", [1e-300, 1e-301], counts=[1, 2])
+        with pytest.raises(DomainError, match="class 'class-1': alarm probability 5e-324 is too close to p_w"):
+            g.validate(g.ChannelModel(1e-300, 5e-324), topo)
+
+    def test_equal_alarm_probs_after_rounding_rejected(self):
+        # distinct detect_probs whose alarm probabilities both underflow to 0
+        topo = g.builtin_topology("custom", [1e-300, 1e-301], counts=[1, 2])
+        with pytest.raises(DomainError, match="share alarm probability 0.0; merge"):
+            g.validate(g.ChannelModel(1e-300, 0.0), topo)
+
     def test_idempotent(self):
         sc = good_scenario()
         again = g.validate(sc.channel, sc.topology, sc.prior)
@@ -115,6 +126,18 @@ class TestDerivedStats:
         assert stats.weights[0] == pytest.approx(math.log(41.0), abs=1e-12)
         assert stats.weights == pytest.approx((3.714, 2.197, 1.534), abs=5e-4)
         assert all(math.isfinite(w) for w in stats.weights)
+
+    def test_weights_are_the_log_of_the_odds_quotient(self):
+        stats, p_w = good_scenario().derived(), 0.1
+        for a, w in zip(stats.alarm_probs, stats.weights):
+            assert w == math.log(a * (1.0 - p_w) / ((1.0 - a) * p_w))
+
+    @pytest.mark.parametrize("p_w", [5e-324, 1e-310])
+    def test_weights_of_a_subnormal_p_w_are_finite(self, p_w):
+        # the quotient's denominator rounds to 0 (5e-324) or the quotient overflows (1e-310)
+        stats = g.validate(g.ChannelModel(0.9, p_w), g.builtin_topology("interior_square", (0.9, 0.7, 0.5))).derived()
+        for a, w in zip(stats.alarm_probs, stats.weights):
+            assert w == pytest.approx(math.log(a / (1.0 - a)) - math.log(p_w), rel=1e-15)
 
     def test_weak_network_weights(self):
         stats = weak_scenario().derived()
@@ -155,3 +178,65 @@ class TestDerivedStats:
         base = g.derived_stats(g.ChannelModel(0.8, 0.2), topo).weights[0]
         assert g.derived_stats(g.ChannelModel(0.9, 0.2), topo).weights[0] > base
         assert g.derived_stats(g.ChannelModel(0.8, 0.1), topo).weights[0] > base
+
+
+# probabilities from the whole float range: subnormals, 1e-300, 1 - 2**-53 and the ends
+unit_floats = st.floats(0.0, 1.0) | st.floats(0.0, 1e-300) | st.sampled_from(
+    [0.0, 5e-324, 1e-310, 1e-300, 1e-10, 0.5, 1 - 2**-53, 1.0]
+)
+# priors and loss ratios whose products and quotients underflow or overflow
+float_extremes = st.sampled_from([0.9999999999999999, 1e-300, 1e-10, 1e308, 5e-324])
+
+
+class TestInvariantsAfterRounding:
+    """Any channel, detection probabilities, prior and loss ratio is either refused at
+    validate or yields weights, error rates and rules inside their ranges."""
+
+    # the reproductions: an odds quotient that divides by zero, one that overflows, and
+    # classes whose alarm probabilities round to p_w
+    @example(channel=[5e-324, 0.9], classes=[(1, 0.9), (4, 0.7), (4, 0.5)], p_e=0.2, loss=5.0, size=0.1)
+    @example(channel=[1e-310, 0.9], classes=[(1, 0.9), (4, 0.7), (4, 0.5)], p_e=0.2, loss=5.0, size=0.1)
+    @example(channel=[5e-324, 1e-300], classes=[(1, 1e-300), (2, 1e-301)], p_e=0.5, loss=5.0, size=0.1)
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        channel=st.lists(unit_floats, min_size=2, max_size=2).map(sorted),  # (p_w, p_c)
+        # at most 3 classes of at most 3 sensors: at most 64 count tuples
+        classes=st.lists(st.tuples(st.integers(1, 3), unit_floats), min_size=1, max_size=3),
+        p_e=st.floats(0.0, 1.0) | float_extremes,
+        loss=st.floats(5e-324, 1e308) | float_extremes,
+        size=st.floats(0.0, 1.0) | float_extremes,
+    )
+    def test_refused_at_validate_or_in_range(self, channel, classes, p_e, loss, size):
+        p_w, p_c = channel
+        try:
+            channel = g.ChannelModel(p_c=p_c, p_w=p_w)
+            topology = g.builtin_topology("custom", [q for _, q in classes], counts=[n for n, _ in classes])
+            prior, loss_ratio = g.Prior(p_e), g.LossRatio(loss)
+        except DomainError:
+            return  # refused before any derived quantity exists
+        try:
+            sc = g.validate(channel, topology, prior)
+        except DomainError:
+            return
+        stats = sc.derived()
+        assert all(0.0 <= a <= 1.0 for a in stats.alarm_probs + stats.silence_probs)
+        for a, w in zip(stats.alarm_probs, stats.weights):
+            assert w > 0.0, (a, w)
+            assert w < math.inf or p_w == 0.0 or a == 1.0, (a, w)
+        report = g.node_error_report(sc, prior)
+        for family in (report.type1, report.type2, report.event_given_silent, report.normal_given_alarm):
+            assert all(0.0 <= v <= 1.0 for v in family), family
+        certain = p_w > 0.0 and 1.0 in stats.alarm_probs  # no finite weight exists: rules refuse
+        try:
+            rules = [g.bayes_test(sc, prior, loss_ratio)]
+            if 0.0 < size < 1.0:
+                rules.append(g.solve_mp_test(sc, size))
+        except DomainError:
+            assert certain
+            return
+        assert not certain
+        assert p_w == 0.0 or not math.isnan(rules[0].threshold)
+        for rule in rules:
+            ops = g.operating_characteristics(rule, sc)
+            assert 0.0 <= ops.type1 <= 1.0 and 0.0 <= ops.power <= 1.0, (rule, ops)
