@@ -6,7 +6,7 @@ WEAK = scenarios/weak_network.yaml
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 GRIDDETECT = $(RUN) -m griddetect.cli
 
-.PHONY: install test check acceptance reproduce clean
+.PHONY: install test check acceptance reproduce pairs clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,6 +31,15 @@ check: test
 
 acceptance:
 	$(RUN) -m pytest tests/test_acceptance.py -v -s
+
+# Paired benchmark runs of BASE (default HEAD) against the working tree:
+# make pairs WORKLOAD=exact-wide [PAIRS=10 SEED=1 SECONDS=15 BASE=HEAD]
+PAIRS ?= 10
+SEED ?= 1
+SECONDS ?= 15
+BASE ?= HEAD
+pairs:
+	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --seconds $(SECONDS) --base $(BASE)
 
 # Regenerate every benchmark table analytically and by simulation.
 reproduce:

@@ -12,7 +12,8 @@ gives each count tuple a reject probability, which decides observations.
 Those tuples form a prefix of the cell's stable score order, so an exact
 error rate sums the masses of the reject prefix, the boundary rows' times
 k, under the event law (type I error) or the normal law (power). Only the
-most-powerful rule builds a score law: the event law it walks to t.
+most-powerful rule builds a score law: the event law it walks to t. Its
+power is summed once, when solved, and reused under an equal normal law.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
@@ -117,7 +118,8 @@ class MPTest:
     Reject H0 when the score is below ``threshold``; on the boundary atom
     reject with probability ``boundary_prob``. ``exact_size`` is the
     rejection probability under the law the test was solved against and
-    ``exact_power`` the rejection probability under the normal hypothesis.
+    ``exact_power`` the one under ``normal_law``, the scenario's normal law,
+    which only the solver records: a copy or a hand-built rule holds None.
     In the degenerate p_w = 0 regime (``degenerate`` set) the rule ignores
     weights entirely and rejects, with probability ``boundary_prob``, only
     when every sensor stayed silent.
@@ -131,6 +133,7 @@ class MPTest:
     exact_size: float
     exact_power: float
     degenerate: bool = False
+    normal_law: ClassAlarmLaw | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -170,16 +173,13 @@ def _require_finite_weights(scenario: ValidatedScenario) -> tuple[float, ...]:
     return stats.weights
 
 
-def _walk_to_threshold(dist: ScoreDistribution, size: float) -> tuple[float, float, float]:
-    """Find the unique atom v with P(X < v) <= size < P(X <= v).
+def _walk_to_threshold(dist: ScoreDistribution, cum: np.ndarray, size: float) -> tuple[float, float, float]:
+    """Find the unique atom v with P(X < v) <= size < P(X <= v), given the running sum ``cum`` of the masses.
 
     Returns (threshold, boundary_prob, exact size). The boundary
     probability absorbs whatever part of the size the strict region does
     not reach, so P(X < v) + boundary_prob * P(X = v) equals the size.
     """
-    # cumsum adds the masses one by one, so cum[i] is P(X < v_i) + P(X = v_i)
-    # rounded as a running sum rounds it
-    cum = np.cumsum(dist.probs)
     i = min(int(np.searchsorted(cum, size, side="right")), len(cum) - 1)
     below, prob = (float(cum[i - 1]) if i else 0.0), float(dist.probs[i])
     k = min(1.0, max(0.0, (size - below) / prob))
@@ -229,10 +229,13 @@ def solve_mp_tests(
                 w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
                 law = stats.event_law if event_alarm_probs is None else ClassAlarmLaw(counts, event_alarm_probs)
                 h0 = score_distribution(w, law)
-            threshold, k, exact_size = _walk_to_threshold(h0, size)
+                # one running sum per law: cum[i] is P(X < v_i) + P(X = v_i) as a sequential sum rounds it
+                cum = np.cumsum(h0.probs)
+            threshold, k, exact_size = _walk_to_threshold(h0, cum, size)
         power = _rejection_rates(counts, _threshold_form(w, threshold, k, degenerate), stats.normal_law)[0]
         tests.append(MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k,
                             requested_size=size, exact_size=exact_size, exact_power=power, degenerate=degenerate))
+        object.__setattr__(tests[-1], "normal_law", stats.normal_law)
     return tests
 
 
@@ -379,15 +382,18 @@ def operating_characteristics(
     The rule may have been built with approximated weights or even for a
     different channel; both rates are re-derived from the scenario's
     event/normal alarm laws, so a rule solved on approximate
-    probabilities reports its true size here.
+    probabilities reports its true size here. An MP rule solved under an
+    equal normal law returns its ``exact_power``: the same sum, the same bits.
     """
     counts = scenario.topology.counts
     if rule.class_counts != counts:
         raise DomainError(
             f"rule was built for class counts {rule.class_counts}, scenario has {counts}"
         )
-    stats = scenario.derived()
-    return OperatingCharacteristics(*_rejection_rates(counts, _rule_form(rule), stats.event_law, stats.normal_law))
+    stats, form = scenario.derived(), _rule_form(rule)
+    if isinstance(rule, MPTest) and rule.normal_law == stats.normal_law:
+        return OperatingCharacteristics(*_rejection_rates(counts, form, stats.event_law), rule.exact_power)
+    return OperatingCharacteristics(*_rejection_rates(counts, form, stats.event_law, stats.normal_law))
 
 
 def _response_vector_masses(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Prior, ValidatedScenario
@@ -45,9 +46,12 @@ def node_error_report(scenario: ValidatedScenario, prior: Prior) -> NodeErrorRep
     event_given_silent = tuple(
         p_e * q / (p_n * (1.0 - p_w) + p_e * q) for q in stats.silence_probs
     )
-    # at p_w = 0 an alarm is impossible under the normal hypothesis, and p_e * a may underflow to 0
+    # at p_w = 0 an alarm is impossible under the normal hypothesis, and p_e * a may underflow to 0; a p_n * p_w
+    # below the smallest normal float loses bits, so p_w and a are then scaled by 2**1000, exactly
+    scale = 1000 if p_n * p_w < 2.0**-1022 else 0
+    joint = p_n * math.ldexp(p_w, scale)
     normal_given_alarm = tuple(
-        p_n * p_w / (p_n * p_w + p_e * a) if p_w else 0.0 for a in stats.alarm_probs
+        joint / (joint + p_e * math.ldexp(a, scale)) if p_w else 0.0 for a in stats.alarm_probs
     )
     return NodeErrorReport(
         labels=scenario.topology.labels,

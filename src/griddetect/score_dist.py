@@ -272,7 +272,7 @@ def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, grid: np.ndar
     if not len(multi):  # every atom is one row
         return ScoreDistribution(values=values, probs=ranked, starts=starts, order=order, grid=grid)
     probs = ranked[starts]
-    flat = ranked.tolist()
+    flat = memoryview(ranked)  # fsum reads a slice's floats straight from the buffer
     probs[multi] = [exact_sum(ranked[a:b]) if b - a >= VECTOR_SUM_MIN_LENGTH else math.fsum(flat[a:b])
                     for a, b in spans.tolist()]
     return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)

@@ -1,7 +1,7 @@
 import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -766,3 +766,60 @@ class TestOneBayesThreshold:
         else:
             assert reject.tolist() == [1.0] + [0.0] * (len(reject) - 1)
             assert list(ops) == [cell_masses(stats.event_law)[0], 1.0]
+
+
+def _summed_again(rule, sc):
+    """Both rates of a rule summed under the scenario's laws, as operating_characteristics sums a rate it does not reuse."""
+    stats = sc.derived()
+    form = decision_tests._rule_form(rule)
+    return [x.hex() for x in decision_tests._rejection_rates(sc.topology.counts, form, stats.event_law, stats.normal_law)]
+
+
+class TestPowerReuse:
+    """operating_characteristics returns the exact_power a solved MP rule was solved with when the scenario's
+    normal law is the one that power was summed under, with the bits of summing it again."""
+
+    SIZES = (0.01, 0.025, 0.05, 0.1)
+
+    @pytest.mark.parametrize("name", ["good", "weak", "p_w=0", "good approx"])
+    def test_reused_power_has_the_bits_of_a_fresh_sum(self, name):
+        sc = degenerate_scenario() if name == "p_w=0" else scenario_named(name.split()[0])
+        overrides = GOOD_APPROX if name == "good approx" else {}
+        for rule in decision_tests.solve_mp_tests(sc, self.SIZES, **overrides):
+            assert rule.normal_law is sc.derived().normal_law
+            assert [x.hex() for x in g.operating_characteristics(rule, sc)] == _summed_again(rule, sc)
+
+    def test_other_p_w_gets_its_own_power(self):
+        sc = good_scenario()
+        other = g.validate(g.ChannelModel(p_c=0.9, p_w=0.05), sc.topology)
+        for rule in decision_tests.solve_mp_tests(sc, self.SIZES):
+            oc = g.operating_characteristics(rule, other)
+            assert [x.hex() for x in oc] == _summed_again(rule, other)
+            assert oc.power != rule.exact_power
+
+    def test_same_p_w_other_p_c_reuses(self):
+        sc = good_scenario()
+        other = g.validate(g.ChannelModel(p_c=0.8, p_w=sc.channel.p_w), sc.topology)
+        rule = g.solve_mp_test(sc, 0.05)
+        assert rule.normal_law == other.derived().normal_law
+        assert [x.hex() for x in g.operating_characteristics(rule, other)] == _summed_again(rule, other)
+        # the recorded power is returned, not summed: a copy given the law returns whatever power it holds
+        forged = replace(rule, exact_power=0.5)
+        object.__setattr__(forged, "normal_law", rule.normal_law)
+        assert g.operating_characteristics(forged, other).power == 0.5
+
+    def test_copies_and_hand_built_rules_sum_afresh(self):
+        sc = good_scenario()
+        rule = g.solve_mp_test(sc, 0.05)
+        init = {f.name: getattr(rule, f.name) for f in fields(rule) if f.init}
+        for copy in (replace(rule), replace(rule, exact_power=0.5), g.MPTest(**{**init, "exact_power": 0.5})):
+            assert copy.normal_law is None
+            assert [x.hex() for x in g.operating_characteristics(copy, sc)] == _summed_again(rule, sc)
+
+    def test_repr_eq_and_hash_leave_the_law_out(self):
+        for sc in (good_scenario(), degenerate_scenario()):
+            rule = g.solve_mp_test(sc, 0.05)
+            hand = g.MPTest(**{f.name: getattr(rule, f.name) for f in fields(rule) if f.init})
+            assert "normal_law" not in repr(rule)
+            assert repr(rule) == repr(hand)
+            assert rule == hand and hash(rule) == hash(hand)

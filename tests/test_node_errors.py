@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -56,6 +57,13 @@ class TestClosedForms:
         assert rep.type2 == (0.0, 0.0, 0.0)
         assert rep.normal_given_alarm == (0.0, 0.0, 0.0)
         assert rep.type1 == pytest.approx((0.1, 0.5, 0.7))
+
+    def test_subnormal_p_w_keeps_the_alarm_posterior(self):
+        # p_n * p_w = 0.5 * 5e-324 rounds to 0; the posteriors round to one or two of the smallest subnormal
+        sc = g.validate(g.ChannelModel(p_c=0.9, p_w=5e-324), g.builtin_topology("custom", [0.9, 0.7, 0.5], [1, 4, 4]))
+        joint_normal = Fraction(0.5) * Fraction(5e-324)
+        exact = [joint_normal / (joint_normal + Fraction(0.5) * Fraction(a)) for a in sc.derived().alarm_probs]
+        assert report(sc, 0.5).normal_given_alarm == tuple(map(float, exact)) == (5e-324, 1e-323, 1e-323)
 
     def test_detect_prob_anchors(self):
         # vanishing detection: silence approaches 1 - p_w; perfect detection: 1 - p_c
