@@ -33,13 +33,12 @@ acceptance:
 	$(RUN) -m pytest tests/test_acceptance.py -v -s
 
 # Paired benchmark runs of BASE (default HEAD) against the working tree:
-# make pairs WORKLOAD=exact-wide [PAIRS=10 SEED=1 SECONDS=15 BASE=HEAD]
+# make pairs WORKLOAD=exact-wide [PAIRS=10 SEED=1 BASE=HEAD]
 PAIRS ?= 10
 SEED ?= 1
-SECONDS ?= 15
 BASE ?= HEAD
 pairs:
-	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --seconds $(SECONDS) --base $(BASE)
+	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --base $(BASE)
 
 # Regenerate every benchmark table analytically and by simulation.
 reproduce:

@@ -1,28 +1,30 @@
 """Paired benchmark runs: a base commit against the working tree.
 
-    python3 tools/pairs.py --workload exact-wide [--pairs 10] [--seed 1] [--seconds 15] [--base HEAD]
+    python3 tools/pairs.py --workload exact-wide [--pairs 10] [--seed 1] [--base HEAD]
 
 Exports --base with ``git archive`` into a temporary directory, then runs
 ``bench/run.py --trace 0`` there and in the working tree, --pairs times,
-alternating which side runs first. Every run is printed as it finishes.
-For every end-to-end metric in BENCHMARK.json the summary gives each
-side's median and quartiles, the relative change of the medians, and the
-pairs the working tree won (ties count for neither). A gain holds when the
-working tree wins at least nine tenths of the pairs and the medians differ
-by more than the base's interquartile range; a change of the medians worse
-than the metric's bound is marked as a regression. Nothing under bench/ is
-edited; each run writes only its own bench/results/ and bench/_work/.
+alternating which side runs first; each run lasts the benchmark's own run
+length. Every run is printed as it finishes. For every end-to-end metric in
+BENCHMARK.json the summary gives each side's median and quartiles, the
+relative change of the medians, and the pairs the working tree won (ties
+count for neither). A metric is "unresolved" when the base's interquartile
+range, relative to its median, is wider than the metric's bound, unless
+every working-tree run beats every base run. A gain holds when the working
+tree wins at least nine tenths of the pairs, the medians differ by more
+than the base's interquartile range, and no more ops failed in the working
+tree than in the base; a change of the medians worse than the metric's
+bound is marked as a regression. Nothing under bench/ is edited; each run
+writes only its own bench/results/ and bench/_work/.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -33,14 +35,13 @@ def export(rev: str, dest: Path) -> None:
     """The files of ``rev`` as committed, written under ``dest``."""
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run(tree: Path, args) -> dict:
     """One benchmark run in ``tree``: the JSON object its last output line holds."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -55,6 +56,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     n = len(runs["base"])
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
     lines = [f"{'metric':<12} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32} {'change':>8} "
              f"{'wins':>6}  verdict"]
     for m in metrics:
@@ -65,7 +67,11 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         rel = (c2 - b2) / b2 if b2 else 0.0
         worse = rel if lower else -rel
-        if wins >= 0.9 * n and abs(c2 - b2) > b3 - b1 and worse < 0:
+        beats_all = all((c < b) if lower else (c > b) for b in base for c in change)
+        if b2 and (b3 - b1) / b2 > m["bound"] and not beats_all:
+            verdict = f"unresolved (base spread over bound {m['bound']:.0%})"
+        elif (wins >= 0.9 * n and abs(c2 - b2) > b3 - b1 and worse < 0
+              and failed["change"] <= failed["base"]):
             verdict = "gain"
         elif worse > m["bound"]:
             verdict = f"regression (bound {m['bound']:.0%})"
@@ -74,10 +80,9 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         lines.append(f"{name:<12} {f'{b2:.6g} [{b1:.6g}, {b3:.6g}]':>32} {f'{c2:.6g} [{c1:.6g}, {c3:.6g}]':>32} "
                      f"{rel:>+8.1%} {f'{wins}/{n}':>6}  {verdict}")
     for side in ("base", "change"):
-        failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         wrong = sum(not r["correct"] for r in runs[side])
-        lines.append(f"{side}: {failed}/{attempted} ops failed, {wrong} of {n} runs incorrect")
+        lines.append(f"{side}: {failed[side]}/{attempted} ops failed, {wrong} of {n} runs incorrect")
     return lines
 
 
@@ -86,7 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -96,7 +100,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {"base": Path(tmp), "change": ROOT}
         export(args.base, trees["base"])
-        print(f"workload {args.workload} seed {args.seed} seconds {args.seconds:g}: "
+        print(f"workload {args.workload} seed {args.seed}: "
               f"{args.base} against the working tree, {args.pairs} pairs", flush=True)
         for i in range(args.pairs):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
