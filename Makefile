@@ -15,7 +15,8 @@ test:
 	$(RUN) -m pytest -q
 
 # Tier-1 tests; `dist` as a real process writing to stdout, in text and CSV,
-# against its goldens; the byte-identity check of the simulation tables in
+# against its goldens; `mp` the same way on both shipped scenarios against
+# out/; the byte-identity check of the simulation tables in
 # out/, then one short sim-interior run: every simulator block against a
 # trial-by-trial replay; one short table-sweep run: every table command against
 # its oracle, and the shipped errors/bayes/mp tables against out/; then one
@@ -24,6 +25,10 @@ test:
 check: test
 	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact | cmp - tests/golden/dist_weak_normal_exact.txt
 	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact --format csv | cmp - tests/golden/dist_weak_normal_exact.csv
+	$(GRIDDETECT) mp --scenario $(GOOD) | cmp - out/mp_good.txt
+	$(GRIDDETECT) mp --scenario $(WEAK) | cmp - out/mp_weak.txt
+	$(GRIDDETECT) mp --scenario $(GOOD) --format csv | cmp - out/mp_good.csv
+	$(GRIDDETECT) mp --scenario $(WEAK) --format csv | cmp - out/mp_weak.csv
 	$(RUN) bench/run.py --golden-sim
 	$(RUN) bench/run.py --workload sim-interior --seed 1 --seconds 1 --trace 0
 	$(RUN) bench/run.py --workload table-sweep --seed 1 --seconds 1 --trace 0

@@ -12,8 +12,9 @@ gives each count tuple a reject probability, which decides observations.
 Those tuples form a prefix of the cell's stable score order, so an exact
 error rate sums the masses of the reject prefix, the boundary rows' times
 k, under the event law (type I error) or the normal law (power). Only the
-most-powerful rule builds a score law: the event law it walks to t. Its
-power is summed once, when solved, and reused under an equal normal law.
+most-powerful rule builds a score law: the event law it walks to t, whose
+atoms it sums only through the threshold of its largest size. Its power is
+summed once, when solved, and reused under an equal normal law.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is
@@ -31,15 +32,8 @@ from typing import Iterable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .model import ClassAlarmLaw, DomainError, LossRatio, Prior, ValidatedScenario
-from .score_dist import (
-    ScoreDistribution,
-    atom_tolerance,
-    cell_masses,
-    cell_ranking,
-    exact_sum,
-    score_distribution,
-    tuple_scores,
-)
+from .score_dist import atom_tolerance, cell_masses, cell_ranking, exact_sum, score_law_prefix, tuple_scores
+from .score_dist import score_distribution  # not called here; the benchmark traces decision_tests.score_distribution
 
 __all__ = [
     "Verdict",
@@ -173,7 +167,7 @@ def _require_finite_weights(scenario: ValidatedScenario) -> tuple[float, ...]:
     return stats.weights
 
 
-def _walk_to_threshold(dist: ScoreDistribution, cum: np.ndarray, size: float) -> tuple[float, float, float]:
+def _walk_to_threshold(values: np.ndarray, probs: np.ndarray, cum: np.ndarray, size: float) -> tuple[float, ...]:
     """Find the unique atom v with P(X < v) <= size < P(X <= v), given the running sum ``cum`` of the masses.
 
     Returns (threshold, boundary_prob, exact size). The boundary
@@ -181,9 +175,9 @@ def _walk_to_threshold(dist: ScoreDistribution, cum: np.ndarray, size: float) ->
     not reach, so P(X < v) + boundary_prob * P(X = v) equals the size.
     """
     i = min(int(np.searchsorted(cum, size, side="right")), len(cum) - 1)
-    below, prob = (float(cum[i - 1]) if i else 0.0), float(dist.probs[i])
+    below, prob = (float(cum[i - 1]) if i else 0.0), float(probs[i])
     k = min(1.0, max(0.0, (size - below) / prob))
-    return float(dist.values[i]), k, below + k * prob
+    return float(values[i]), k, below + k * prob
 
 
 def solve_mp_test(
@@ -214,8 +208,9 @@ def solve_mp_tests(
     counts = scenario.topology.counts
     stats = scenario.derived()
     degenerate = scenario.channel.silent_when_undetected
+    sizes = [float(size) for size in sizes]
     h0, tests = None, []
-    for size in map(float, sizes):
+    for size in sizes:
         if not (0.0 < size < 1.0):
             raise DomainError(f"test size must lie in (0, 1), got {size}")
         if degenerate:
@@ -228,10 +223,9 @@ def solve_mp_tests(
             if h0 is None:
                 w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
                 law = stats.event_law if event_alarm_probs is None else ClassAlarmLaw(counts, event_alarm_probs)
-                h0 = score_distribution(w, law)
-                # one running sum per law: cum[i] is P(X < v_i) + P(X = v_i) as a sequential sum rounds it
-                cum = np.cumsum(h0.probs)
-            threshold, k, exact_size = _walk_to_threshold(h0, cum, size)
+                # atoms up to the largest size, and cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it
+                h0 = score_law_prefix(w, law, max(sizes))
+            threshold, k, exact_size = _walk_to_threshold(*h0, size)
         power = _rejection_rates(counts, _threshold_form(w, threshold, k, degenerate), stats.normal_law)[0]
         tests.append(MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k,
                             requested_size=size, exact_size=exact_size, exact_power=power, degenerate=degenerate))

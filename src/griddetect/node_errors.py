@@ -43,16 +43,9 @@ def node_error_report(scenario: ValidatedScenario, prior: Prior) -> NodeErrorRep
     p_n = prior.normal_prob
     type1 = stats.silence_probs
     type2 = tuple(p_w for _ in type1)
-    event_given_silent = tuple(
-        p_e * q / (p_n * (1.0 - p_w) + p_e * q) for q in stats.silence_probs
-    )
-    # at p_w = 0 an alarm is impossible under the normal hypothesis, and p_e * a may underflow to 0; a p_n * p_w
-    # below the smallest normal float loses bits, so p_w and a are then scaled by 2**1000, exactly
-    scale = 1000 if p_n * p_w < 2.0**-1022 else 0
-    joint = p_n * math.ldexp(p_w, scale)
-    normal_given_alarm = tuple(
-        joint / (joint + p_e * math.ldexp(a, scale)) if p_w else 0.0 for a in stats.alarm_probs
-    )
+    event_given_silent = tuple(_posterior(p_e, q, p_n, 1.0 - p_w) for q in stats.silence_probs)
+    # at p_w = 0 an alarm is impossible under the normal hypothesis, and p_e * a may underflow to 0
+    normal_given_alarm = tuple(_posterior(p_n, p_w, p_e, a) if p_w else 0.0 for a in stats.alarm_probs)
     return NodeErrorReport(
         labels=scenario.topology.labels,
         event_prob=p_e,
@@ -61,3 +54,10 @@ def node_error_report(scenario: ValidatedScenario, prior: Prior) -> NodeErrorRep
         event_given_silent=event_given_silent,
         normal_given_alarm=normal_given_alarm,
     )
+
+
+def _posterior(x: float, y: float, u: float, v: float) -> float:
+    """x*y / (x*y + u*v), with y and v scaled by 2**1000, exactly, when x*y is subnormal and would lose bits."""
+    scale = 1000 if x * y < 2.0**-1022 else 0
+    joint = x * math.ldexp(y, scale)
+    return joint / (joint + u * math.ldexp(v, scale))

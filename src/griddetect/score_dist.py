@@ -9,7 +9,8 @@ each tuple's probability under a law (:func:`cell_masses`). Its score
 the simulator all compare. :func:`cell_ranking` sorts a cell's tuples by
 score once per weight vector and merges near-equal scores into atoms;
 :func:`score_distribution` gathers a law's masses in that order and adds
-them up per atom. A score law is held as arrays: atom values and masses,
+them up per atom (:func:`score_law_prefix` only as far as a most-powerful
+walk reads). A score law is held as arrays: atom values and masses,
 the grid rows in score order and each atom's first row. The count tuples
 in that order and ``ScoreAtom`` objects are built on request.
 
@@ -64,6 +65,7 @@ __all__ = [
     "cell_masses",
     "cell_ranking",
     "score_distribution",
+    "score_law_prefix",
     "brute_force_distribution",
 ]
 
@@ -272,10 +274,15 @@ def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, grid: np.ndar
     if not len(multi):  # every atom is one row
         return ScoreDistribution(values=values, probs=ranked, starts=starts, order=order, grid=grid)
     probs = ranked[starts]
-    flat = memoryview(ranked)  # fsum reads a slice's floats straight from the buffer
-    probs[multi] = [exact_sum(ranked[a:b]) if b - a >= VECTOR_SUM_MIN_LENGTH else math.fsum(flat[a:b])
-                    for a, b in spans.tolist()]
+    probs[multi] = _atom_sums(ranked, spans)
     return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
+
+
+def _atom_sums(ranked: np.ndarray, spans: np.ndarray) -> list[float]:
+    """The exact sum of ``ranked[a:b]`` for each first and end rank (a, b) of ``spans``."""
+    flat = memoryview(ranked)  # fsum reads a slice's floats straight from the buffer
+    return [exact_sum(ranked[a:b]) if b - a >= VECTOR_SUM_MIN_LENGTH else math.fsum(flat[a:b])
+            for a, b in spans.tolist()]
 
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
@@ -283,6 +290,25 @@ def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDis
     weights = tuple(float(w) for w in weights)
     _check_weights(weights, law.counts)
     return _assemble(cell_ranking(law.counts, weights), cell_masses(law), cell_grid(law.counts))
+
+
+def score_law_prefix(weights: Iterable[float], law: ClassAlarmLaw, size: float) -> tuple[np.ndarray, ...]:
+    """score_distribution's atom values and masses and their np.cumsum through the first atom whose running sum
+    passes ``size``, prefixes of the whole law's arrays bit for bit: a law of positive masses with atoms of several
+    rows is summed to one atom past where rounded atom sums pass ``size``, if that does, else the whole law."""
+    weights = tuple(float(w) for w in weights)
+    _check_weights(weights, law.counts)
+    order, _, starts, values, multi, spans = ranking = cell_ranking(law.counts, weights)
+    if len(multi) and (ranked := cell_masses(law)[order]).all():
+        n = int(np.cumsum(np.add.reduceat(ranked, starts)).searchsorted(size, "right")) + 2  # atoms kept
+        probs = ranked[starts[:n]]
+        m = int(multi.searchsorted(n))
+        probs[multi[:m]] = _atom_sums(ranked, spans[:m])
+        cum = np.cumsum(probs)
+        if n >= len(starts) or cum[-1] > size:
+            return values[:n], probs, cum
+    dist = _assemble(ranking, cell_masses(law), cell_grid(law.counts))
+    return dist.values, dist.probs, np.cumsum(dist.probs)
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:

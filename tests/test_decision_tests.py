@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import griddetect as g
 from griddetect import DomainError, Verdict, decision_tests
@@ -148,8 +150,8 @@ class TestSolveMPTest:
 
     def test_table_builds_one_score_law(self, monkeypatch):
         calls = []
-        law = decision_tests.score_distribution
-        monkeypatch.setattr(decision_tests, "score_distribution", lambda *a: calls.append(a) or law(*a))
+        law = decision_tests.score_law_prefix
+        monkeypatch.setattr(decision_tests, "score_law_prefix", lambda *a: calls.append(a) or law(*a))
         tests = decision_tests.solve_mp_tests(good_scenario(), (0.1, 0.05, 0.025, 0.01), **GOOD_APPROX)
         assert [t.requested_size for t in tests] == [0.1, 0.05, 0.025, 0.01]
         assert len(calls) == 1
@@ -171,6 +173,62 @@ class TestSolveMPTest:
             g.solve_mp_test(sc, 0.1)
         with pytest.raises(DomainError, match="certain"):
             g.bayes_test(sc, g.Prior(0.1), g.LossRatio(5))
+
+
+def _reference_walk(dist, cum, size):
+    """The search of solve_mp_tests over a whole law ``dist`` and its running sum ``cum``."""
+    i = min(int(np.searchsorted(cum, size, side="right")), len(cum) - 1)
+    below, prob = (float(cum[i - 1]) if i else 0.0), float(dist.probs[i])
+    k = min(1.0, max(0.0, (size - below) / prob))
+    return float(dist.values[i]), k, below + k * prob
+
+
+class TestBoundedWalk:
+    """solve_mp_tests sums the event law only up to its largest size, with the bits of a walk over the whole law."""
+
+    # a size that rounded atom sums pass and the exact running sum never does, so the whole law is summed;
+    # a size inside the first atom; zero-mass tuples, merged afresh
+    @example(classes=[(1, 19, 3, 1e-13), (3, 15, 2, 0.9), (3, 10, 3, 1e-13), (1, 5, 1, 0.2)], integer=True,
+             override=True, sizes=[0.9999999999999999], at_sums=[])
+    @example(classes=[(3, 18, 3, 0.5), (3, 10, 2, 0.5), (3, 4, 1, 0.5)], integer=True, override=False,
+             sizes=[1e-320, 0.3], at_sums=[])
+    @example(classes=[(3, 18, 2, 0.0), (3, 10, 1, 0.4), (2, 4, 1, 1.0)], integer=True, override=True,
+             sizes=[0.05, 0.5], at_sums=[])
+    # a size one unit in the last place above a running sum, which rounded atom sums pass an atom early
+    @example(classes=[(3, 15, 3, 0.5), (3, 8, 3, 0.5), (2, 6, 4, 0.5)], integer=True, override=False,
+             sizes=[], at_sums=[(7, 1)])
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        # per class: count, detection probability in 20ths, integer weight, event alarm probability override
+        classes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 19), st.integers(1, 4),
+                                   st.sampled_from([0.0, 1e-13, 0.2, 0.5, 1 - 1e-13, 1.0])),
+                         min_size=2, max_size=5, unique_by=lambda c: c[1]),
+        integer=st.booleans(),
+        override=st.booleans(),
+        sizes=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                       | st.sampled_from([5e-324, 1e-320, 0.5, 0.9999999999999999]), min_size=1, max_size=4),
+        # sizes a few units in the last place above an atom's running sum, which rounded atom sums may pass
+        # an atom early
+        at_sums=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 3)), max_size=2),
+    )
+    def test_same_bits_as_the_whole_law(self, classes, integer, override, sizes, at_sums):
+        classes = sorted(classes, key=lambda c: -c[1])
+        counts = [c[0] for c in classes]
+        topology = g.builtin_topology("custom", [c[1] / 20 for c in classes], counts=counts)
+        sc = g.validate(g.ChannelModel(p_c=0.9, p_w=0.1), topology)
+        overrides = {"weights": [float(c[2]) for c in classes]} if integer else {}
+        if override:
+            overrides["event_alarm_probs"] = [c[3] for c in classes]
+        weights = overrides.get("weights", sc.derived().weights)
+        law = g.ClassAlarmLaw(counts, overrides["event_alarm_probs"]) if override else sc.derived().event_law
+        dist = g.score_distribution(weights, law)
+        cum = np.cumsum(dist.probs)
+        above = [(s := float(cum[j % len(cum)])) + ulps * math.ulp(s) for j, ulps in at_sums]
+        sizes = sizes + [size for size in above if 0.0 < size < 1.0]
+        solved = decision_tests.solve_mp_tests(sc, sizes, **overrides)
+        got = [(t.threshold, t.boundary_prob, t.exact_size) for t in solved]
+        want = [_reference_walk(dist, cum, size) for size in sizes]
+        assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
 
 
 class TestMPDecide:

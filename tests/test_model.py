@@ -200,6 +200,8 @@ class TestInvariantsAfterRounding:
     @example(channel=[5e-324, 1e-300], classes=[(1, 1e-300), (2, 1e-301)], p_e=0.5, loss=5.0, size=0.1)
     # p_n * p_w rounds to 0 while P(normal | alarm) rounds to 1 or 2 of the smallest subnormal
     @example(channel=[5e-324, 0.9], classes=[(1, 0.9), (4, 0.7), (4, 0.5)], p_e=0.5, loss=5.0, size=0.1)
+    # p_e * Q_i is subnormal, and a small 1 - p_w magnifies the bits it loses
+    @example(channel=[0.999, 0.9999999999], classes=[(1, 1.0), (4, 0.7), (4, 0.5)], p_e=1e-310, loss=5.0, size=0.1)
     @settings(derandomize=True, deadline=None, max_examples=300,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -230,11 +232,14 @@ class TestInvariantsAfterRounding:
         report = g.node_error_report(sc, prior)
         for family in (report.type1, report.type2, report.event_given_silent, report.normal_given_alarm):
             assert all(0.0 <= v <= 1.0 for v in family), family
-        # P(normal | alarm) within a few rounding errors of the exact posterior of the rounded inputs
-        joint_normal = Fraction(prior.normal_prob) * Fraction(p_w)
-        for a, v in zip(stats.alarm_probs, report.normal_given_alarm):
-            exact = joint_normal / (joint_normal + Fraction(prior.event_prob) * Fraction(a)) if p_w else 0
-            assert abs(Fraction(v) - exact) <= exact * Fraction(2) ** -50 + Fraction(2) ** -1074, (a, v, float(exact))
+        # both posteriors within a few rounding errors of the exact posteriors of the rounded inputs
+        n, e, w = (Fraction(x) for x in (prior.normal_prob, prior.event_prob, p_w))
+        posteriors = [(n * w / (n * w + e * Fraction(a)) if w else 0, v)
+                      for a, v in zip(stats.alarm_probs, report.normal_given_alarm)]
+        posteriors += [(e * Fraction(q) / (e * Fraction(q) + n * (1 - w)), v)
+                       for q, v in zip(stats.silence_probs, report.event_given_silent)]
+        for exact, v in posteriors:
+            assert abs(Fraction(v) - exact) <= exact * Fraction(2) ** -50 + Fraction(2) ** -1074, (v, float(exact))
         certain = p_w > 0.0 and 1.0 in stats.alarm_probs  # no finite weight exists: rules refuse
         try:
             rules = [g.bayes_test(sc, prior, loss_ratio)]

@@ -144,6 +144,17 @@ def test_report_shape_and_bounds():
             assert all(0.0 <= v <= 1.0 for v in seq)
 
 
+def test_subnormal_joint_silence_keeps_its_bits():
+    # p_e * Q_i is subnormal: each posterior is the exact posterior of the rounded inputs, rounded once
+    topology = g.builtin_topology("custom", [1.0, 0.7, 0.5], counts=[1, 4, 4])
+    sc, prior = g.validate(g.ChannelModel(p_c=0.9999999999, p_w=0.1), topology), g.Prior(1e-310)
+    rep = g.node_error_report(sc, prior)
+    p_e, p_n = Fraction(prior.event_prob), Fraction(prior.normal_prob)
+    exact = [p_e * Fraction(q) / (p_e * Fraction(q) + p_n * (1 - Fraction(0.1))) for q in sc.derived().silence_probs]
+    assert rep.event_given_silent == tuple(map(float, exact))
+    assert rep.event_given_silent[1] == 3.000000000778e-311
+
+
 def test_subnormal_prior_at_p_w_zero():
     # p_e * A_i underflows to 0, but an alarm is impossible under the normal hypothesis
     for sc in (degenerate_scenario(), g.validate(g.ChannelModel(0.8, 0.0), good_scenario().topology)):
