@@ -39,6 +39,7 @@ acceptance:
 
 # Paired benchmark runs of BASE (default HEAD) against the working tree:
 # make pairs WORKLOAD=exact-wide [PAIRS=10 SEED=1 BASE=HEAD]
+# WORKLOAD=all runs the pairs for each workload in BENCHMARK.json in turn, on one export of BASE.
 PAIRS ?= 10
 SEED ?= 1
 BASE ?= HEAD

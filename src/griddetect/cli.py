@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .decision_tests import (  # solve_mp_test is not called here; the benchmark traces cli.solve_mp_test
+    _require_finite_weights,
     bayes_test,
     operating_characteristics,
     solve_mp_test,
@@ -183,7 +184,10 @@ def cmd_dist(
     sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
     stats = sf.scenario.derived()
     overrides = sf.mp_overrides()
-    weights = overrides.get("weights") or stats.weights
+    if not overrides and sf.scenario.channel.silent_when_undetected:
+        raise DomainError(f"class {sf.scenario.topology.classes[0].label!r}: exact weights are infinite at p_w = 0 "
+                          "(an alarm is conclusive); use --weight-mode paper-approx")
+    weights = overrides.get("weights") or _require_finite_weights(sf.scenario)
     law = stats.event_law if under == "event" else stats.normal_law
     if under == "event" and overrides.get("event_alarm_probs"):
         law = ClassAlarmLaw(law.counts, overrides["event_alarm_probs"])

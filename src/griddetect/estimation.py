@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .model import DomainError, ValidatedScenario
-from .simulator import Truth, forced_worlds
 
 __all__ = [
     "Condition",
@@ -173,6 +172,8 @@ def generate_trial_logs(
     equals draw_world on log i's generator. Each distinct record is built
     once and shared by the logs that repeat it.
     """
+    from .simulator import Truth, forced_worlds  # here, so that reading logs needs no numpy
+
     if n_logs < 1:
         raise DomainError(f"n_logs must be positive, got {n_logs}")
     truth = Truth.EVENT if condition is Condition.CONTROLLED_EVENT else Truth.NORMAL

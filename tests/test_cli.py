@@ -185,6 +185,29 @@ class TestDistCommand:
         # under the normal hypothesis the all-silent atom dominates
         assert float(rows[0][2]) > 0.3
 
+    @pytest.mark.parametrize("under", ["event", "normal"])
+    def test_exact_weights_at_p_w_zero(self, runner, tmp_path, under):
+        path = tmp_path / "p_w0.yaml"
+        path.write_text(Path(GOOD).read_text().replace("p_w: 0.1}", "p_w: 0.0}"))
+        result = runner.invoke(main, ["dist", "--scenario", str(path), "--weight-mode", "exact", "--under", under])
+        assert result.exit_code == 1
+        assert result.output == ("error: class 'center': exact weights are infinite at p_w = 0 "
+                                 "(an alarm is conclusive); use --weight-mode paper-approx\n")
+        # the integer-approximated weights stay finite
+        result = invoke(runner, "dist", "--scenario", str(path), "--weight-mode", "paper-approx", "--under", under)
+        assert result.exit_code == 0 and result.output.startswith(f"# score-distribution under {under}")
+
+    @pytest.mark.parametrize("under", ["event", "normal"])
+    def test_certain_alarm_gives_mps_message(self, runner, tmp_path, under):
+        path = tmp_path / "certain.yaml"
+        text = Path(GOOD).read_text().replace("p_c: 0.9", "p_c: 1.0").replace("[0.9, 0.5", "[1.0, 0.5")
+        path.write_text(text)
+        mp = runner.invoke(main, ["mp", "--scenario", str(path), "--weight-mode", "exact"])
+        dist = runner.invoke(main, ["dist", "--scenario", str(path), "--weight-mode", "exact", "--under", under])
+        assert mp.exit_code == dist.exit_code == 1
+        assert dist.output == mp.output
+        assert dist.output.startswith("error: class 'center': alarm is certain under the event")
+
 
 class TestSimulateCommand:
     def test_small_run_structure(self, runner, tmp_path):

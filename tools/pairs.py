@@ -1,11 +1,13 @@
 """Paired benchmark runs: a base commit against the working tree.
 
     python3 tools/pairs.py --workload exact-wide [--pairs 10] [--seed 1] [--base HEAD]
+    python3 tools/pairs.py --workload all        # every workload in BENCHMARK.json, in turn
 
-Exports --base with ``git archive`` into a temporary directory, then runs
-``bench/run.py --trace 0`` there and in the working tree, --pairs times,
-alternating which side runs first; each run lasts the benchmark's own run
-length. Every run is printed as it finishes. For every end-to-end metric in
+Exports --base with ``git archive`` into a temporary directory once, then,
+for each workload, runs ``bench/run.py --trace 0`` there and in the working
+tree, --pairs times, alternating which side runs first; each run lasts the
+benchmark's own run length. Every run is printed as it finishes, and each
+workload's summary after its last pair. For every end-to-end metric in
 BENCHMARK.json the summary gives each side's median and quartiles, the
 relative change of the medians, and the pairs the working tree won (ties
 count for neither). A metric is "unresolved" when the base's interquartile
@@ -38,10 +40,9 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run(tree: Path, args) -> dict:
+def run(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``tree``: the JSON object its last output line holds."""
-    cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--trace", "0"]
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -88,27 +89,31 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a workload in BENCHMARK.json, or all of them")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    workloads = [w["name"] for w in bench["workloads"]] if args.workload == "all" else [args.workload]
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {"base": Path(tmp), "change": ROOT}
         export(args.base, trees["base"])
-        print(f"workload {args.workload} seed {args.seed}: "
-              f"{args.base} against the working tree, {args.pairs} pairs", flush=True)
-        for i in range(args.pairs):
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                result = run(trees[side], args)
-                runs[side].append(result)
-                values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}" for m in metrics)
-                print(f"pair {i + 1} {side:<6} {values}", flush=True)
-    print("\n".join(summarize(metrics, runs)))
+        for workload in workloads:
+            header = f"workload {workload} seed {args.seed}: {args.base} against the working tree, {args.pairs} pairs"
+            print(header, flush=True)
+            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            for i in range(args.pairs):
+                for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+                    result = run(trees[side], workload, args.seed)
+                    runs[side].append(result)
+                    values = " ".join(f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
+                                      for m in metrics)
+                    print(f"pair {i + 1} {side:<6} {values}", flush=True)
+            print("\n".join([f"summary of {header}"] + summarize(metrics, runs)), flush=True)
     return 0
 
 
