@@ -6,7 +6,7 @@ WEAK = scenarios/weak_network.yaml
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 GRIDDETECT = $(RUN) -m griddetect.cli
 
-.PHONY: install test check acceptance reproduce pairs clean
+.PHONY: install test check acceptance reproduce pairs record clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -45,6 +45,11 @@ SEED ?= 1
 BASE ?= HEAD
 pairs:
 	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --base $(BASE)
+
+# BENCH_<PR>.json: the tier-1 and `make reproduce` wall times and each workload's
+# end-to-end metrics (seed 1) for the working tree: make record PR=<n>
+record:
+	$(PYTHON) tools/record.py --pr $(PR)
 
 # Regenerate every benchmark table analytically and by simulation.
 reproduce:

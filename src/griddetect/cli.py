@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .decision_tests import (  # solve_mp_test is not called here; the benchmark traces cli.solve_mp_test
-    _require_finite_weights,
+    _mp_law,
     bayes_test,
     operating_characteristics,
     solve_mp_test,
@@ -30,7 +30,7 @@ from .estimation import (
     estimate_false_response,
     read_log_file,
 )
-from .model import ClassAlarmLaw, DomainError, LossRatio
+from .model import DomainError, LossRatio
 from .node_errors import node_error_report
 from .scenario_io import load_scenario
 from .score_dist import score_distribution
@@ -182,16 +182,11 @@ def cmd_dist(
 ) -> None:
     """Dump the exact score distribution for debugging."""
     sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
-    stats = sf.scenario.derived()
-    overrides = sf.mp_overrides()
-    if not overrides and sf.scenario.channel.silent_when_undetected:
+    if sf.weight_mode == "exact" and sf.scenario.channel.silent_when_undetected:
         raise DomainError(f"class {sf.scenario.topology.classes[0].label!r}: exact weights are infinite at p_w = 0 "
                           "(an alarm is conclusive); use --weight-mode paper-approx")
-    weights = overrides.get("weights") or _require_finite_weights(sf.scenario)
-    law = stats.event_law if under == "event" else stats.normal_law
-    if under == "event" and overrides.get("event_alarm_probs"):
-        law = ClassAlarmLaw(law.counts, overrides["event_alarm_probs"])
-    dist = score_distribution(weights, law)
+    weights, event_law = _mp_law(sf.scenario, **sf.mp_overrides())
+    dist = score_distribution(weights, event_law if under == "event" else sf.scenario.derived().normal_law)
     # cumsum adds the masses one by one, as a running sum does
     cells = (dist.values, dist.probs, np.cumsum(dist.probs), np.diff(dist.starts, append=len(dist.order)))
     table = Table(

@@ -10,11 +10,11 @@ only the all-silent observation, with the MP rule's k, or with k = 1 for
 an applicable Bayes rule and k = 0 otherwise. That (weights, t, k) form
 gives each count tuple a reject probability, which decides observations.
 Those tuples form a prefix of the cell's stable score order, so an exact
-error rate sums the masses of the reject prefix, the boundary rows' times
-k, under the event law (type I error) or the normal law (power). Only the
-most-powerful rule builds a score law: the event law it walks to t, whose
-atoms it sums only through the threshold of its largest size. Its power is
-summed once, when solved, and reused under an equal normal law.
+error rate sums a prefix of the law's masses in that order (``ranked_masses``),
+the boundary rows' times k, under the event law (type I error) or the normal
+law (power). Only the most-powerful rule builds a score law: the event law it
+walks to t, summed only through the threshold of its largest size. Its power
+is summed once, when solved, and reused under an equal normal law.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .model import ClassAlarmLaw, DomainError, LossRatio, Prior, ValidatedScenario
-from .score_dist import atom_tolerance, cell_masses, cell_ranking, exact_sum, score_law_prefix, tuple_scores
+from .score_dist import atom_tolerance, cell_ranking, exact_sum, ranked_masses, score_law_prefix, tuple_scores
 from .score_dist import score_distribution  # not called here; the benchmark traces decision_tests.score_distribution
 
 __all__ = [
@@ -167,6 +167,14 @@ def _require_finite_weights(scenario: ValidatedScenario) -> tuple[float, ...]:
     return stats.weights
 
 
+def _mp_law(scenario: ValidatedScenario, weights: Iterable[float] | None = None,
+            event_alarm_probs: Iterable[float] | None = None) -> tuple[tuple[float, ...], ClassAlarmLaw]:
+    """The weights and event law an MP rule is solved on: each override where given, else the exact one."""
+    w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
+    law = scenario.derived().event_law
+    return w, law if event_alarm_probs is None else ClassAlarmLaw(law.counts, event_alarm_probs)
+
+
 def _walk_to_threshold(values: np.ndarray, probs: np.ndarray, cum: np.ndarray, size: float) -> tuple[float, ...]:
     """Find the unique atom v with P(X < v) <= size < P(X <= v), given the running sum ``cum`` of the masses.
 
@@ -221,8 +229,7 @@ def solve_mp_tests(
             k, exact_size = (1.0, all_silent) if all_silent <= size else (size / all_silent, size)
         else:
             if h0 is None:
-                w = _require_finite_weights(scenario) if weights is None else tuple(float(x) for x in weights)
-                law = stats.event_law if event_alarm_probs is None else ClassAlarmLaw(counts, event_alarm_probs)
+                w, law = _mp_law(scenario, weights, event_alarm_probs)
                 # atoms up to the largest size, and cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it
                 h0 = score_law_prefix(w, law, max(sizes))
             threshold, k, exact_size = _walk_to_threshold(*h0, size)
@@ -291,15 +298,11 @@ def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw)
     times those of ranks i to j, at most 1 (the rounded masses of a whole cell may sum past it)."""
     # scores of rank below i are under lo, up to j at most hi; a nan bound compares false, as in _threshold_probs
     weights, lo, hi, k = form
-    order, ranked = cell_ranking(counts, weights)[:2]
-    i = 0 if math.isnan(lo) else int(ranked.searchsorted(lo, "left"))
-    j = i if k == 0.0 or math.isnan(hi) else max(i, int(ranked.searchsorted(hi, "right")))
-    rates = []
-    for law in laws:
-        masses = cell_masses(law)[order[:j]]
-        masses[i:] *= k
-        rates.append(min(1.0, exact_sum(masses)))
-    return rates
+    scores = cell_ranking(counts, weights)[1]
+    i = 0 if math.isnan(lo) else int(scores.searchsorted(lo, "left"))
+    j = i if k == 0.0 or math.isnan(hi) else max(i, int(scores.searchsorted(hi, "right")))
+    ranked = (ranked_masses(law, weights)[0] for law in laws)  # a prefix view, and the boundary rows times k
+    return [min(1.0, exact_sum(masses[:i], masses[i:j] * k)) for masses in ranked]
 
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:

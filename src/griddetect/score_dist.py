@@ -8,23 +8,21 @@ each tuple's probability under a law (:func:`cell_masses`). Its score
 (:func:`tuple_scores`) is the one definition that atoms, decision rules and
 the simulator all compare. :func:`cell_ranking` sorts a cell's tuples by
 score once per weight vector and merges near-equal scores into atoms;
-:func:`score_distribution` gathers a law's masses in that order and adds
+:func:`score_distribution` reads a law's masses in that order and adds
 them up per atom (:func:`score_law_prefix` only as far as a most-powerful
 walk reads). A score law is held as arrays: atom values and masses,
 the grid rows in score order and each atom's first row. The count tuples
 in that order and ``ScoreAtom`` objects are built on request.
 
 The grid functions keep read-only arrays in least-recently-used caches: the
-tuples of ``GRID_CACHE_SIZE`` cells, in the smallest unsigned dtype that
-holds the largest count (so also ``ScoreDistribution.tuples``), and masses
-and rankings for twice as many laws and weight vectors. A ranking holds
-the int32 stable score order, the scores in that order, each atom's first
-rank and value, and the int32 index and first and end ranks of each atom
-of more than one row, shared by every score law of positive masses, which
-then only gathers its masses and sums those atoms. At ``MAX_COUNT_TUPLES``
-rows that is at most 24, 8 and 28 MiB an entry (12 bytes a row, 16 an
-atom, 12 more an atom of several rows), 384 MiB in all; a 6x6 cell
-(117,649 tuples) with two laws and two weight vectors keeps under 9 MiB.
+tuples of ``GRID_CACHE_SIZE`` cells, in the smallest unsigned dtype that holds
+the largest count (so also ``ScoreDistribution.tuples``), and the rankings of
+twice as many weight vectors: the int32 stable score order, the scores in that
+order, each atom's first rank and value, and the int32 index and first and end
+ranks of each atom of more than one row. :func:`ranked_masses` keeps 32 MiB of
+laws' masses in a ranking's order, so that score laws, most-powerful walks and
+error rates slice them, and no command on a ``MAX_COUNT_TUPLES`` cell gathers
+a law's masses twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
@@ -40,6 +38,7 @@ import bisect
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,6 +63,7 @@ __all__ = [
     "cell_grid",
     "cell_masses",
     "cell_ranking",
+    "ranked_masses",
     "score_distribution",
     "score_law_prefix",
     "brute_force_distribution",
@@ -84,10 +84,10 @@ MAX_COUNT_TUPLES = 2**20
 # math.comb(1030, 515) exceeds the float range.
 MAX_BINOMIAL_COUNT = 1029
 
-# Count-tuple grids cached; masses and scores are cached for twice as many keys.
+# Count-tuple grids cached; rankings are cached for twice as many weight vectors.
 GRID_CACHE_SIZE = 4
 
-# exact_sum calls math.fsum below this length: on a 2-vCPU AMD EPYC both take 7 us at 300-400 masses.
+# exact_sum calls math.fsum below this length: on a 2-vCPU Intel Xeon both take 15-20 us at 400-500 masses.
 VECTOR_SUM_MIN_LENGTH = 512
 
 
@@ -95,16 +95,19 @@ def atom_tolerance(value: float) -> float:
     return MERGE_REL_TOL * max(1.0, abs(value))
 
 
-def exact_sum(a: np.ndarray) -> float:
-    """``math.fsum(a.tolist())`` bit for bit, for finite nonnegative float64 terms, at most 2**25 of them."""
-    if len(a) < VECTOR_SUM_MIN_LENGTH:
-        return math.fsum(a.tolist())
-    m, e = np.frexp(a)
-    head = m.astype(np.float32).astype(float)
-    m -= head
-    e -= (low := int(e.min()))
-    sums = np.stack((np.bincount(e, weights=head), np.bincount(e, weights=m)))
-    return math.fsum(np.ldexp(sums, np.arange(low, low + sums.shape[1])).ravel().tolist())
+def exact_sum(*parts: np.ndarray) -> float:
+    """``math.fsum`` of the terms of all ``parts`` bit for bit: finite nonnegative float64s, at most 2**25 a part."""
+    terms = []
+    for a in parts:
+        if len(a) >= VECTOR_SUM_MIN_LENGTH:  # a long part adds its exact sums per exponent instead
+            m, e = np.frexp(a)
+            head = m.astype(np.float32).astype(float)
+            m -= head
+            e -= (low := int(e.min()))
+            sums = np.stack((np.bincount(e, weights=head), np.bincount(e, weights=m)))
+            a = np.ldexp(sums, np.arange(low, low + sums.shape[1])).ravel()
+        terms += a.tolist()
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -201,19 +204,17 @@ def cell_grid(counts: tuple[int, ...]) -> np.ndarray:
     return _frozen(np.ascontiguousarray(count_tuples(counts)))
 
 
-@functools.lru_cache(maxsize=2 * GRID_CACHE_SIZE)
 def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
-    """Probability of each count tuple of the cell: its binomial masses multiplied in class order."""
-    tuples = cell_grid(law.counts)
-    masses = np.ones(len(tuples))
+    """Probability of each count tuple of the cell, in grid order: its binomial masses multiplied in class order."""
+    cell_grid(law.counts)  # refuses a cell of too many tuples
+    masses = np.ones(1)  # times each class's masses, an outer product in grid order
     for i, (n, q) in enumerate(zip(law.counts, law.alarm_probs)):
         if n > MAX_BINOMIAL_COUNT:
             raise DomainError(
                 f"class {i}: count {n} is too large for the exact score law (at most {MAX_BINOMIAL_COUNT})"
             )
-        pmf = np.array([math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)])
-        masses *= pmf[tuples[:, i]]
-    return _frozen(masses)
+        masses = np.multiply.outer(masses, [math.comb(n, x) * q**x * (1.0 - q) ** (n - x) for x in range(n + 1)])
+    return masses.ravel()
 
 
 @functools.lru_cache(maxsize=2 * GRID_CACHE_SIZE)
@@ -227,6 +228,29 @@ def cell_ranking(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[n
     starts = _atom_starts(ranked)
     multi = _multi_row_atoms(starts, len(ranked))
     return tuple(map(_frozen, (order, ranked, starts, ranked[starts], *multi)))
+
+
+_RANKED_BYTES = GRID_CACHE_SIZE * MAX_COUNT_TUPLES * 8  # ranked_masses' budget; an entry counts at least 64 KiB
+_ranked: dict[tuple, tuple[np.ndarray, bool]] = {}  # its entries, least recently used first
+_ranked_lock = threading.Lock()
+
+
+def ranked_masses(law: ClassAlarmLaw, weights: tuple[float, ...]) -> tuple[np.ndarray, bool]:
+    """(masses, all positive): a law's read-only masses in the stable score order of one weight vector, kept by
+    (law, weights) in a thread-safe store of at most ``_RANKED_BYTES``; a larger array is returned, not kept."""
+    key = law.counts, law.alarm_probs, weights  # hashed in C, unlike the law
+    with _ranked_lock:
+        if (entry := _ranked.pop(key, None)) is not None:
+            _ranked[key] = entry
+            return entry
+    ranked = _frozen(cell_masses(law)[cell_ranking(law.counts, weights)[0]])
+    entry = ranked, bool(ranked.all())
+    with _ranked_lock:
+        if max(ranked.nbytes, 2**16) <= _RANKED_BYTES:
+            _ranked[key] = entry
+        while sum(max(a.nbytes, 2**16) for a, _ in _ranked.values()) > _RANKED_BYTES:
+            _ranked.pop(next(iter(_ranked)))
+    return entry
 
 
 def _atom_starts(scores: np.ndarray) -> np.ndarray:
@@ -258,23 +282,22 @@ def _multi_row_atoms(starts: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.nd
     return multi.astype(np.int32), np.stack((bounds[multi], bounds[multi + 1]), axis=1).astype(np.int32)
 
 
-def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, grid: np.ndarray) -> ScoreDistribution:
-    """Gather a law's masses in rank order and add them up per atom; ties keep the order of ``grid``.
+def _assemble(ranking: tuple[np.ndarray, ...], ranked: np.ndarray, grid: np.ndarray) -> ScoreDistribution:
+    """Add up a law's masses in rank order per atom; ties keep the order of ``grid``.
 
     Zero-mass tuples (alarm probabilities of 0 or 1) are no atoms: the rest keeps its order, merged afresh.
     """
     order, scores, starts, values, multi, spans = ranking
-    ranked = masses[order]
     if not ranked.all():
         keep = ranked > 0.0
         order, scores, ranked = order[keep], scores[keep], ranked[keep]
         starts = _atom_starts(scores)
         values = scores[starts]
         multi, spans = _multi_row_atoms(starts, len(ranked))
-    if not len(multi):  # every atom is one row
-        return ScoreDistribution(values=values, probs=ranked, starts=starts, order=order, grid=grid)
-    probs = ranked[starts]
-    probs[multi] = _atom_sums(ranked, spans)
+    probs = ranked  # when every atom is one row
+    if len(multi):
+        probs = ranked[starts]
+        probs[multi] = _atom_sums(ranked, spans)
     return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
 
 
@@ -289,17 +312,23 @@ def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDis
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
     _check_weights(weights, law.counts)
-    return _assemble(cell_ranking(law.counts, weights), cell_masses(law), cell_grid(law.counts))
+    return _assemble(cell_ranking(law.counts, weights), ranked_masses(law, weights)[0], cell_grid(law.counts))
 
 
 def score_law_prefix(weights: Iterable[float], law: ClassAlarmLaw, size: float) -> tuple[np.ndarray, ...]:
     """score_distribution's atom values and masses and their np.cumsum through the first atom whose running sum
-    passes ``size``, prefixes of the whole law's arrays bit for bit: a law of positive masses with atoms of several
-    rows is summed to one atom past where rounded atom sums pass ``size``, if that does, else the whole law."""
+    passes ``size``, prefixes of the whole law's arrays bit for bit: a law of positive masses is summed over 4**k
+    times 4,096 one-row atoms, or to one atom past where rounded atom sums pass ``size``; else the whole law."""
     weights = tuple(float(w) for w in weights)
     _check_weights(weights, law.counts)
-    order, _, starts, values, multi, spans = ranking = cell_ranking(law.counts, weights)
-    if len(multi) and (ranked := cell_masses(law)[order]).all():
+    _, _, starts, values, multi, spans = ranking = cell_ranking(law.counts, weights)
+    ranked, positive = ranked_masses(law, weights)
+    if positive and not len(multi):
+        n = 4096
+        while (cum := np.cumsum(ranked[:n]))[-1] <= size and n < len(ranked):
+            n *= 4
+        return values[:n], ranked[:n], cum
+    if positive:
         n = int(np.cumsum(np.add.reduceat(ranked, starts)).searchsorted(size, "right")) + 2  # atoms kept
         probs = ranked[starts[:n]]
         m = int(multi.searchsorted(n))
@@ -307,7 +336,7 @@ def score_law_prefix(weights: Iterable[float], law: ClassAlarmLaw, size: float) 
         cum = np.cumsum(probs)
         if n >= len(starts) or cum[-1] > size:
             return values[:n], probs, cum
-    dist = _assemble(ranking, cell_masses(law), cell_grid(law.counts))
+    dist = _assemble(ranking, ranked, cell_grid(law.counts))
     return dist.values, dist.probs, np.cumsum(dist.probs)
 
 
@@ -340,4 +369,5 @@ def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> Sc
         tuple_probs[key] = tuple_probs.get(key, 0.0) + p
     # every count tuple is reachable, so the sorted keys are the rows of the cell's grid
     masses = np.array([tuple_probs[key] for key in sorted(tuple_probs)])
-    return _assemble(cell_ranking(law.counts, weights), masses, cell_grid(law.counts))
+    ranking = cell_ranking(law.counts, weights)
+    return _assemble(ranking, masses[ranking[0]], cell_grid(law.counts))

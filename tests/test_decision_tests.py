@@ -230,6 +230,25 @@ class TestBoundedWalk:
         want = [_reference_walk(dist, cum, size) for size in sizes]
         assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
 
+    @pytest.mark.parametrize("n_classes", [5, 6])
+    def test_wide_exact_laws_past_the_first_piece(self, n_classes):
+        # one-row atoms: the running sum grows over 4,096 rows, then four times as many, until it passes the size
+        topology = g.builtin_topology("custom", (0.93, 0.78, 0.61, 0.47, 0.3, 0.12)[:n_classes],
+                                      counts=(6,) * n_classes)
+        sc = g.validate(g.ChannelModel(p_c=0.85, p_w=0.15), topology)
+        dist = g.score_distribution(sc.derived().weights, sc.derived().event_law)
+        assert (np.diff(dist.starts) == 1).all()
+        cum = np.cumsum(dist.probs)
+        pieces = [4096 * 4**p for p in range(5) if 4096 * 4**p < len(cum)]
+        # the running sum at each piece boundary, one ulp either side of it, and sizes up to 1 - 2**-53
+        at_bounds = [f(float(cum[n - 1])) for n in pieces
+                     for f in (lambda s: s, lambda s: s + math.ulp(s), lambda s: s - math.ulp(s))]
+        sizes = [0.0098, 0.2, 0.5, 0.99, 1 - 2**-52, 1 - 2**-53] + [s for s in at_bounds if 0.0 < s < 1.0]
+        want = [[x.hex() for x in _reference_walk(dist, cum, size)] for size in sizes]
+        one_at_a_time = [g.solve_mp_test(sc, size) for size in sizes]
+        assert [[x.hex() for x in (t.threshold, t.boundary_prob, t.exact_size)] for t in one_at_a_time] == want
+        assert decision_tests.solve_mp_tests(sc, sizes) == one_at_a_time
+
 
 class TestMPDecide:
     def make_good_rule(self):

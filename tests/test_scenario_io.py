@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import griddetect as g
-from griddetect import ScenarioError, scenario_io
+from griddetect import ScenarioError, decision_tests, scenario_io
 
 from cases import YAML_LOADERS
 
@@ -66,6 +67,16 @@ class TestParsing:
         assert sf.weight_mode == "exact"
         assert sf.mp_overrides() == {}
         assert sf.simulation.n_trials == 100_000
+
+    def test_mp_law_is_the_solvers_choice_in_every_mode(self):
+        sf = parse(GOOD_YAML)
+        stats = sf.scenario.derived()
+        approx_law = g.ClassAlarmLaw((1, 4, 4), (0.8, 0.5, 0.35))
+        no_probs = replace(sf, approx_alarm_probs=None)
+        for f, want in [(sf, ((5.0, 3.0, 2.0), approx_law)), (no_probs, ((5.0, 3.0, 2.0), stats.event_law)),
+                        (sf.with_weight_mode("exact"), (stats.weights, stats.event_law))]:
+            assert decision_tests._mp_law(f.scenario, **f.mp_overrides()) == want
+            assert g.solve_mp_test(f.scenario, 0.1, **f.mp_overrides()).weights == want[0]
 
     def test_scalar_sweeps(self):
         sf = parse(

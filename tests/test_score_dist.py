@@ -306,11 +306,15 @@ class TestDistributionProperties:
 
 def assert_sums_as_fsum(a):
     a = np.asarray(a, dtype=float)
-    assert exact_sum(a).hex() == math.fsum(a.tolist()).hex()
+    want = math.fsum(a.tolist()).hex()
+    assert exact_sum(a).hex() == want
+    # the same terms in two parts, short or long each: still one rounding of their whole sum
+    for cut in {0, len(a) // 3, min(len(a), VECTOR_SUM_MIN_LENGTH - 1), len(a)}:
+        assert exact_sum(a[:cut], a[cut:]).hex() == want
 
 
 class TestExactSum:
-    """exact_sum equals math.fsum bit for bit, on both sides of VECTOR_SUM_MIN_LENGTH."""
+    """exact_sum equals math.fsum bit for bit, on both sides of VECTOR_SUM_MIN_LENGTH, of one array or two."""
 
     LENGTHS = (0, 1, VECTOR_SUM_MIN_LENGTH - 1, VECTOR_SUM_MIN_LENGTH, VECTOR_SUM_MIN_LENGTH + 1)
     TERMS = st.one_of(
