@@ -46,8 +46,9 @@ BASE ?= HEAD
 pairs:
 	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --base $(BASE)
 
-# BENCH_<PR>.json: the tier-1 and `make reproduce` wall times and each workload's
-# end-to-end metrics (seed 1) for the working tree: make record PR=<n>
+# BENCH_<PR>.json: the tier-1 and `make reproduce` wall times, the cap cell's command
+# times and peak RSS, and each workload's end-to-end metrics (seed 1) for the working
+# tree: make record PR=<n>
 record:
 	$(PYTHON) tools/record.py --pr $(PR)
 

@@ -14,15 +14,15 @@ walk reads). A score law is held as arrays: atom values and masses,
 the grid rows in score order and each atom's first row. The count tuples
 in that order and ``ScoreAtom`` objects are built on request.
 
-The grid functions keep read-only arrays in least-recently-used caches: the
-tuples of ``GRID_CACHE_SIZE`` cells, in the smallest unsigned dtype that holds
-the largest count (so also ``ScoreDistribution.tuples``), and the rankings of
-twice as many weight vectors: the int32 stable score order, the scores in that
+One thread-safe least-recently-used store of ``STORE_BYTES`` keeps read-only
+arrays of three kinds, each charged its bytes plus a fixed overhead: a cell's
+count tuples (:func:`cell_grid`), in the smallest unsigned dtype that holds the
+largest count (so also ``ScoreDistribution.tuples``); its ranking under a weight
+vector (:func:`cell_ranking`): the int32 stable score order, the scores in that
 order, each atom's first rank and value, and the int32 index and first and end
-ranks of each atom of more than one row. :func:`ranked_masses` keeps 32 MiB of
-laws' masses in a ranking's order, so that score laws, most-powerful walks and
-error rates slice them, and no command on a ``MAX_COUNT_TUPLES`` cell gathers
-a law's masses twice.
+ranks of each atom of more than one row; and a law's masses in that order
+(:func:`ranked_masses`), which score laws, most-powerful walks and error rates
+slice. No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
@@ -39,6 +39,7 @@ import functools
 import itertools
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,26 +48,10 @@ import numpy as np
 from .model import ClassAlarmLaw, DomainError, _check_weights
 
 __all__ = [
-    "MERGE_REL_TOL",
-    "BRUTE_FORCE_MAX_SENSORS",
-    "MAX_COUNT_TUPLES",
-    "GRID_CACHE_SIZE",
-    "MAX_BINOMIAL_COUNT",
-    "VECTOR_SUM_MIN_LENGTH",
-    "atom_tolerance",
-    "exact_sum",
-    "ClassAlarmLaw",
-    "ScoreAtom",
-    "ScoreDistribution",
-    "count_tuples",
-    "tuple_scores",
-    "cell_grid",
-    "cell_masses",
-    "cell_ranking",
-    "ranked_masses",
-    "score_distribution",
-    "score_law_prefix",
-    "brute_force_distribution",
+    "MERGE_REL_TOL", "BRUTE_FORCE_MAX_SENSORS", "MAX_COUNT_TUPLES", "STORE_BYTES", "MAX_BINOMIAL_COUNT",
+    "VECTOR_SUM_MIN_LENGTH", "atom_tolerance", "exact_sum", "ClassAlarmLaw", "ScoreAtom", "ScoreDistribution",
+    "count_tuples", "tuple_scores", "cell_grid", "cell_masses", "cell_ranking", "ranked_masses", "score_distribution",
+    "score_law_prefix", "brute_force_distribution",
 ]
 
 # Relative tolerance under which two scores count as the same atom. Equal
@@ -83,9 +68,6 @@ MAX_COUNT_TUPLES = 2**20
 # Largest class count whose binomial coefficients all convert to a float:
 # math.comb(1030, 515) exceeds the float range.
 MAX_BINOMIAL_COUNT = 1029
-
-# Count-tuple grids cached; rankings are cached for twice as many weight vectors.
-GRID_CACHE_SIZE = 4
 
 # exact_sum calls math.fsum below this length: on a 2-vCPU Intel Xeon both take 15-20 us at 400-500 masses.
 VECTOR_SUM_MIN_LENGTH = 512
@@ -193,15 +175,46 @@ def tuple_scores(weights: Sequence[float] | np.ndarray, tuples: np.ndarray) -> n
     return scores
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+# The least budget at which no command on a cell under the cap builds an entry twice: the widest grid (one class of
+# 510 sensors and 11 of one, 24 MiB of uint16), a ranking of distinct scores (28 MiB) and two laws' masses (16 MiB).
+STORE_BYTES = 68 * 2**20
+_ENTRY_BYTES = 1100  # what tracemalloc sees a ranking entry hold besides its arrays' data, the most of any kind
+_store: OrderedDict[tuple, tuple] = OrderedDict()  # arguments: (result, bytes charged), least recently used first
+_store_lock = threading.Lock()  # guards every insertion and eviction, and _store_bytes, their total
+_store_bytes = 0
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _in_store(build):
+    """``build`` with its results, read-only arrays or tuples of them, kept by their arguments (whose number tells
+    the kinds apart) in the store; a result of more than ``STORE_BYTES`` is returned, not kept."""
+    def fetch(*key):
+        global _store_bytes
+        try:  # a hit takes no lock: the lookup and the move are each atomic under the GIL
+            value = _store[key][0]
+            _store.move_to_end(key)
+            return value
+        except KeyError:  # not kept, or evicted by another thread since the lookup
+            pass
+        value = build(*key)
+        arrays = value if isinstance(value, tuple) else (value,)
+        for a in arrays:
+            a.flags.writeable = False
+        nbytes = _ENTRY_BYTES + sum(a.nbytes for a in arrays)
+        with _store_lock:
+            _store_bytes -= _store.pop(key, (None, 0))[1]  # what another thread built meanwhile, if it did
+            if nbytes <= STORE_BYTES:
+                _store[key] = value, nbytes
+                _store_bytes += nbytes
+            while _store_bytes > STORE_BYTES:
+                _store_bytes -= _store.popitem(last=False)[1][1]
+        return value
+    return functools.wraps(build)(fetch)
+
+
+@_in_store
 def cell_grid(counts: tuple[int, ...]) -> np.ndarray:
     """count_tuples of a cell, row-major so that rows gather whole."""
-    return _frozen(np.ascontiguousarray(count_tuples(counts)))
+    return np.ascontiguousarray(count_tuples(counts))
 
 
 def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
@@ -217,7 +230,7 @@ def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
     return masses.ravel()
 
 
-@functools.lru_cache(maxsize=2 * GRID_CACHE_SIZE)
+@_in_store
 def cell_ranking(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     """(order, ranked, starts, values, multi, spans): the cell's int32 stable ascending score order, the
     scores in that order, each atom's first rank and value, near-equal scores merged over the whole
@@ -226,31 +239,18 @@ def cell_ranking(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[n
     order = np.argsort(scores, kind="stable").astype(np.int32)
     ranked = scores[order]
     starts = _atom_starts(ranked)
-    multi = _multi_row_atoms(starts, len(ranked))
-    return tuple(map(_frozen, (order, ranked, starts, ranked[starts], *multi)))
+    return order, ranked, starts, ranked[starts], *_multi_row_atoms(starts, len(ranked))
 
 
-_RANKED_BYTES = GRID_CACHE_SIZE * MAX_COUNT_TUPLES * 8  # ranked_masses' budget; an entry counts at least 64 KiB
-_ranked: dict[tuple, tuple[np.ndarray, bool]] = {}  # its entries, least recently used first
-_ranked_lock = threading.Lock()
+def ranked_masses(law: ClassAlarmLaw, weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(masses, all positive): a law's masses in the stable score order of one weight vector, and a 0-d bool array."""
+    return _ranked_masses(law.counts, law.alarm_probs, weights)  # hashed in C, unlike the law
 
 
-def ranked_masses(law: ClassAlarmLaw, weights: tuple[float, ...]) -> tuple[np.ndarray, bool]:
-    """(masses, all positive): a law's read-only masses in the stable score order of one weight vector, kept by
-    (law, weights) in a thread-safe store of at most ``_RANKED_BYTES``; a larger array is returned, not kept."""
-    key = law.counts, law.alarm_probs, weights  # hashed in C, unlike the law
-    with _ranked_lock:
-        if (entry := _ranked.pop(key, None)) is not None:
-            _ranked[key] = entry
-            return entry
-    ranked = _frozen(cell_masses(law)[cell_ranking(law.counts, weights)[0]])
-    entry = ranked, bool(ranked.all())
-    with _ranked_lock:
-        if max(ranked.nbytes, 2**16) <= _RANKED_BYTES:
-            _ranked[key] = entry
-        while sum(max(a.nbytes, 2**16) for a, _ in _ranked.values()) > _RANKED_BYTES:
-            _ranked.pop(next(iter(_ranked)))
-    return entry
+@_in_store
+def _ranked_masses(counts, alarm_probs, weights) -> tuple[np.ndarray, np.ndarray]:
+    ranked = cell_masses(ClassAlarmLaw(counts, alarm_probs))[cell_ranking(counts, weights)[0]]
+    return ranked, np.array(ranked.all())
 
 
 def _atom_starts(scores: np.ndarray) -> np.ndarray:

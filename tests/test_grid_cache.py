@@ -1,12 +1,13 @@
-"""The cached grids, rankings and ranked masses: results do not depend on what the caches hold.
+"""The stored grids, rankings and ranked masses: results do not depend on what the store holds.
 
 Every exact error rate and score law reads the grid of its cell from
 ``score_dist.cell_grid``, its ranking from ``score_dist.cell_ranking`` and
-its law's masses in that ranking from ``score_dist.ranked_masses``. These
-tests pin the designs of a wide cell, check that cold caches give the same
-results as warm ones, that the caches stay within their bounds, that the
-ranked masses of a rotation of cells stay put, and that nothing can write to
-what the caches hold.
+its law's masses in that ranking from ``score_dist.ranked_masses``, all
+three kept in one store bounded by bytes. These tests pin the designs of a
+wide cell, check that a cold store gives the same results as a warm one,
+that the store charges what its entries hold and stays within its budget,
+that a rotation of cells, and each command on a cap cell, builds nothing
+twice, and that nothing can write to what the store holds.
 """
 
 from __future__ import annotations
@@ -14,25 +15,28 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import griddetect as g
 from griddetect import _streams, score_dist
+from griddetect.cli import main
 from griddetect.decision_tests import bayes_test, operating_characteristics, solve_mp_test
 
 from cases import random_scenario
 
 
-CACHES = (score_dist.cell_grid.cache_clear, score_dist.cell_ranking.cache_clear, score_dist._ranked.clear)
 MiB = 2**20
-CHARGE = 2**16  # the least an entry of the ranked-mass store counts
 
 
-def _clear_caches() -> None:
-    for clear in CACHES:
-        clear()
+def _clear_store() -> None:
+    with score_dist._store_lock:
+        score_dist._store.clear()
+        score_dist._store_bytes = 0
 
 
 def _count_masses(monkeypatch) -> list:
@@ -42,9 +46,35 @@ def _count_masses(monkeypatch) -> list:
     return computed
 
 
+def _count_builds(monkeypatch) -> dict[str, list]:
+    """The keys of the grids, rankings and ranked masses stored from here on, one entry per build, in a store
+    that starts empty."""
+    built = {"grid": [], "ranking": [], "masses": []}
+    kinds = dict(enumerate(built.values(), start=1))  # the number of arguments tells the kinds apart
+
+    class Counting(OrderedDict):
+        def __setitem__(self, key, value):
+            kinds[len(key)].append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(score_dist, "_store", Counting())
+    monkeypatch.setattr(score_dist, "_store_bytes", 0)
+    return built
+
+
+def _twice(built: dict[str, list]) -> dict[str, list]:
+    """The keys of each kind built more than once."""
+    return {kind: sorted({key for key in keys if keys.count(key) > 1}) for kind, keys in built.items()}
+
+
 def _stored() -> list[int]:
-    """The charge of each entry the ranked-mass store keeps, least recently used first."""
-    return [max(ranked.nbytes, CHARGE) for ranked, _ in score_dist._ranked.values()]
+    """The charge of each entry the store keeps, least recently used first."""
+    return [nbytes for _, nbytes in score_dist._store.values()]
+
+
+def _charge(value) -> int:
+    """What the store charges for a result: its arrays' bytes, of a tuple or of one array, and one overhead."""
+    return score_dist._ENTRY_BYTES + sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
 
 
 def _int_weights(weights) -> tuple[float, ...]:
@@ -116,46 +146,70 @@ def test_cold_cache_matches_warm(kind):
         weights = _int_weights(sc.derived().weights) if kind == "integer" else None
         args = (sc, rng.uniform(0.01, 0.3), weights, g.Prior(rng.uniform(0.05, 0.5)), g.LossRatio(rng.uniform(1, 30)))
         _designs(*args)  # fill the cache
-        assert _designs(*args, before=_clear_caches) == _designs(*args)
+        assert _designs(*args, before=_clear_store) == _designs(*args)
 
 
 def test_cache_holds_at_most_its_bound(monkeypatch):
-    _clear_caches()
-    assert score_dist._RANKED_BYTES == 32 * MiB  # a cap cell's two laws under two weight vectors
-    monkeypatch.setattr(score_dist, "_RANKED_BYTES", 5 * CHARGE)
-    # each cell brings two alarm laws and two weight vectors
-    for n in range(1, 2 * score_dist.GRID_CACHE_SIZE + 2):
+    # stricter than the entry counts it replaces: 4 grids and 8 rankings of a 4x31 cell (4 and at least 12 MiB
+    # each) and 32 MiB of ranked masses
+    assert score_dist.STORE_BYTES == 68 * MiB < 4 * 4 * MiB + 8 * 12 * MiB + 32 * MiB
+    _clear_store()
+    budget = 12 * 2**10
+    monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
+    # each cell brings a grid, two weight vectors and two alarm laws
+    for n in range(1, 10):
         sc = g.validate(g.ChannelModel(p_c=0.9, p_w=0.1), g.builtin_topology("custom", (0.8, 0.4), counts=(n, 2)))
         mp = solve_mp_test(sc, 0.1, weights=(2.0, 1.0))
         operating_characteristics(mp, sc)
         operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
-        assert sum(_stored()) <= 5 * CHARGE
-    for cache in (score_dist.cell_grid, score_dist.cell_ranking):
-        assert cache.cache_info().currsize == cache.cache_info().maxsize
-    assert score_dist.cell_grid.cache_info().maxsize == score_dist.GRID_CACHE_SIZE
-    assert _stored() == [CHARGE] * 5  # small arrays count 64 KiB each
+        assert score_dist._store_bytes == sum(_stored()) <= budget
+    # every entry is charged its arrays' bytes and one overhead, no floor; the last cell's entries are kept
+    assert _stored() == [_charge(value) for value, _ in score_dist._store.values()]
+    assert budget - min(_stored()) < score_dist._store_bytes
+    assert ((9, 2),) in score_dist._store and ((9, 2), (2.0, 1.0)) in score_dist._store
+
+
+def test_store_charges_what_its_entries_hold():
+    # small cells of table-sweep's size: the charge covers what tracemalloc sees kept, with no 64 KiB floor
+    rng = random.Random("store-charge")
+    keys = []
+    for counts in {tuple(rng.randint(1, 5) for _ in range(rng.randint(2, 4))) for _ in range(120)}:
+        law = g.ClassAlarmLaw(counts, tuple(rng.uniform(0.05, 0.95) for _ in counts))
+        keys.append((law, tuple(rng.uniform(0.5, 3.0) for _ in counts)))
+    _clear_store()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for law, weights in keys:
+            score_dist.ranked_masses(law, weights)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(_stored()) == 3 * len(keys)
+    assert held <= score_dist._store_bytes < 1.5 * held
 
 
 def test_store_keeps_within_its_budget_by_bytes(monkeypatch):
-    _clear_caches()
-    monkeypatch.setattr(score_dist, "_RANKED_BYTES", 4 * MiB)
+    _clear_store()
+    monkeypatch.setattr(score_dist, "STORE_BYTES", 8 * MiB)
     weights = (5.0, 4.0, 3.0, 2.0, 1.0)
-    # 1.1 to 1.6 MiB of masses a law: two or three of them fit
+    # 1.1 to 1.6 MiB of masses a law, as much again of ranking and 0.7 to 1.0 MiB of grid a cell
     for n in (9, 10, 11, 12, 13, 9, 10):
         for q in (0.1, 0.2):
             law = g.ClassAlarmLaw((10, 10, 10, 10, n), (0.5, 0.4, 0.3, 0.2, q))
             ranked, positive = score_dist.ranked_masses(law, weights)
             assert positive and ranked.nbytes == 8 * 11**4 * (n + 1)
-            assert sum(_stored()) <= 4 * MiB
-            assert score_dist._ranked[law.counts, law.alarm_probs, weights][0] is ranked
+            assert score_dist._store_bytes == sum(_stored()) <= 8 * MiB
+            assert score_dist._store[law.counts, law.alarm_probs, weights][0][0] is ranked
 
 
 def test_entry_larger_than_the_budget_is_returned_not_kept(monkeypatch):
-    _clear_caches()
-    monkeypatch.setattr(score_dist, "_RANKED_BYTES", MiB)
+    _clear_store()
+    monkeypatch.setattr(score_dist, "STORE_BYTES", MiB)
     computed = _count_masses(monkeypatch)
     small, large = g.ClassAlarmLaw((2, 2), (0.3, 0.6)), g.ClassAlarmLaw((7,) * 6, (0.3,) * 6)
     score_dist.ranked_masses(small, (2.0, 1.0))
+    kept = list(score_dist._store)
     weights = (6.0, 5.0, 4.0, 3.0, 2.0, 1.0)
     for _ in range(2):
         ranked, _ = score_dist.ranked_masses(large, weights)
@@ -163,12 +217,13 @@ def test_entry_larger_than_the_budget_is_returned_not_kept(monkeypatch):
         order = score_dist.cell_ranking(large.counts, weights)[0]
         assert ranked.tobytes() == score_dist.cell_masses(large)[order].tobytes()
     assert computed.count(large) == 2 + 2  # both calls compute, and so do the two checks
-    assert _stored() == [CHARGE]  # the small law stays
+    assert list(score_dist._store) == kept  # the large cell's grid, ranking and masses are not kept; the rest stays
+    assert score_dist._store_bytes == sum(_stored())
 
 
 def test_second_rotation_computes_nothing_afresh(monkeypatch):
     # four cells, each with an event and a normal law under exact and integer weights: 16 keys
-    _clear_caches()
+    _clear_store()
     cells = [g.validate(g.ChannelModel(p_c=0.9, p_w=0.1),
                         g.builtin_topology("custom", (0.8, 0.5, 0.3), counts=(n, 3, 3))) for n in (3, 4, 5, 6)]
     computed = _count_masses(monkeypatch)
@@ -178,15 +233,84 @@ def test_second_rotation_computes_nothing_afresh(monkeypatch):
                 operating_characteristics(solve_mp_test(sc, 0.1, weights=weights), sc)
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         assert len(computed) == 16
-    assert len(_stored()) == 16
+    assert len(_stored()) == 4 + 8 + 16  # grids, rankings and ranked masses
+
+
+def test_second_rotation_rebuilds_no_ranking(monkeypatch):
+    # table-sweep's pattern: more (cell, weights) keys than the 8 rankings an entry-count bound kept
+    _clear_store()
+    cells = [g.validate(g.ChannelModel(p_c=0.9, p_w=0.1), g.builtin_topology("custom", (0.8, 0.5, 0.3), counts=counts))
+             for counts in ((2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 2), (3, 2, 3))]
+    built = _count_builds(monkeypatch)
+    for rotation in range(2):
+        for sc in cells:
+            for weights in (None, _int_weights(sc.derived().weights)):
+                operating_characteristics(solve_mp_test(sc, 0.1, weights=weights), sc)
+                operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
+        if rotation == 0:
+            first = {kind: len(keys) for kind, keys in built.items()}
+    assert first == {"grid": 6, "ranking": 12, "masses": 24}
+    assert {kind: len(keys) for kind, keys in built.items()} == first
+
+
+def _cap_cell(classes, approx_weights) -> str:
+    """A scenario on one cell of (count, p_detect) classes at the cap of count tuples, in whose rankings every
+    score, under the exact weights or ``approx_weights``, is its own atom."""
+    alarm = [round(0.87 * p + 0.13 * (1 - p), 2) - 0.01 for _, p in classes]  # paper-approx designs read a third law
+    return (
+        "schema: 1\nchannel: {p_c: 0.87, p_w: 0.13}\n"
+        f"topology: {{kind: custom, classes: [{', '.join(f'{{count: {n}, p_detect: {p}}}' for n, p in classes)}]}}\n"
+        "prior: {p_e: [0.1, 0.5]}\nloss_ratio: [5, 20]\nsizes: [0.1, 0.05, 0.01]\nweight_mode: exact\n"
+        f"approx: {{weights: {list(approx_weights)}, alarm_probs: {alarm}}}\n"
+        "simulation: {n_trials: 100, master_seed: 7}\n"
+    )
+
+
+CAP_CELLS = {
+    # four classes of 31 sensors (2**20 count tuples, a 4 MiB grid): the roadmap's cap cell
+    "4x31": ([(31, p) for p in (0.93, 0.71, 0.52, 0.37)], [32768, 1024, 32, 1]),
+    # 510 sensors and 11 single ones (2**20 - 2**11 count tuples): a uint16 grid of 24 MiB, the widest under the cap
+    "510+11x1": ([(510, 0.05)] + [(1, round(0.97 - 0.085 * i, 3)) for i in range(11)],
+                 [1] + [512 << i for i in range(11)]),
+}
+CAP_COMMANDS = ["mp --weight-mode exact", "mp --weight-mode paper-approx", "bayes",
+                "simulate --weight-mode exact", "simulate --weight-mode paper-approx"]
+
+
+# simulate refuses the cell of 521 sensors: it caps the draws per trial
+@pytest.mark.parametrize("cell, command", [(cell, command) for cell in CAP_CELLS for command in CAP_COMMANDS
+                                           if cell == "4x31" or not command.startswith("simulate")])
+def test_cap_cell_command_builds_no_entry_twice(monkeypatch, tmp_path, cell, command):
+    path = tmp_path / "cap.yaml"
+    path.write_text(_cap_cell(*CAP_CELLS[cell]))
+    _clear_store()
+    built = _count_builds(monkeypatch)
+    result = CliRunner().invoke(main, [*command.split(), "--scenario", str(path)])
+    assert result.exit_code == 0, result.output
+    assert len(built["grid"]) == 1 and built["ranking"] and built["masses"]
+    assert _twice(built) == {"grid": [], "ranking": [], "masses": []}
+    assert score_dist._store_bytes <= score_dist.STORE_BYTES
+
+
+def test_cap_cells_keep_the_store_within_its_budget(tmp_path):
+    _clear_store()
+    for i, p_detect in enumerate([(0.93, 0.71, 0.52, 0.37), (0.91, 0.73, 0.55, 0.33), (0.89, 0.69, 0.47, 0.29)]):
+        path = tmp_path / f"cap{i}.yaml"
+        path.write_text(_cap_cell([(31, p) for p in p_detect], [32768, 1024, 32, 1]))
+        result = CliRunner().invoke(main, ["mp", "--scenario", str(path)])
+        assert result.exit_code == 0, result.output
+        assert score_dist._store_bytes == sum(_stored()) <= score_dist.STORE_BYTES
+        assert score_dist._store_bytes > 40 * MiB  # the grid, the ranking and two laws' masses of this cell
 
 
 def test_store_is_safe_across_threads(monkeypatch):
-    _clear_caches()
-    monkeypatch.setattr(score_dist, "_RANKED_BYTES", 3 * CHARGE)
+    _clear_store()
     laws = [g.ClassAlarmLaw((4, 3, n), (0.5, 0.3, 0.1)) for n in range(1, 9)]
-    want = {law: score_dist.cell_masses(law)[score_dist.cell_ranking(law.counts, (3.0, 2.0, 1.0))[0]].tobytes()
+    weights = (3.0, 2.0, 1.0)
+    want = {law: score_dist.cell_masses(law)[score_dist.cell_ranking(law.counts, weights)[0]].tobytes()
             for law in laws}
+    budget = 3 * max(_stored())  # a few entries at a time: every thread evicts what another reads
+    monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
     errors = []
 
     def work(seed):
@@ -194,13 +318,13 @@ def test_store_is_safe_across_threads(monkeypatch):
         try:
             for _ in range(2000):
                 law = rng.choice(laws)
-                if score_dist.ranked_masses(law, (3.0, 2.0, 1.0))[0].tobytes() != want[law]:
+                if score_dist.ranked_masses(law, weights)[0].tobytes() != want[law]:
                     errors.append(law)
-        except RuntimeError as exc:  # the store changed size while another thread iterated over it
+        except Exception as exc:  # reported by the assertion below, not lost in the thread
             errors.append(exc)
 
-    # more threads than cores, switching often: unguarded, one thread's eviction would iterate over the store
-    # while another inserts into it
+    # more threads than cores, switching often: unguarded, two threads would insert one key and count it twice,
+    # or one would evict while another inserts
     threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -212,16 +336,17 @@ def test_store_is_safe_across_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
-    assert sum(_stored()) == 3 * CHARGE
+    assert score_dist._store_bytes == sum(_stored()) <= budget
+    assert _stored() == [_charge(value) for value, _ in score_dist._store.values()]
 
 
 def test_cached_arrays_are_read_only(monkeypatch):
-    _clear_caches()
+    _clear_store()
     computed = _count_masses(monkeypatch)
     sc = _wide_cell()
     operating_characteristics(solve_mp_test(sc, 0.05), sc)
     # the event law for the walk and the size, the normal law for the power: each computed once
-    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 2
+    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 1 + 1 + 2
     grid = score_dist.cell_grid(sc.topology.counts)
     assert grid.dtype == np.uint8 and grid.shape == (7**6, 6)
     ranking = score_dist.cell_ranking(sc.topology.counts, sc.derived().weights)
@@ -232,7 +357,7 @@ def test_cached_arrays_are_read_only(monkeypatch):
     for law in (sc.derived().event_law, sc.derived().normal_law):
         ranked, positive = score_dist.ranked_masses(law, sc.derived().weights)
         assert positive and ranked.tobytes() == score_dist.cell_masses(law)[ranking[0]].tobytes()
-        cached.append(ranked)
+        cached += [ranked, positive]
     for limbs in _streams._jumps(25):
         cached.extend(limbs)
     for a in cached:

@@ -14,7 +14,11 @@ Records, for the working tree as it is:
   all of its tables equal the committed ones in out/;
 - each workload's end-to-end metrics from ``bench/run.py --trace 0`` at
   seed 1 and the benchmark's own run length (BENCHMARK.json), so that
-  every record compares with the last.
+  every record compares with the last;
+- the cap cell's row: ``mp``, ``bayes`` and ``dist --format csv`` on a 4x31
+  cell (2**20 count tuples, the exact analysis' cap) whose exact scores are
+  all distinct, each the median wall time and median peak RSS
+  (``os.wait4``) of 7 fresh processes.
 
 Every timed process runs this interpreter (``sys.executable``), never a
 ``python`` found on PATH, which may be a wrapper script that adds its own
@@ -29,6 +33,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -38,6 +43,18 @@ from pathlib import Path
 from pairs import ROOT, run
 
 SEED = 1
+CAP_RUNS = 7
+CAP_CELL = """schema: 1
+channel: {p_c: 0.87, p_w: 0.13}
+topology:
+  kind: custom
+  classes: [{count: 31, p_detect: 0.93}, {count: 31, p_detect: 0.71}, {count: 31, p_detect: 0.52},
+            {count: 31, p_detect: 0.37}]
+prior: {p_e: [0.1, 0.2, 0.3, 0.4, 0.5]}
+loss_ratio: [5, 20]
+sizes: [0.1, 0.05, 0.025, 0.01]
+"""
+CAP_COMMANDS = {"mp": ["mp"], "bayes": ["bayes"], "dist --format csv": ["dist", "--format", "csv"]}
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
 
 
@@ -90,6 +107,32 @@ def reproduce() -> dict:
     return {"wall_s": round(wall, 3), "exit": proc.returncode, "tables": len(shipped), "differ_from_out": differ}
 
 
+def wall_and_peak(cmd: list[str]) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MB) of one fresh process, its output discarded."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=ROOT, env=ENV, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def cap_cell() -> dict:
+    with tempfile.TemporaryDirectory(prefix="record-") as tmp:
+        path = Path(tmp) / "cap_cell.yaml"
+        path.write_text(CAP_CELL)
+        row = {}
+        for name, args in CAP_COMMANDS.items():
+            cmd = [sys.executable, "-m", "griddetect.cli", *args, "--scenario", str(path)]
+            walls, peaks = zip(*(wall_and_peak(cmd) for _ in range(CAP_RUNS)))
+            row[name] = {"runs": CAP_RUNS, "wall_s": round(statistics.median(walls), 3),
+                         "peak_rss_mb": round(statistics.median(peaks), 1)}
+            print(f"cap cell {name}: {row[name]}", flush=True)
+    return {"scenario": CAP_CELL, "commands": row}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number in the file name BENCH_<pr>.json")
@@ -103,6 +146,7 @@ def main(argv=None) -> int:
         "environment": environment(),
         "tier1": tier1(),
         "reproduce": reproduce(),
+        "cap_cell": cap_cell(),
         "benchmark": {"seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {}},
     }
     for workload in (w["name"] for w in bench["workloads"]):
