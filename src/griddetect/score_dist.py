@@ -15,14 +15,17 @@ the grid rows in score order and each atom's first row. The count tuples
 in that order and ``ScoreAtom`` objects are built on request.
 
 One thread-safe least-recently-used store of ``STORE_BYTES`` keeps read-only
-arrays of three kinds, each charged its bytes plus a fixed overhead: a cell's
+arrays of four kinds, each charged its bytes plus a fixed overhead: a cell's
 count tuples (:func:`cell_grid`), in the smallest unsigned dtype that holds the
 largest count (so also ``ScoreDistribution.tuples``); its ranking under a weight
 vector (:func:`cell_ranking`): the int32 stable score order, the scores in that
 order, each atom's first rank and value, and the int32 index and first and end
-ranks of each atom of more than one row; and a law's masses in that order
+ranks of each atom of more than one row; a law's masses in that order
 (:func:`ranked_masses`), which score laws, most-powerful walks and error rates
-slice. No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
+slice; and a rule set's verdict table (``decision_tests._RuleForms.table``):
+each count tuple's reject probability and coin offset per rule, in grid order,
+keyed on the rules' form arrays as bytes, which the simulator reads per trial.
+No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,

@@ -16,13 +16,18 @@ Draw-order contract within one trial (fixed; changing it changes results):
    boundary coin of a randomized decision.
 
 ``simulate_trial`` is the reference: it replays one trial with its own
-Generator. ``run_trials`` computes the same streams in blocks of trial
-indices with numpy (``_streams``), reads the world from them in the order
-above with the same comparisons, gets every rule's reject probability for
-every count tuple of the block in one pass of the same threshold-rule core
-that ``mp_decide`` and ``bayes_decide`` use, and compares it with the
-uniform the contract assigns to that test's boundary coin. Its counts equal
-a trial-by-trial run's. ``forced_worlds`` reads worlds the same way for
+Generator. ``run_sweep`` computes the same streams in blocks of trial
+indices with numpy (``_streams``), once per block for all the (prior, rules)
+runs of a sweep (``simulate``'s priors), and counts every run from a block
+before it draws the next; ``run_trials`` is a sweep of one run. A run reads
+the world in the order above with the same comparisons, takes every rule's
+reject probability from the threshold-rule core that ``mp_decide`` and
+``bayes_decide`` use, and compares it with the uniform the contract assigns
+to that test's boundary coin. A cell of at most as many count tuples as a
+block has trials looks each trial's probabilities and coin positions up in
+its rules' verdict table (one row per count tuple, kept in ``score_dist``'s
+store); a wider cell scores trial by trial. The counts equal a
+trial-by-trial run's. ``forced_worlds`` reads worlds the same way for
 trials whose truth is forced (calibration logs), from their first uniform.
 """
 
@@ -45,7 +50,7 @@ from .decision_tests import (
     bayes_decide,
     mp_decide,
 )
-from .model import DomainError, Prior, ValidatedScenario, _check_master_seed
+from .model import DomainError, Prior, Topology, ValidatedScenario, _check_master_seed
 
 __all__ = [
     "GENERATOR_NAME",
@@ -60,6 +65,7 @@ __all__ = [
     "draw_world",
     "simulate_trial",
     "forced_worlds",
+    "run_sweep",
     "run_trials",
 ]
 
@@ -287,40 +293,71 @@ def forced_worlds(
 
 
 def _count_block(
-    scenario: ValidatedScenario,
-    prior: Prior,
-    forms: _RuleForms,
-    master_seed: int,
-    indices: np.ndarray,
+    scenario: ValidatedScenario, prior: Prior, verdicts, u: np.ndarray
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Counts over one block of trial indices: event trials, and per sensor alarms and per
-    rule event declarations, summed over all trials and over event trials.
+    """Counts over one block of trials from their (trials, draws) uniforms: event trials, and per sensor alarms and
+    per rule event declarations, summed over all trials and over event trials.
 
     Reads each trial's stream in the module draw order; the comparisons
     are the ones draw_world and mp_decide make on the same doubles.
+    ``verdicts`` maps the block's (sensors, trials) alarm bits to every
+    rule's reject probability and coin offset per trial (_RuleForms.verdicts).
     """
-    topology = scenario.topology
-    n = topology.total_count
-    u = _streams.uniforms(master_seed, indices, 1 + 2 * n + len(forms.lo))
+    n = scenario.topology.total_count
     event = u[:, 0] < prior.event_prob
     _, alarm = _world(scenario, u.T, 1, event)
-    counts = np.add.reduceat(alarm, np.cumsum(topology.counts) - topology.counts, axis=0)
-
-    p = forms.reject_probs(counts.T)
-    randomized = (0.0 < p) & (p < 1.0)
+    p, coin = verdicts(alarm)
     # a test's coin follows the world draws and the coins of earlier tests;
     # where p is 0 or 1 the draw read is any uniform and decides nothing
-    coin = np.cumsum(randomized, axis=1)
-    coin -= randomized
-    coin += np.where(event, 1 + 2 * n, 1 + n)[:, None]
-    declared = np.take_along_axis(u, coin, axis=1) >= p
+    coin = coin + np.where(event, 1 + 2 * n, 1 + n)[:, None]
+    declared = u.T.take(coin * len(u) + np.arange(len(u))[:, None]) >= p  # u[row, coin] of each row
 
     features = np.concatenate([alarm, declared.T])
-    return (
-        np.count_nonzero(event),
-        np.add.reduce(features, axis=1),
-        np.add.reduce(features, axis=1, where=event),
-    )
+    return int(np.count_nonzero(event)), np.add.reduce(features, axis=1), np.add.reduce(features & event, axis=1)
+
+
+def _verdicts(topology: Topology, forms: _RuleForms, rows: int):
+    """The reject probabilities and coin offsets of a block's trials from their alarm bits: looked up by count
+    tuple in the rules' stored table when the cell has at most ``rows`` tuples, else scored trial by trial."""
+    dims = [c + 1 for c in topology.counts]
+    if math.prod(dims) > rows:  # Python ints: a cell of 64 one-sensor classes has 2**64 tuples
+        starts = np.cumsum(topology.counts) - topology.counts
+        return lambda alarm: forms.verdicts(np.add.reduceat(alarm, starts, axis=0).T)
+    p, offsets = forms.table(topology.counts)
+    # a tuple's row in the grid: sum x_i * prod(dims[i + 1:]), one stride per sensor of class i
+    strides = np.repeat([math.prod(dims[i + 1 :]) for i in range(len(dims))], topology.counts)
+
+    def lookup(alarm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        index = strides @ alarm
+        return p[index], offsets[index]
+    return lookup
+
+
+def run_sweep(
+    scenario: ValidatedScenario, runs: Sequence[tuple[Prior, Sequence[TestSpec]]], n_trials: int, master_seed: int
+) -> list[SimReport]:
+    """run_trials of each (prior, tests) of ``runs`` on the same trials, whose uniforms are computed once per
+    block: every run counts a block before the next is drawn. The reports equal run_trials'."""
+    if int(n_trials) != n_trials or n_trials < 1:
+        raise DomainError(f"n_trials must be a positive integer, got {n_trials}")
+    n_trials = int(n_trials)
+    master_seed = _check_master_seed(master_seed)
+    topology = scenario.topology
+    n_sensors = topology.total_count
+    # a trial's first draws do not depend on how many follow: the block holds the most any run reads
+    n_draws = 1 + 2 * n_sensors + max((len(tests) for _, tests in runs), default=0)
+    _check_draws(n_sensors, n_draws, "simulation", "1 + 2 * sensors + tests")
+    rows = _block_rows(n_draws)
+    verdicts = [_verdicts(topology, _RuleForms.of([test for _, test in tests], len(topology.counts)),
+                          min(n_trials, rows)) for _, tests in runs]
+
+    totals = [(0, 0, 0)] * len(runs)
+    for start in range(0, n_trials, rows):
+        indices = np.arange(start, min(start + rows, n_trials), dtype=np.uint64)
+        u = _streams.uniforms(master_seed, indices, n_draws)  # overwritten by the next block's
+        for r, ((prior, _), verdict) in enumerate(zip(runs, verdicts)):
+            totals[r] = tuple(a + b for a, b in zip(totals[r], _count_block(scenario, prior, verdict, u)))
+    return [_report(topology, tests, n_trials, master_seed, *total) for (_, tests), total in zip(runs, totals)]
 
 
 def run_trials(
@@ -339,61 +376,28 @@ def run_trials(
     trial-by-trial run. A cell whose trials take more than MAX_TRIAL_DRAWS
     uniforms each is refused.
     """
-    if int(n_trials) != n_trials or n_trials < 1:
-        raise DomainError(f"n_trials must be a positive integer, got {n_trials}")
-    n_trials = int(n_trials)
-    master_seed = _check_master_seed(master_seed)
-    topology = scenario.topology
-    n_sensors = topology.total_count
-    n_draws = 1 + 2 * n_sensors + len(tests)
-    _check_draws(n_sensors, n_draws, "simulation", "1 + 2 * sensors + tests")
-    forms = _RuleForms.of([test for _, test in tests], len(topology.counts))
+    return run_sweep(scenario, [(prior, tests)], n_trials, master_seed)[0]
 
-    rows = _block_rows(n_draws)
-    n_event, alarms, event_alarms = 0, 0, 0
-    for start in range(0, n_trials, rows):
-        indices = np.arange(start, min(start + rows, n_trials), dtype=np.uint64)
-        part = _count_block(scenario, prior, forms, master_seed, indices)
-        n_event += part[0]
-        alarms = alarms + part[1]
-        event_alarms = event_alarms + part[2]
-    # per sensor then per test: alarms and event declarations over all
-    # trials and over event trials
+
+def _report(topology: Topology, tests: Sequence[TestSpec], n_trials: int, master_seed: int, n_event: int,
+            alarms: np.ndarray, event_alarms: np.ndarray) -> SimReport:
+    """A run's report from its counts, all Python ints: per sensor then per test, alarms and event declarations
+    over all trials and over event trials."""
     alarms, event_alarms = alarms.tolist(), event_alarms.tolist()
     n_normal = n_trials - n_event
-
-    class_stats = []
-    first = 0
-    for cls in topology.classes:
-        class_stats.append(
-            ClassSimStats(
-                label=cls.label,
-                count=cls.count,
-                n_event_silent=cls.count * n_event - sum(event_alarms[first : first + cls.count]),
-                n_event_records=n_event * cls.count,
-                n_first_silent_event=n_event - event_alarms[first],
-                n_first_silent=n_trials - alarms[first],
-                n_first_alarm_normal=alarms[first] - event_alarms[first],
-                n_first_alarm=alarms[first],
-            )
-        )
-        first += cls.count
+    firsts = [sum(topology.counts[:i]) for i in range(len(topology.counts))]  # each class's first sensor
+    class_stats = tuple(
+        ClassSimStats(label=cls.label, count=cls.count,
+                      n_event_silent=cls.count * n_event - sum(event_alarms[f : f + cls.count]),
+                      n_event_records=n_event * cls.count, n_first_silent_event=n_event - event_alarms[f],
+                      n_first_silent=n_trials - alarms[f], n_first_alarm_normal=alarms[f] - event_alarms[f],
+                      n_first_alarm=alarms[f])
+        for cls, f in zip(topology.classes, firsts)
+    )
     test_stats = tuple(
-        TestSimStats(
-            name=name,
-            n_accept_event=event_alarms[n_sensors + ti],
-            n_event=n_event,
-            n_reject_normal=n_normal - (alarms[n_sensors + ti] - event_alarms[n_sensors + ti]),
-            n_normal=n_normal,
-        )
-        for ti, (name, _) in enumerate(tests)
+        TestSimStats(name=name, n_accept_event=event_alarms[ti], n_event=n_event,
+                     n_reject_normal=n_normal - (alarms[ti] - event_alarms[ti]), n_normal=n_normal)
+        for ti, (name, _) in enumerate(tests, start=topology.total_count)
     )
-    return SimReport(
-        n_trials=n_trials,
-        master_seed=master_seed,
-        generator=GENERATOR_NAME,
-        n_event=n_event,
-        n_normal=n_normal,
-        class_stats=tuple(class_stats),
-        test_stats=test_stats,
-    )
+    return SimReport(n_trials=n_trials, master_seed=master_seed, generator=GENERATOR_NAME, n_event=n_event,
+                     n_normal=n_normal, class_stats=class_stats, test_stats=test_stats)

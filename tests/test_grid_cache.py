@@ -12,6 +12,8 @@ twice, and that nothing can write to what the store holds.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 import sys
 import threading
@@ -47,10 +49,10 @@ def _count_masses(monkeypatch) -> list:
 
 
 def _count_builds(monkeypatch) -> dict[str, list]:
-    """The keys of the grids, rankings and ranked masses stored from here on, one entry per build, in a store
-    that starts empty."""
-    built = {"grid": [], "ranking": [], "masses": []}
-    kinds = dict(enumerate(built.values(), start=1))  # the number of arguments tells the kinds apart
+    """The keys of the grids, rankings, ranked masses and verdict tables stored from here on, one entry per build,
+    in a store that starts empty."""
+    built = {"grid": [], "ranking": [], "masses": [], "table": []}
+    kinds = dict(zip((1, 2, 3, 5), built.values()))  # the number of arguments tells the kinds apart
 
     class Counting(OrderedDict):
         def __setitem__(self, key, value):
@@ -249,8 +251,25 @@ def test_second_rotation_rebuilds_no_ranking(monkeypatch):
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         if rotation == 0:
             first = {kind: len(keys) for kind, keys in built.items()}
-    assert first == {"grid": 6, "ranking": 12, "masses": 24}
+    assert first == {"grid": 6, "ranking": 12, "masses": 24, "table": 0}
     assert {kind: len(keys) for kind, keys in built.items()} == first
+
+
+def test_second_run_builds_no_verdict_table(monkeypatch):
+    sc = g.validate(g.ChannelModel(p_c=0.9, p_w=0.1), g.builtin_topology("interior_square", (0.9, 0.5, 0.3)))
+    prior = g.Prior(0.3)
+    bayes = bayes_test(sc, prior, g.LossRatio(5.0))
+    # a threshold of -inf gives the form a nan bound, which equals nothing, not even itself
+    never = dataclasses.replace(bayes, threshold=-math.inf, applicable=False, normalized_weights=None)
+    tests = [("bayes", bayes), ("mp", solve_mp_test(sc, 0.05)), ("never", never)]
+    _clear_store()
+    built = _count_builds(monkeypatch)
+    reports = [g.run_trials(sc, prior, tests, 250, seed) for seed in (1, 2)]
+    assert len(built["table"]) == 1 and built["table"][0][0] == sc.topology.counts
+    assert reports[0] != reports[1] and reports[1].test_stats[2].n_reject_normal == 0
+    table = score_dist._store[built["table"][0]][0]
+    assert [a.shape for a in table] == [(50, 3), (50, 3)] and not any(a.flags.writeable for a in table)
+    assert score_dist._store_bytes == sum(_stored()) and _stored()[-1] == _charge(table)
 
 
 def _cap_cell(classes, approx_weights) -> str:
@@ -288,7 +307,8 @@ def test_cap_cell_command_builds_no_entry_twice(monkeypatch, tmp_path, cell, com
     result = CliRunner().invoke(main, [*command.split(), "--scenario", str(path)])
     assert result.exit_code == 0, result.output
     assert len(built["grid"]) == 1 and built["ranking"] and built["masses"]
-    assert _twice(built) == {"grid": [], "ranking": [], "masses": []}
+    assert built["table"] == []  # 2**20 count tuples: simulate scores each trial
+    assert _twice(built) == {"grid": [], "ranking": [], "masses": [], "table": []}
     assert score_dist._store_bytes <= score_dist.STORE_BYTES
 
 

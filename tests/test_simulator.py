@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -11,8 +13,10 @@ import numpy as np
 import pytest
 
 import griddetect as g
-from griddetect import DomainError, Truth, _streams
-from griddetect.simulator import GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, trial_rng
+from griddetect import DomainError, Truth, _streams, decision_tests
+from griddetect.decision_tests import _RuleForms
+from griddetect.score_dist import cell_grid
+from griddetect.simulator import GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, _verdicts, run_sweep, trial_rng
 
 from cases import GOOD_APPROX, degenerate_scenario, good_scenario, weak_scenario
 
@@ -277,6 +281,83 @@ class TestRunTrials:
             g.run_trials(sc, g.Prior(0.1), [], 10, -1)
         with pytest.raises(DomainError):
             g.run_trials(sc, g.Prior(0.1), [], 10, 2**64)
+
+
+def _count_tables(monkeypatch) -> list:
+    """The cells whose verdict tables are looked up from here on, one entry per lookup, kept or built."""
+    looked_up, table = [], decision_tests._verdict_table
+    monkeypatch.setattr(decision_tests, "_verdict_table", lambda counts, *form: looked_up.append(counts)
+                        or table(counts, *form))
+    return looked_up
+
+
+class TestSweep:
+    """One stream pass per block for every prior of a sweep, and verdicts read from a table per rule set."""
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_sweep_equals_separate_runs(self, case):
+        sc, _, tests = REPLAY_CASES[case]()
+        mp_tests = [(name, test) for name, test in tests if isinstance(test, g.MPTest)]
+        # three priors, each with its own Bayes rule, and a run with no rules
+        runs = [(prior, [("bayes l=5", g.bayes_test(sc, prior, g.LossRatio(5)))] + mp_tests)
+                for prior in map(g.Prior, (0.1, 0.3, 0.5))] + [(g.Prior(0.2), [])]
+        n = 4097  # more than one block of these trials
+        assert _block_rows(1 + 2 * sc.topology.total_count + len(runs[0][1])) < n
+        reports = run_sweep(sc, runs, n, 31)
+        assert reports == [g.run_trials(sc, prior, tests, n, 31) for prior, tests in runs]
+        assert len({r.n_event for r in reports}) == len(runs)  # each prior draws its own truths
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_table_equals_per_trial_scoring(self, case, monkeypatch):
+        sc, prior, tests = REPLAY_CASES[case]()
+        counts = sc.topology.counts
+        n_tuples = math.prod(c + 1 for c in counts)
+        forms = _RuleForms.of([test for _, test in tests], len(counts))
+        grid = cell_grid(counts)
+        # the alarm bits of every count tuple: the first x_i sensors of class i alarm
+        alarm = np.concatenate([np.arange(c)[:, None] < grid[:, i] for i, c in enumerate(counts)])
+        table = _verdicts(sc.topology, forms, n_tuples)(alarm)
+        scored = _verdicts(sc.topology, forms, n_tuples - 1)(alarm)
+        assert all(np.array_equal(a, b) for a, b in zip(table, scored))
+        p = table[0]
+        assert np.array_equal(p, forms.reject_probs(grid))
+        assert ((0.0 < p) & (p < 1.0)).any(), case  # a randomized boundary (0 < k < 1)
+        # runs at the bound (tuples = n_trials) read the table; one trial fewer scores trial by trial
+        looked_up = _count_tables(monkeypatch)
+        for n in (n_tuples, n_tuples - 1):
+            assert _report_counts(g.run_trials(sc, prior, tests, n, 9)) == _replay_counts(sc, prior, tests, n, 9)[0]
+        assert looked_up == [counts]
+
+    def test_table_with_a_rule_that_never_rejects_and_with_no_rules(self):
+        sc, prior, tests = _weak_replay_case()
+        assert not tests[1][1].applicable
+        n_tuples = math.prod(c + 1 for c in sc.topology.counts)
+        for rules in (tests, []):
+            for n in (n_tuples, n_tuples - 1):
+                report = g.run_trials(sc, prior, rules, n, 4)
+                assert _report_counts(report) == _replay_counts(sc, prior, rules, n, 4)[0]
+        assert g.run_trials(sc, prior, tests, n_tuples, 4).test_stats[1].n_reject_normal == 0
+
+    def test_wide_cell_scores_trial_by_trial(self, monkeypatch):
+        # 64 one-sensor classes have 2**64 count tuples: a table is out of reach, and numpy's product overflows
+        probs = [0.95 - 0.01 * i for i in range(64)]
+        sc = g.validate(g.ChannelModel(0.9, 0.1), g.builtin_topology("custom", probs, counts=[1] * 64))
+        prior = g.Prior(0.5)
+        looked_up = _count_tables(monkeypatch)
+        tests = [("bayes l=1", g.bayes_test(sc, prior, g.LossRatio(1)))]
+        assert _report_counts(g.run_trials(sc, prior, tests, 300, 5)) == _replay_counts(sc, prior, tests, 300, 5)[0]
+        assert looked_up == []
+
+    @pytest.mark.parametrize("n", [40, 100])  # scored trial by trial, and read from the table
+    def test_counts_are_python_ints(self, n):
+        sc = good_scenario()
+        prior = g.Prior(0.3)
+        for report in (g.run_trials(sc, prior, [], n, 1), g.run_trials(sc, prior, standard_tests(sc, prior), n, 1)):
+            for record in (report, *report.class_stats, *report.test_stats):
+                for field in dataclasses.fields(record):
+                    if field.type == "int":
+                        assert type(getattr(record, field.name)) is int, (type(record).__name__, field.name)
+            assert json.loads(json.dumps(dataclasses.asdict(report)))["n_event"] == report.n_event
 
 
 class TestWorkspace:

@@ -15,10 +15,13 @@ Records, for the working tree as it is:
 - each workload's end-to-end metrics from ``bench/run.py --trace 0`` at
   seed 1 and the benchmark's own run length (BENCHMARK.json), so that
   every record compares with the last;
+- ``simulate --format csv`` on both shipped scenarios (100,000 trials over
+  five priors), each the median wall time and median peak RSS
+  (``os.wait4``) of 7 fresh processes;
 - the cap cell's row: ``mp``, ``bayes`` and ``dist --format csv`` on a 4x31
   cell (2**20 count tuples, the exact analysis' cap) whose exact scores are
-  all distinct, each the median wall time and median peak RSS
-  (``os.wait4``) of 7 fresh processes.
+  all distinct, each the median of 7 fresh processes, and its ``simulate
+  --format csv`` (100,000 trials), the median of 3 because it takes seconds.
 
 Every timed process runs this interpreter (``sys.executable``), never a
 ``python`` found on PATH, which may be a wrapper script that adds its own
@@ -43,7 +46,6 @@ from pathlib import Path
 from pairs import ROOT, run
 
 SEED = 1
-CAP_RUNS = 7
 CAP_CELL = """schema: 1
 channel: {p_c: 0.87, p_w: 0.13}
 topology:
@@ -54,7 +56,11 @@ prior: {p_e: [0.1, 0.2, 0.3, 0.4, 0.5]}
 loss_ratio: [5, 20]
 sizes: [0.1, 0.05, 0.025, 0.01]
 """
-CAP_COMMANDS = {"mp": ["mp"], "bayes": ["bayes"], "dist --format csv": ["dist", "--format", "csv"]}
+SIMULATE = ["simulate", "--format", "csv"]
+# each command's arguments and how many processes its median is taken over
+CAP_COMMANDS = {"mp": (["mp"], 7), "bayes": (["bayes"], 7), "dist --format csv": (["dist", "--format", "csv"], 7),
+                "simulate --format csv": (SIMULATE, 3)}
+SHIPPED = {net: ROOT / "scenarios" / f"{net}_network.yaml" for net in ("good", "weak")}
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
 
 
@@ -119,18 +125,23 @@ def wall_and_peak(cmd: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024  # KiB on Linux
 
 
+def command_times(label: str, path: Path, commands: dict[str, tuple[list[str], int]]) -> dict:
+    """Each command on the scenario file ``path``: its median wall time and median peak RSS over its runs."""
+    row = {}
+    for name, (args, runs) in commands.items():
+        cmd = [sys.executable, "-m", "griddetect.cli", *args, "--scenario", str(path)]
+        walls, peaks = zip(*(wall_and_peak(cmd) for _ in range(runs)))
+        row[name] = {"runs": runs, "wall_s": round(statistics.median(walls), 3),
+                     "peak_rss_mb": round(statistics.median(peaks), 1)}
+        print(f"{label} {name}: {row[name]}", flush=True)
+    return row
+
+
 def cap_cell() -> dict:
     with tempfile.TemporaryDirectory(prefix="record-") as tmp:
         path = Path(tmp) / "cap_cell.yaml"
         path.write_text(CAP_CELL)
-        row = {}
-        for name, args in CAP_COMMANDS.items():
-            cmd = [sys.executable, "-m", "griddetect.cli", *args, "--scenario", str(path)]
-            walls, peaks = zip(*(wall_and_peak(cmd) for _ in range(CAP_RUNS)))
-            row[name] = {"runs": CAP_RUNS, "wall_s": round(statistics.median(walls), 3),
-                         "peak_rss_mb": round(statistics.median(peaks), 1)}
-            print(f"cap cell {name}: {row[name]}", flush=True)
-    return {"scenario": CAP_CELL, "commands": row}
+        return {"scenario": CAP_CELL, "commands": command_times("cap cell", path, CAP_COMMANDS)}
 
 
 def main(argv=None) -> int:
@@ -146,6 +157,8 @@ def main(argv=None) -> int:
         "environment": environment(),
         "tier1": tier1(),
         "reproduce": reproduce(),
+        "shipped": {net: command_times(net, path, {"simulate --format csv": (SIMULATE, 7)})
+                    for net, path in SHIPPED.items()},
         "cap_cell": cap_cell(),
         "benchmark": {"seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {}},
     }
