@@ -49,7 +49,7 @@ pairs:
 	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --base $(BASE)
 
 # BENCH_<PR>.json: the tier-1 and `make reproduce` wall times, `simulate`'s times and
-# peak RSS on both shipped scenarios, the cap cell's command times and peak RSS, and each
+# peak RSS on both shipped scenarios, the cap cell's and a 6x6 cell's command times and peak RSS, and each
 # workload's end-to-end metrics (seed 1) for the working tree: make record PR=<n>
 record:
 	$(PYTHON) tools/record.py --pr $(PR)

@@ -13,8 +13,8 @@ Those tuples form a prefix of the cell's stable score order, so an exact
 error rate sums a prefix of the law's masses in that order (``ranked_masses``),
 the boundary rows' times k, under the event law (type I error) or the normal
 law (power). Only the most-powerful rule builds a score law: the event law it
-walks to t, summed only through the threshold of its largest size. Its power
-is summed once, when solved, and reused under an equal normal law.
+walks to t, on atom masses summed once, cut past its largest size's threshold.
+Its power is summed once, when solved, and reused under an equal normal law.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is

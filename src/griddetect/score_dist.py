@@ -9,23 +9,25 @@ each tuple's probability under a law (:func:`cell_masses`). Its score
 the simulator all compare. :func:`cell_ranking` sorts a cell's tuples by
 score once per weight vector and merges near-equal scores into atoms;
 :func:`score_distribution` reads a law's masses in that order and adds
-them up per atom (:func:`score_law_prefix` only as far as a most-powerful
-walk reads). A score law is held as arrays: atom values and masses,
-the grid rows in score order and each atom's first row. The count tuples
-in that order and ``ScoreAtom`` objects are built on request.
+them up per atom (:func:`score_law_prefix` cuts their running sum where a
+most-powerful walk stops). A score law is held as arrays: atom values and
+masses, the grid rows in score order and each atom's first row. The count
+tuples in that order and ``ScoreAtom`` objects are built on request.
 
 One thread-safe least-recently-used store of ``STORE_BYTES`` keeps read-only
-arrays of four kinds, each charged its bytes plus a fixed overhead: a cell's
+arrays of five kinds, each charged its bytes plus a fixed overhead: a cell's
 count tuples (:func:`cell_grid`), in the smallest unsigned dtype that holds the
 largest count (so also ``ScoreDistribution.tuples``); its ranking under a weight
 vector (:func:`cell_ranking`): the int32 stable score order, the scores in that
 order, each atom's first rank and value, and the int32 index and first and end
 ranks of each atom of more than one row; a law's masses in that order
-(:func:`ranked_masses`), which score laws, most-powerful walks and error rates
-slice; and a rule set's verdict table (``decision_tests._RuleForms.table``):
-each count tuple's reject probability and coin offset per rule, in grid order,
-keyed on the rules' form arrays as bytes, which the simulator reads per trial.
-No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
+(:func:`ranked_masses`), which error rates slice and which are the atom masses
+where every atom is one row, else (no mass being 0) ``_atom_masses``; and a
+rule set's verdict table (``decision_tests._RuleForms.table``): each count
+tuple's reject probability and coin offset per rule, in grid order, keyed on
+the rules' form arrays as bytes, which the simulator reads per trial. A key's
+number of arguments tells its kind, 1 to 5 in that order (a new kind needs its
+own). No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
@@ -311,36 +313,34 @@ def _atom_sums(ranked: np.ndarray, spans: np.ndarray) -> list[float]:
             for a, b in spans.tolist()]
 
 
+@_in_store
+def _atom_masses(counts, alarm_probs, weights, kind) -> np.ndarray:
+    """A positive law's mass per atom, summed once; ``kind`` is "atoms", a fourth argument for a kind of its own."""
+    ranking, ranked = cell_ranking(counts, weights), _ranked_masses(counts, alarm_probs, weights)[0]
+    return _assemble(ranking, ranked, cell_grid(counts)).probs
+
+
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
     _check_weights(weights, law.counts)
-    return _assemble(cell_ranking(law.counts, weights), ranked_masses(law, weights)[0], cell_grid(law.counts))
+    ranking, grid = cell_ranking(law.counts, weights), cell_grid(law.counts)
+    ranked, positive = ranked_masses(law, weights)
+    if not positive:  # merged afresh on each call, not kept
+        return _assemble(ranking, ranked, grid)
+    order, _, starts, values, multi, _ = ranking
+    probs = _atom_masses(law.counts, law.alarm_probs, weights, "atoms") if len(multi) else ranked
+    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
 
 
 def score_law_prefix(weights: Iterable[float], law: ClassAlarmLaw, size: float) -> tuple[np.ndarray, ...]:
     """score_distribution's atom values and masses and their np.cumsum through the first atom whose running sum
-    passes ``size``, prefixes of the whole law's arrays bit for bit: a law of positive masses is summed over 4**k
-    times 4,096 one-row atoms, or to one atom past where rounded atom sums pass ``size``; else the whole law."""
-    weights = tuple(float(w) for w in weights)
-    _check_weights(weights, law.counts)
-    _, _, starts, values, multi, spans = ranking = cell_ranking(law.counts, weights)
-    ranked, positive = ranked_masses(law, weights)
-    if positive and not len(multi):
-        n = 4096
-        while (cum := np.cumsum(ranked[:n]))[-1] <= size and n < len(ranked):
-            n *= 4
-        return values[:n], ranked[:n], cum
-    if positive:
-        n = int(np.cumsum(np.add.reduceat(ranked, starts)).searchsorted(size, "right")) + 2  # atoms kept
-        probs = ranked[starts[:n]]
-        m = int(multi.searchsorted(n))
-        probs[multi[:m]] = _atom_sums(ranked, spans[:m])
-        cum = np.cumsum(probs)
-        if n >= len(starts) or cum[-1] > size:
-            return values[:n], probs, cum
-    dist = _assemble(ranking, ranked, cell_grid(law.counts))
-    return dist.values, dist.probs, np.cumsum(dist.probs)
+    passes ``size``: prefixes of 4**k times 4,096 atoms of the whole law's arrays, bit for bit."""
+    dist = score_distribution(weights, law)
+    n = 4096
+    while (cum := np.cumsum(dist.probs[:n]))[-1] <= size and n < len(dist.probs):
+        n *= 4
+    return dist.values[:n], dist.probs[:n], cum
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:

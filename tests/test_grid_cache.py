@@ -1,9 +1,10 @@
-"""The stored grids, rankings and ranked masses: results do not depend on what the store holds.
+"""The stored grids, rankings and masses: results do not depend on what the store holds.
 
 Every exact error rate and score law reads the grid of its cell from
 ``score_dist.cell_grid``, its ranking from ``score_dist.cell_ranking`` and
-its law's masses in that ranking from ``score_dist.ranked_masses``, all
-three kept in one store bounded by bytes. These tests pin the designs of a
+its law's masses in that ranking from ``score_dist.ranked_masses``; a score
+law with atoms of several rows also reads its mass per atom, summed once. All
+are kept in one store bounded by bytes. These tests pin the designs of a
 wide cell, check that a cold store gives the same results as a warm one,
 that the store charges what its entries hold and stays within its budget,
 that a rotation of cells, and each command on a cap cell, builds nothing
@@ -49,10 +50,10 @@ def _count_masses(monkeypatch) -> list:
 
 
 def _count_builds(monkeypatch) -> dict[str, list]:
-    """The keys of the grids, rankings, ranked masses and verdict tables stored from here on, one entry per build,
-    in a store that starts empty."""
-    built = {"grid": [], "ranking": [], "masses": [], "table": []}
-    kinds = dict(zip((1, 2, 3, 5), built.values()))  # the number of arguments tells the kinds apart
+    """The keys of the grids, rankings, ranked masses, per-atom masses and verdict tables stored from here on, one
+    entry per build, in a store that starts empty."""
+    built = {"grid": [], "ranking": [], "masses": [], "atoms": [], "table": []}
+    kinds = dict(zip((1, 2, 3, 4, 5), built.values()))  # the number of arguments tells the kinds apart
 
     class Counting(OrderedDict):
         def __setitem__(self, key, value):
@@ -235,7 +236,8 @@ def test_second_rotation_computes_nothing_afresh(monkeypatch):
                 operating_characteristics(solve_mp_test(sc, 0.1, weights=weights), sc)
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         assert len(computed) == 16
-    assert len(_stored()) == 4 + 8 + 16  # grids, rankings and ranked masses
+    # grids, rankings, ranked masses, and the per-atom masses of each event law walked under integer weights
+    assert len(_stored()) == 4 + 8 + 16 + 4
 
 
 def test_second_rotation_rebuilds_no_ranking(monkeypatch):
@@ -251,8 +253,24 @@ def test_second_rotation_rebuilds_no_ranking(monkeypatch):
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         if rotation == 0:
             first = {kind: len(keys) for kind, keys in built.items()}
-    assert first == {"grid": 6, "ranking": 12, "masses": 24, "table": 0}
+    assert first == {"grid": 6, "ranking": 12, "masses": 24, "atoms": 6, "table": 0}
     assert {kind: len(keys) for kind, keys in built.items()} == first
+
+
+def test_warm_integer_weight_walk_sums_no_atom(monkeypatch):
+    sc = _wide_cell()
+    int_w = _int_weights(sc.derived().weights)
+    _clear_store()
+    built = _count_builds(monkeypatch)
+    first = solve_mp_test(sc, 0.05, weights=int_w)
+    assert [key[:3] for key in built["atoms"]] == [(sc.topology.counts, sc.derived().event_law.alarm_probs, int_w)]
+    sums, atom_sums = [], score_dist._atom_sums
+    monkeypatch.setattr(score_dist, "_atom_sums", lambda *a: sums.append(a) or atom_sums(*a))
+    second = solve_mp_test(sc, 0.01, weights=int_w)
+    assert sums == [] and len(built["atoms"]) == 1  # the second walk reads the stored per-atom masses
+    assert repr(first) == WIDE_CELL_PINNED[2] and second.exact_size == pytest.approx(0.01, abs=1e-12)
+    probs, nbytes = score_dist._store[built["atoms"][0]]
+    assert not probs.flags.writeable and nbytes == _charge(probs)
 
 
 def test_second_run_builds_no_verdict_table(monkeypatch):
@@ -307,8 +325,9 @@ def test_cap_cell_command_builds_no_entry_twice(monkeypatch, tmp_path, cell, com
     result = CliRunner().invoke(main, [*command.split(), "--scenario", str(path)])
     assert result.exit_code == 0, result.output
     assert len(built["grid"]) == 1 and built["ranking"] and built["masses"]
+    assert built["atoms"] == []  # every atom is one row: the walk reads the ranked masses
     assert built["table"] == []  # 2**20 count tuples: simulate scores each trial
-    assert _twice(built) == {"grid": [], "ranking": [], "masses": [], "table": []}
+    assert _twice(built) == {"grid": [], "ranking": [], "masses": [], "atoms": [], "table": []}
     assert score_dist._store_bytes <= score_dist.STORE_BYTES
 
 
@@ -329,6 +348,12 @@ def test_store_is_safe_across_threads(monkeypatch):
     weights = (3.0, 2.0, 1.0)
     want = {law: score_dist.cell_masses(law)[score_dist.cell_ranking(law.counts, weights)[0]].tobytes()
             for law in laws}
+    # integer-weight designs, whose walks read per-atom masses, solved first in sequence
+    channel = g.ChannelModel(p_c=0.9, p_w=0.1)
+    cells = [g.validate(channel, g.builtin_topology("custom", (0.8, 0.5, 0.3), counts=law.counts)) for law in laws]
+    designs = [(sc, size) for sc in cells for size in (0.01, 0.05, 0.2)]
+    want_mp = {design: repr(solve_mp_test(design[0], design[1], weights=weights)) for design in designs}
+    assert any(key[3:] == ("atoms",) for key in score_dist._store)
     budget = 3 * max(_stored())  # a few entries at a time: every thread evicts what another reads
     monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
     errors = []
@@ -337,6 +362,11 @@ def test_store_is_safe_across_threads(monkeypatch):
         rng = random.Random(seed)
         try:
             for _ in range(2000):
+                if rng.random() < 0.25:
+                    sc, size = design = rng.choice(designs)
+                    if repr(solve_mp_test(sc, size, weights=weights)) != want_mp[design]:
+                        errors.append(design)
+                    continue
                 law = rng.choice(laws)
                 if score_dist.ranked_masses(law, weights)[0].tobytes() != want[law]:
                     errors.append(law)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import griddetect as g
-from griddetect import DomainError
+from griddetect import DomainError, score_dist
 from griddetect.score_dist import (
     MAX_COUNT_TUPLES,
     VECTOR_SUM_MIN_LENGTH,
@@ -19,6 +20,7 @@ from griddetect.score_dist import (
     cell_ranking,
     count_tuples,
     exact_sum,
+    score_law_prefix,
     tuple_scores,
 )
 
@@ -233,6 +235,38 @@ class TestZeroMassFallback:
         for a in ranking:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
+
+
+class TestScoreLawPrefix:
+    """The most-powerful walk reads prefixes of score_distribution's arrays bit for bit, whatever the store holds."""
+
+    LAWS = {
+        # 16,807 atoms of one row each
+        "one-row": ((3.1271571777319735, 2.562923014316304, 2.045071142849928, 1.6505516110456546, 1.1592369104845446),
+                    g.ClassAlarmLaw((6,) * 5, (0.8, 0.6, 0.5, 0.4, 0.3))),
+        # 7,741 atoms, 5,477 of them of several rows: the walk cuts inside the stored per-atom masses
+        "integer": ((1000.0, 300.0, 70.0, 11.0, 3.0), g.ClassAlarmLaw((6,) * 5, (0.8, 0.6, 0.5, 0.4, 0.3))),
+        "zero-mass": (TestZeroMassFallback.WEIGHTS, TestZeroMassFallback.LAW),
+    }
+
+    @pytest.mark.parametrize("case", LAWS)
+    def test_prefixes_of_the_whole_law(self, monkeypatch, case):
+        weights, law = self.LAWS[case]
+        multi = cell_ranking(law.counts, weights)[4]
+        assert (len(multi) > 0) == (case != "one-row")
+        lengths = set()
+        for size in (1e-6, 0.05, 0.5, 1.0):
+            monkeypatch.setattr(score_dist, "_store", OrderedDict())  # cold: the walk builds what it reads
+            monkeypatch.setattr(score_dist, "_store_bytes", 0)
+            cold, warm = (score_law_prefix(weights, law, size) for _ in range(2))
+            dist = g.score_distribution(weights, law)
+            whole = (dist.values, dist.probs, np.cumsum(dist.probs))
+            n = len(cold[0])
+            assert cold[2][-1] > size or n == len(dist.values)
+            for got in (cold, warm):
+                assert [a.tobytes() for a in got] == [a[:n].tobytes() for a in whole]
+            lengths.add(n)
+        assert len(lengths) > 1 or case == "zero-mass"  # a cut short of the whole law, then the whole law
 
 
 class TestBruteForceOracle:

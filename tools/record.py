@@ -21,7 +21,11 @@ Records, for the working tree as it is:
 - the cap cell's row: ``mp``, ``bayes`` and ``dist --format csv`` on a 4x31
   cell (2**20 count tuples, the exact analysis' cap) whose exact scores are
   all distinct, each the median of 7 fresh processes, and its ``simulate
-  --format csv`` (100,000 trials), the median of 3 because it takes seconds.
+  --format csv`` (100,000 trials), the median of 3 because it takes seconds;
+- a 6x6 cell's row (six classes of six sensors, 117,649 count tuples):
+  ``mp`` and ``dist --format csv`` under its integer weights
+  (``--weight-mode paper-approx``), whose ties merge count tuples into
+  atoms of many rows, each the median of 7 fresh processes.
 
 Every timed process runs this interpreter (``sys.executable``), never a
 ``python`` found on PATH, which may be a wrapper script that adds its own
@@ -56,10 +60,25 @@ prior: {p_e: [0.1, 0.2, 0.3, 0.4, 0.5]}
 loss_ratio: [5, 20]
 sizes: [0.1, 0.05, 0.025, 0.01]
 """
+# six classes of six sensors with integer weights: the designs WIDE_CELL_PINNED pins in tests/test_grid_cache.py
+WIDE_CELL = """schema: 1
+channel: {p_c: 0.85, p_w: 0.15}
+topology:
+  kind: custom
+  classes: [{count: 6, p_detect: 0.93}, {count: 6, p_detect: 0.78}, {count: 6, p_detect: 0.61},
+            {count: 6, p_detect: 0.47}, {count: 6, p_detect: 0.3}, {count: 6, p_detect: 0.12}]
+prior: {p_e: [0.2]}
+loss_ratio: [10]
+sizes: [0.05]
+approx: {weights: [17, 14, 11, 9, 6, 3]}
+"""
 SIMULATE = ["simulate", "--format", "csv"]
 # each command's arguments and how many processes its median is taken over
 CAP_COMMANDS = {"mp": (["mp"], 7), "bayes": (["bayes"], 7), "dist --format csv": (["dist", "--format", "csv"], 7),
                 "simulate --format csv": (SIMULATE, 3)}
+APPROX = ["--weight-mode", "paper-approx"]
+WIDE_COMMANDS = {"mp --weight-mode paper-approx": (["mp", *APPROX], 7),
+                 "dist --weight-mode paper-approx --format csv": (["dist", *APPROX, "--format", "csv"], 7)}
 SHIPPED = {net: ROOT / "scenarios" / f"{net}_network.yaml" for net in ("good", "weak")}
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
 
@@ -137,11 +156,12 @@ def command_times(label: str, path: Path, commands: dict[str, tuple[list[str], i
     return row
 
 
-def cap_cell() -> dict:
+def cell_row(label: str, scenario: str, commands: dict[str, tuple[list[str], int]]) -> dict:
+    """command_times on a scenario file written from ``scenario``, with that text."""
     with tempfile.TemporaryDirectory(prefix="record-") as tmp:
-        path = Path(tmp) / "cap_cell.yaml"
-        path.write_text(CAP_CELL)
-        return {"scenario": CAP_CELL, "commands": command_times("cap cell", path, CAP_COMMANDS)}
+        path = Path(tmp) / "cell.yaml"
+        path.write_text(scenario)
+        return {"scenario": scenario, "commands": command_times(label, path, commands)}
 
 
 def main(argv=None) -> int:
@@ -159,7 +179,8 @@ def main(argv=None) -> int:
         "reproduce": reproduce(),
         "shipped": {net: command_times(net, path, {"simulate --format csv": (SIMULATE, 7)})
                     for net, path in SHIPPED.items()},
-        "cap_cell": cap_cell(),
+        "cap_cell": cell_row("cap cell", CAP_CELL, CAP_COMMANDS),
+        "wide_cell": cell_row("6x6 cell", WIDE_CELL, WIDE_COMMANDS),
         "benchmark": {"seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {}},
     }
     for workload in (w["name"] for w in bench["workloads"]):
