@@ -48,7 +48,7 @@ BASE ?= HEAD
 pairs:
 	$(PYTHON) tools/pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED) --base $(BASE)
 
-# BENCH_<PR>.json: the tier-1 and `make reproduce` wall times, `simulate`'s times and
+# BENCH_<PR>.json: the tier-1 and `make reproduce` wall times, `simulate`, `mp` and `bayes` times and
 # peak RSS on both shipped scenarios, the cap cell's and a 6x6 cell's command times and peak RSS, and each
 # workload's end-to-end metrics (seed 1) for the working tree: make record PR=<n>
 record:

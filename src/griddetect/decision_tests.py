@@ -10,10 +10,11 @@ only the all-silent observation, with the MP rule's k, or with k = 1 for
 an applicable Bayes rule and k = 0 otherwise. That (weights, t, k) form
 gives each count tuple a reject probability, which decides observations.
 Those tuples form a prefix of the cell's stable score order, so an exact
-error rate sums a prefix of the law's masses in that order (``ranked_masses``),
-the boundary rows' times k, under the event law (type I error) or the normal
-law (power). Only the most-powerful rule builds a score law: the event law it
-walks to t, on atom masses summed once, cut past its largest size's threshold.
+error rate sums a prefix of the law's masses in that order, the boundary rows'
+times k, under the event law (type I error) or the normal law (power): the
+stored exact sum of the prefix's last checkpoint and the fewer than 512 masses
+after it (``ranked_sum``). Only the most-powerful rule builds a score law: the
+event law it walks to t, on atom masses and their running sum, each summed once.
 Its power is summed once, when solved, and reused under an equal normal law.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
@@ -33,7 +34,7 @@ import numpy as np
 
 from .model import ClassAlarmLaw, DomainError, LossRatio, Prior, ValidatedScenario
 from .score_dist import (
-    _in_store, atom_tolerance, cell_grid, cell_ranking, exact_sum, ranked_masses, score_law_prefix, tuple_scores,
+    _in_store, atom_tolerance, cell_grid, cell_ranking, ranked_sum, score_law_walk, tuple_scores,
 )
 from .score_dist import score_distribution  # not called here; the benchmark traces decision_tests.score_distribution
 
@@ -184,7 +185,7 @@ def _walk_to_threshold(values: np.ndarray, probs: np.ndarray, cum: np.ndarray, s
     probability absorbs whatever part of the size the strict region does
     not reach, so P(X < v) + boundary_prob * P(X = v) equals the size.
     """
-    i = min(int(np.searchsorted(cum, size, side="right")), len(cum) - 1)
+    i = min(int(cum.searchsorted(size, "right")), len(cum) - 1)
     below, prob = (float(cum[i - 1]) if i else 0.0), float(probs[i])
     k = min(1.0, max(0.0, (size - below) / prob))
     return float(values[i]), k, below + k * prob
@@ -232,8 +233,8 @@ def solve_mp_tests(
         else:
             if h0 is None:
                 w, law = _mp_law(scenario, weights, event_alarm_probs)
-                # atoms up to the largest size, and cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it
-                h0 = score_law_prefix(w, law, max(sizes))
+                # the atoms, and cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it
+                h0 = score_law_walk(w, law)
             threshold, k, exact_size = _walk_to_threshold(*h0, size)
         power = _rejection_rates(counts, _threshold_form(w, threshold, k, degenerate), stats.normal_law)[0]
         tests.append(MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k,
@@ -323,8 +324,7 @@ def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw)
     scores = cell_ranking(counts, weights)[1]
     i = 0 if math.isnan(lo) else int(scores.searchsorted(lo, "left"))
     j = i if k == 0.0 or math.isnan(hi) else max(i, int(scores.searchsorted(hi, "right")))
-    ranked = (ranked_masses(law, weights)[0] for law in laws)  # a prefix view, and the boundary rows times k
-    return [min(1.0, exact_sum(masses[:i], masses[i:j] * k)) for masses in ranked]
+    return [min(1.0, ranked_sum(law, weights, i, j, k)) for law in laws]
 
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:

@@ -9,32 +9,42 @@ each tuple's probability under a law (:func:`cell_masses`). Its score
 the simulator all compare. :func:`cell_ranking` sorts a cell's tuples by
 score once per weight vector and merges near-equal scores into atoms;
 :func:`score_distribution` reads a law's masses in that order and adds
-them up per atom (:func:`score_law_prefix` cuts their running sum where a
-most-powerful walk stops). A score law is held as arrays: atom values and
+them up per atom (:func:`score_law_walk` adds their running sum, which a
+most-powerful walk searches). A score law is held as arrays: atom values and
 masses, the grid rows in score order and each atom's first row. The count
 tuples in that order and ``ScoreAtom`` objects are built on request.
 
 One thread-safe least-recently-used store of ``STORE_BYTES`` keeps read-only
-arrays of five kinds, each charged its bytes plus a fixed overhead: a cell's
-count tuples (:func:`cell_grid`), in the smallest unsigned dtype that holds the
-largest count (so also ``ScoreDistribution.tuples``); its ranking under a weight
-vector (:func:`cell_ranking`): the int32 stable score order, the scores in that
-order, each atom's first rank and value, and the int32 index and first and end
-ranks of each atom of more than one row; a law's masses in that order
+arrays of seven kinds, each keyed by its builder's name and arguments and
+charged its bytes plus a fixed overhead: a cell's count tuples
+(:func:`cell_grid`), in the smallest unsigned dtype that holds the largest
+count (so also ``ScoreDistribution.tuples``); its ranking under a weight vector
+(:func:`cell_ranking`): the int32 stable score order, the scores in that order,
+each atom's first rank and value, and the int32 index and first and end ranks
+of each atom of more than one row; a law's masses in that order
 (:func:`ranked_masses`), which error rates slice and which are the atom masses
-where every atom is one row, else (no mass being 0) ``_atom_masses``; and a
-rule set's verdict table (``decision_tests._RuleForms.table``): each count
-tuple's reject probability and coin offset per rule, in grid order, keyed on
-the rules' form arrays as bytes, which the simulator reads per trial. A key's
-number of arguments tells its kind, 1 to 5 in that order (a new kind needs its
-own). No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
+where every atom is one row, else (no mass being 0) ``_atom_masses``; the
+running sum of a positive law's atom masses (``_running_sum``); a law's
+checkpoint limbs (``_prefix_limbs``), from which :func:`ranked_sum` adds any
+prefix of its ranked masses reading fewer than ``VECTOR_SUM_MIN_LENGTH`` of
+them; and a rule set's verdict table (``decision_tests._RuleForms.table``):
+each count tuple's reject probability and coin offset per rule, in grid order,
+keyed on the rules' form arrays as bytes, which the simulator reads per trial.
+No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
 Ogita and Oishi 2008): a term m * 2**e splits into a float32 head of m and
 an exact tail m - head, up to 2**25 heads or tails of one e add without
 rounding (53 bits at most), ``np.ldexp`` scales each of those sums exactly
-(to a multiple of 2**-1074), and one fsum rounds their total.
+(to a multiple of 2**-1074), and one fsum rounds their total. So any exact
+split of the terms gives the same bits: ``_checkpoint_limbs`` keeps one
+every ``VECTOR_SUM_MIN_LENGTH`` ranks. A law's masses are integers below 2**85
+times 2**(low - 53), low the exponent of the least positive one; each falls
+into three 32-bit limbs at fixed positions, a column of at most 2**20 limbs
+sums exactly below 2**52, and its sum times its limb's power of two is a double
+(a multiple of 2**-1074, as every mass is): at most 36 a row, some 7% of the
+512 masses it stands for.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ __all__ = [
     "MERGE_REL_TOL", "BRUTE_FORCE_MAX_SENSORS", "MAX_COUNT_TUPLES", "STORE_BYTES", "MAX_BINOMIAL_COUNT",
     "VECTOR_SUM_MIN_LENGTH", "atom_tolerance", "exact_sum", "ClassAlarmLaw", "ScoreAtom", "ScoreDistribution",
     "count_tuples", "tuple_scores", "cell_grid", "cell_masses", "cell_ranking", "ranked_masses", "score_distribution",
-    "score_law_prefix", "brute_force_distribution",
+    "score_law_walk", "ranked_sum", "brute_force_distribution",
 ]
 
 # Relative tolerance under which two scores count as the same atom. Equal
@@ -181,26 +191,30 @@ def tuple_scores(weights: Sequence[float] | np.ndarray, tuples: np.ndarray) -> n
 
 
 # The least budget at which no command on a cell under the cap builds an entry twice: the widest grid (one class of
-# 510 sensors and 11 of one, 24 MiB of uint16), a ranking of distinct scores (28 MiB) and two laws' masses (16 MiB).
-STORE_BYTES = 68 * 2**20
+# 510 sensors and 11 of one, 24 MiB of uint16), a ranking of distinct scores (28 MiB), two laws' masses (16 MiB), the
+# walked law's running sum (8 MiB) and both laws' checkpoint limbs (at most 36 doubles a 512 masses, 1.1 MiB).
+STORE_BYTES = 78 * 2**20
 _ENTRY_BYTES = 1100  # what tracemalloc sees a ranking entry hold besides its arrays' data, the most of any kind
-_store: OrderedDict[tuple, tuple] = OrderedDict()  # arguments: (result, bytes charged), least recently used first
+_store: OrderedDict[tuple, tuple] = OrderedDict()  # (kind, *arguments): (result, bytes charged), least recent first
 _store_lock = threading.Lock()  # guards every insertion and eviction, and _store_bytes, their total
 _store_bytes = 0
 
 
 def _in_store(build):
-    """``build`` with its results, read-only arrays or tuples of them, kept by their arguments (whose number tells
-    the kinds apart) in the store; a result of more than ``STORE_BYTES`` is returned, not kept."""
-    def fetch(*key):
+    """``build`` with its results, read-only arrays or tuples of them, kept in the store under its name and its
+    arguments; a result of more than ``STORE_BYTES`` is returned, not kept."""
+    kind = (build.__name__,)
+
+    def fetch(*args):
         global _store_bytes
+        key = kind + args
         try:  # a hit takes no lock: the lookup and the move are each atomic under the GIL
             value = _store[key][0]
             _store.move_to_end(key)
             return value
         except KeyError:  # not kept, or evicted by another thread since the lookup
             pass
-        value = build(*key)
+        value = build(*args)
         arrays = value if isinstance(value, tuple) else (value,)
         for a in arrays:
             a.flags.writeable = False
@@ -314,8 +328,8 @@ def _atom_sums(ranked: np.ndarray, spans: np.ndarray) -> list[float]:
 
 
 @_in_store
-def _atom_masses(counts, alarm_probs, weights, kind) -> np.ndarray:
-    """A positive law's mass per atom, summed once; ``kind`` is "atoms", a fourth argument for a kind of its own."""
+def _atom_masses(counts, alarm_probs, weights) -> np.ndarray:
+    """A positive law's mass per atom, summed once."""
     ranking, ranked = cell_ranking(counts, weights), _ranked_masses(counts, alarm_probs, weights)[0]
     return _assemble(ranking, ranked, cell_grid(counts)).probs
 
@@ -329,18 +343,57 @@ def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDis
     if not positive:  # merged afresh on each call, not kept
         return _assemble(ranking, ranked, grid)
     order, _, starts, values, multi, _ = ranking
-    probs = _atom_masses(law.counts, law.alarm_probs, weights, "atoms") if len(multi) else ranked
+    probs = _atom_masses(law.counts, law.alarm_probs, weights) if len(multi) else ranked
     return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
 
 
-def score_law_prefix(weights: Iterable[float], law: ClassAlarmLaw, size: float) -> tuple[np.ndarray, ...]:
-    """score_distribution's atom values and masses and their np.cumsum through the first atom whose running sum
-    passes ``size``: prefixes of 4**k times 4,096 atoms of the whole law's arrays, bit for bit."""
+def score_law_walk(weights: Iterable[float], law: ClassAlarmLaw) -> tuple[np.ndarray, ...]:
+    """What the most-powerful walk reads: score_distribution's atom values and masses, and their np.cumsum, kept
+    once for a law of positive masses, summed afresh for one with zero masses."""
+    weights = tuple(float(w) for w in weights)
     dist = score_distribution(weights, law)
-    n = 4096
-    while (cum := np.cumsum(dist.probs[:n]))[-1] <= size and n < len(dist.probs):
-        n *= 4
-    return dist.values[:n], dist.probs[:n], cum
+    if len(dist.order) < len(dist.grid):  # tuples of zero mass are no atoms
+        return dist.values, dist.probs, np.cumsum(dist.probs)
+    return dist.values, dist.probs, _running_sum(law.counts, law.alarm_probs, weights)
+
+
+@_in_store
+def _running_sum(counts, alarm_probs, weights) -> np.ndarray:
+    return np.cumsum(score_distribution(weights, ClassAlarmLaw(counts, alarm_probs)).probs)
+
+
+def ranked_sum(law: ClassAlarmLaw, weights: tuple[float, ...], i: int, j: int = 0, k: float = 0.0) -> float:
+    """exact_sum of the first i masses of ranked_masses(law, weights), plus k times those of ranks i to j: the
+    stored limbs of the last checkpoint at or below i, and the fewer than VECTOR_SUM_MIN_LENGTH masses after it."""
+    masses, c = ranked_masses(law, weights)[0], i // VECTOR_SUM_MIN_LENGTH
+    limbs = (_prefix_limbs(law.counts, law.alarm_probs, weights)[c - 1],) if c else ()
+    return exact_sum(*limbs, masses[c * VECTOR_SUM_MIN_LENGTH:i], masses[i:j] * k)
+
+
+@_in_store
+def _prefix_limbs(counts, alarm_probs, weights) -> np.ndarray:
+    return _checkpoint_limbs(_ranked_masses(counts, alarm_probs, weights)[0])
+
+
+def _checkpoint_limbs(masses: np.ndarray) -> np.ndarray:
+    """Row c: doubles whose terms add up exactly to the first (c + 1) * VECTOR_SUM_MIN_LENGTH of ``masses``, at most
+    2**20 finite nonnegative float64s (the module docstring says why the sums are exact)."""
+    block, step = VECTOR_SUM_MIN_LENGTH, 2**14  # 32 blocks a pass: the temporaries stay small
+    low, high = np.frexp([np.min(masses, where=masses > 0.0, initial=1.0), masses.max()])[1].tolist()
+    width = (max(high, low) - low) // 32 + 3  # 32-bit limbs from 2**(low - 53) up, 3 per mass
+    rows = np.zeros((len(masses) // block, width))
+    end = len(rows) * block
+    for a in range(0, end, step):
+        x = masses[a:min(a + step, end)]
+        first = np.clip((np.frexp(x)[1] - low) // 32, 0, width - 3)  # each mass's lowest limb; a zero is 0 in all
+        t = np.ldexp(x, 53 - low - 32 * first)  # the mass in units of that limb: an integer below 2**85
+        part = rows[a // block:(a + len(x)) // block]  # these blocks' rows, a view
+        at = (first.reshape(len(part), block) + width * np.arange(len(part))[:, None]).ravel()
+        for d in range(3):  # the low 32 bits of t into limb first + d, the rest shifted down
+            rest = np.floor(t * 2.0**-32)
+            part += np.bincount(at + d, t - rest * 2.0**32, part.size).reshape(part.shape)
+            t = rest
+    return np.ldexp(np.cumsum(rows, axis=0), low - 53 + 32 * np.arange(width))
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:

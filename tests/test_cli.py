@@ -262,8 +262,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("mode", ["exact", "paper-approx"])
     def test_solves_each_mp_size_once(self, runner, monkeypatch, mode):
         calls = []
-        law = decision_tests.score_law_prefix
-        monkeypatch.setattr(decision_tests, "score_law_prefix", lambda *a: calls.append(a) or law(*a))
+        law = decision_tests.score_law_walk
+        monkeypatch.setattr(decision_tests, "score_law_walk", lambda *a: calls.append(a) or law(*a))
         result = invoke(runner, "simulate", "--scenario", GOOD, "--trials", "300", "--weight-mode", mode,
                         "--format", "csv")
         assert result.exit_code == 0

@@ -150,8 +150,8 @@ class TestSolveMPTest:
 
     def test_table_builds_one_score_law(self, monkeypatch):
         calls = []
-        law = decision_tests.score_law_prefix
-        monkeypatch.setattr(decision_tests, "score_law_prefix", lambda *a: calls.append(a) or law(*a))
+        law = decision_tests.score_law_walk
+        monkeypatch.setattr(decision_tests, "score_law_walk", lambda *a: calls.append(a) or law(*a))
         tests = decision_tests.solve_mp_tests(good_scenario(), (0.1, 0.05, 0.025, 0.01), **GOOD_APPROX)
         assert [t.requested_size for t in tests] == [0.1, 0.05, 0.025, 0.01]
         assert len(calls) == 1

@@ -3,8 +3,10 @@
 Every exact error rate and score law reads the grid of its cell from
 ``score_dist.cell_grid``, its ranking from ``score_dist.cell_ranking`` and
 its law's masses in that ranking from ``score_dist.ranked_masses``; a score
-law with atoms of several rows also reads its mass per atom, summed once. All
-are kept in one store bounded by bytes. These tests pin the designs of a
+law with atoms of several rows also reads its mass per atom, summed once, a
+most-powerful walk the running sum of its atom masses, and an error rate past
+the first checkpoint the exact limbs of the masses before it. All are kept in
+one store bounded by bytes. These tests pin the designs of a
 wide cell, check that a cold store gives the same results as a warm one,
 that the store charges what its entries hold and stays within its budget,
 that a rotation of cells, and each command on a cap cell, builds nothing
@@ -26,7 +28,7 @@ import pytest
 from click.testing import CliRunner
 
 import griddetect as g
-from griddetect import _streams, score_dist
+from griddetect import _streams, decision_tests, score_dist
 from griddetect.cli import main
 from griddetect.decision_tests import bayes_test, operating_characteristics, solve_mp_test
 
@@ -49,15 +51,18 @@ def _count_masses(monkeypatch) -> list:
     return computed
 
 
+KINDS = {"cell_grid": "grid", "cell_ranking": "ranking", "_ranked_masses": "masses", "_atom_masses": "atoms",
+         "_running_sum": "cumsum", "_prefix_limbs": "limbs", "_verdict_table": "table"}
+
+
 def _count_builds(monkeypatch) -> dict[str, list]:
-    """The keys of the grids, rankings, ranked masses, per-atom masses and verdict tables stored from here on, one
-    entry per build, in a store that starts empty."""
-    built = {"grid": [], "ranking": [], "masses": [], "atoms": [], "table": []}
-    kinds = dict(zip((1, 2, 3, 4, 5), built.values()))  # the number of arguments tells the kinds apart
+    """The keys of the grids, rankings, ranked masses, per-atom masses, running sums, checkpoint limbs and verdict
+    tables stored from here on, one entry per build, in a store that starts empty."""
+    built = {kind: [] for kind in KINDS.values()}
 
     class Counting(OrderedDict):
         def __setitem__(self, key, value):
-            kinds[len(key)].append(key)
+            built[KINDS[key[0]]].append(key)  # a key starts with its kind's name
             super().__setitem__(key, value)
 
     monkeypatch.setattr(score_dist, "_store", Counting())
@@ -155,7 +160,7 @@ def test_cold_cache_matches_warm(kind):
 def test_cache_holds_at_most_its_bound(monkeypatch):
     # stricter than the entry counts it replaces: 4 grids and 8 rankings of a 4x31 cell (4 and at least 12 MiB
     # each) and 32 MiB of ranked masses
-    assert score_dist.STORE_BYTES == 68 * MiB < 4 * 4 * MiB + 8 * 12 * MiB + 32 * MiB
+    assert score_dist.STORE_BYTES == 78 * MiB < 4 * 4 * MiB + 8 * 12 * MiB + 32 * MiB
     _clear_store()
     budget = 12 * 2**10
     monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
@@ -169,7 +174,7 @@ def test_cache_holds_at_most_its_bound(monkeypatch):
     # every entry is charged its arrays' bytes and one overhead, no floor; the last cell's entries are kept
     assert _stored() == [_charge(value) for value, _ in score_dist._store.values()]
     assert budget - min(_stored()) < score_dist._store_bytes
-    assert ((9, 2),) in score_dist._store and ((9, 2), (2.0, 1.0)) in score_dist._store
+    assert ("cell_grid", (9, 2)) in score_dist._store and ("cell_ranking", (9, 2), (2.0, 1.0)) in score_dist._store
 
 
 def test_store_charges_what_its_entries_hold():
@@ -183,12 +188,15 @@ def test_store_charges_what_its_entries_hold():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for law, weights in keys:
-            score_dist.ranked_masses(law, weights)
+        for law, weights in keys:  # masses, and the running sum and checkpoint limbs read from them
+            n = len(score_dist.ranked_masses(law, weights)[0])
+            score_dist.score_law_walk(weights, law)
+            score_dist.ranked_sum(law, weights, n)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(_stored()) == 3 * len(keys)
+    long = sum(math.prod(n + 1 for n in law.counts) >= score_dist.VECTOR_SUM_MIN_LENGTH for law, _ in keys)
+    assert 0 < long < len(keys) and len(_stored()) == 4 * len(keys) + long
     assert held <= score_dist._store_bytes < 1.5 * held
 
 
@@ -203,7 +211,7 @@ def test_store_keeps_within_its_budget_by_bytes(monkeypatch):
             ranked, positive = score_dist.ranked_masses(law, weights)
             assert positive and ranked.nbytes == 8 * 11**4 * (n + 1)
             assert score_dist._store_bytes == sum(_stored()) <= 8 * MiB
-            assert score_dist._store[law.counts, law.alarm_probs, weights][0][0] is ranked
+            assert score_dist._store["_ranked_masses", law.counts, law.alarm_probs, weights][0][0] is ranked
 
 
 def test_entry_larger_than_the_budget_is_returned_not_kept(monkeypatch):
@@ -236,8 +244,9 @@ def test_second_rotation_computes_nothing_afresh(monkeypatch):
                 operating_characteristics(solve_mp_test(sc, 0.1, weights=weights), sc)
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         assert len(computed) == 16
-    # grids, rankings, ranked masses, and the per-atom masses of each event law walked under integer weights
-    assert len(_stored()) == 4 + 8 + 16 + 4
+    # grids, rankings, ranked masses, the per-atom masses of each event law walked under integer weights, and the
+    # running sum of each walked event law; no cell of at most 112 count tuples reads a checkpoint
+    assert len(_stored()) == 4 + 8 + 16 + 4 + 8
 
 
 def test_second_rotation_rebuilds_no_ranking(monkeypatch):
@@ -253,7 +262,7 @@ def test_second_rotation_rebuilds_no_ranking(monkeypatch):
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         if rotation == 0:
             first = {kind: len(keys) for kind, keys in built.items()}
-    assert first == {"grid": 6, "ranking": 12, "masses": 24, "atoms": 6, "table": 0}
+    assert first == {"grid": 6, "ranking": 12, "masses": 24, "atoms": 6, "cumsum": 12, "limbs": 0, "table": 0}
     assert {kind: len(keys) for kind, keys in built.items()} == first
 
 
@@ -263,7 +272,7 @@ def test_warm_integer_weight_walk_sums_no_atom(monkeypatch):
     _clear_store()
     built = _count_builds(monkeypatch)
     first = solve_mp_test(sc, 0.05, weights=int_w)
-    assert [key[:3] for key in built["atoms"]] == [(sc.topology.counts, sc.derived().event_law.alarm_probs, int_w)]
+    assert [key[1:] for key in built["atoms"]] == [(sc.topology.counts, sc.derived().event_law.alarm_probs, int_w)]
     sums, atom_sums = [], score_dist._atom_sums
     monkeypatch.setattr(score_dist, "_atom_sums", lambda *a: sums.append(a) or atom_sums(*a))
     second = solve_mp_test(sc, 0.01, weights=int_w)
@@ -271,6 +280,29 @@ def test_warm_integer_weight_walk_sums_no_atom(monkeypatch):
     assert repr(first) == WIDE_CELL_PINNED[2] and second.exact_size == pytest.approx(0.01, abs=1e-12)
     probs, nbytes = score_dist._store[built["atoms"][0]]
     assert not probs.flags.writeable and nbytes == _charge(probs)
+
+
+def test_warm_rates_read_less_than_a_block_of_masses(monkeypatch):
+    sc = _wide_cell()
+    stats = sc.derived()
+    rules = [solve_mp_test(sc, 0.05), bayes_test(sc, g.Prior(0.2), g.LossRatio(10.0))]
+    for rule in rules:  # warm: every checkpoint these rates read is stored
+        operating_characteristics(rule, sc)
+    ranked = score_dist.cell_ranking(sc.topology.counts, stats.weights)[1]
+    assert min(ranked.searchsorted(rule.threshold) for rule in rules) > 30 * score_dist.VECTOR_SUM_MIN_LENGTH
+    masses = [score_dist.ranked_masses(law, stats.weights)[0] for law in (stats.event_law, stats.normal_law)]
+    read, exact_sum = [], score_dist.exact_sum
+
+    def counting(*parts):
+        read.append(sum(len(p) for p in parts if any(np.shares_memory(p, m) for m in masses)))
+        return exact_sum(*parts)
+
+    monkeypatch.setattr(score_dist, "exact_sum", counting)
+    monkeypatch.setattr(decision_tests, "exact_sum", counting, raising=False)  # where whole prefixes were summed
+    got = [repr(operating_characteristics(rule, sc)) for rule in rules]
+    assert got == [WIDE_CELL_PINNED[1], WIDE_CELL_PINNED[5]]
+    # the MP rule's type I error (its power is the solver's), the Bayes rule's two rates: each from a checkpoint on
+    assert len(read) == 3 and max(read) < score_dist.VECTOR_SUM_MIN_LENGTH
 
 
 def test_second_run_builds_no_verdict_table(monkeypatch):
@@ -283,7 +315,7 @@ def test_second_run_builds_no_verdict_table(monkeypatch):
     _clear_store()
     built = _count_builds(monkeypatch)
     reports = [g.run_trials(sc, prior, tests, 250, seed) for seed in (1, 2)]
-    assert len(built["table"]) == 1 and built["table"][0][0] == sc.topology.counts
+    assert len(built["table"]) == 1 and built["table"][0][1] == sc.topology.counts
     assert reports[0] != reports[1] and reports[1].test_stats[2].n_reject_normal == 0
     table = score_dist._store[built["table"][0]][0]
     assert [a.shape for a in table] == [(50, 3), (50, 3)] and not any(a.flags.writeable for a in table)
@@ -309,6 +341,11 @@ CAP_CELLS = {
     # 510 sensors and 11 single ones (2**20 - 2**11 count tuples): a uint16 grid of 24 MiB, the widest under the cap
     "510+11x1": ([(510, 0.05)] + [(1, round(0.97 - 0.085 * i, 3)) for i in range(11)],
                  [1] + [512 << i for i in range(11)]),
+    # the same with an event law of positive masses (alarm probability 0.5 in the wide class, listed in the order of
+    # detection probability): its walk keeps the running sum of every atom next to the grid, ranking and masses
+    "510p+11x1": ([(1, round(0.97 - 0.085 * i, 3)) for i in range(6)] + [(510, 0.5)]
+                  + [(1, round(0.97 - 0.085 * i, 3)) for i in range(6, 11)],
+                  [512 << i for i in range(6)] + [1] + [512 << i for i in range(6, 11)]),
 }
 CAP_COMMANDS = ["mp --weight-mode exact", "mp --weight-mode paper-approx", "bayes",
                 "simulate --weight-mode exact", "simulate --weight-mode paper-approx"]
@@ -324,10 +361,12 @@ def test_cap_cell_command_builds_no_entry_twice(monkeypatch, tmp_path, cell, com
     built = _count_builds(monkeypatch)
     result = CliRunner().invoke(main, [*command.split(), "--scenario", str(path)])
     assert result.exit_code == 0, result.output
-    assert len(built["grid"]) == 1 and built["ranking"] and built["masses"]
+    assert len(built["grid"]) == 1 and built["ranking"] and built["masses"] and built["limbs"]
+    # every MP design walks a running sum, kept for a law of positive masses: 0.13**510 underflows to 0
+    assert bool(built["cumsum"]) == (cell != "510+11x1" and not command.startswith("bayes"))
     assert built["atoms"] == []  # every atom is one row: the walk reads the ranked masses
     assert built["table"] == []  # 2**20 count tuples: simulate scores each trial
-    assert _twice(built) == {"grid": [], "ranking": [], "masses": [], "atoms": [], "table": []}
+    assert _twice(built) == {kind: [] for kind in KINDS.values()}
     assert score_dist._store_bytes <= score_dist.STORE_BYTES
 
 
@@ -353,7 +392,7 @@ def test_store_is_safe_across_threads(monkeypatch):
     cells = [g.validate(channel, g.builtin_topology("custom", (0.8, 0.5, 0.3), counts=law.counts)) for law in laws]
     designs = [(sc, size) for sc in cells for size in (0.01, 0.05, 0.2)]
     want_mp = {design: repr(solve_mp_test(design[0], design[1], weights=weights)) for design in designs}
-    assert any(key[3:] == ("atoms",) for key in score_dist._store)
+    assert any(key[0] == "_atom_masses" for key in score_dist._store)
     budget = 3 * max(_stored())  # a few entries at a time: every thread evicts what another reads
     monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
     errors = []
@@ -395,8 +434,9 @@ def test_cached_arrays_are_read_only(monkeypatch):
     computed = _count_masses(monkeypatch)
     sc = _wide_cell()
     operating_characteristics(solve_mp_test(sc, 0.05), sc)
-    # the event law for the walk and the size, the normal law for the power: each computed once
-    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 1 + 1 + 2
+    # the event law for the walk and the size, the normal law for the power: each computed once; the walk's running
+    # sum, and both laws' checkpoint limbs
+    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 1 + 1 + 2 + 1 + 2
     grid = score_dist.cell_grid(sc.topology.counts)
     assert grid.dtype == np.uint8 and grid.shape == (7**6, 6)
     ranking = score_dist.cell_ranking(sc.topology.counts, sc.derived().weights)
@@ -407,7 +447,10 @@ def test_cached_arrays_are_read_only(monkeypatch):
     for law in (sc.derived().event_law, sc.derived().normal_law):
         ranked, positive = score_dist.ranked_masses(law, sc.derived().weights)
         assert positive and ranked.tobytes() == score_dist.cell_masses(law)[ranking[0]].tobytes()
-        cached += [ranked, positive]
+        cached += [ranked, positive, score_dist._prefix_limbs(law.counts, law.alarm_probs, sc.derived().weights)]
+    for weights in (sc.derived().weights, _int_weights(sc.derived().weights)):  # per-atom masses under the second
+        cached += score_dist.score_law_walk(weights, sc.derived().event_law)
+    assert len(_stored()) == 7 + 1 + 1 + 1 + 1  # the integer ranking, masses, per-atom masses and running sums
     for limbs in _streams._jumps(25):
         cached.extend(limbs)
     for a in cached:

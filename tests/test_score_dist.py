@@ -20,7 +20,7 @@ from griddetect.score_dist import (
     cell_ranking,
     count_tuples,
     exact_sum,
-    score_law_prefix,
+    score_law_walk,
     tuple_scores,
 )
 
@@ -238,13 +238,14 @@ class TestZeroMassFallback:
 
 
 class TestScoreLawPrefix:
-    """The most-powerful walk reads prefixes of score_distribution's arrays bit for bit, whatever the store holds."""
+    """The most-powerful walk reads score_distribution's arrays and their running sum bit for bit, whatever the
+    store holds."""
 
     LAWS = {
         # 16,807 atoms of one row each
         "one-row": ((3.1271571777319735, 2.562923014316304, 2.045071142849928, 1.6505516110456546, 1.1592369104845446),
                     g.ClassAlarmLaw((6,) * 5, (0.8, 0.6, 0.5, 0.4, 0.3))),
-        # 7,741 atoms, 5,477 of them of several rows: the walk cuts inside the stored per-atom masses
+        # 7,741 atoms, 5,477 of them of several rows: the running sum adds the stored per-atom masses
         "integer": ((1000.0, 300.0, 70.0, 11.0, 3.0), g.ClassAlarmLaw((6,) * 5, (0.8, 0.6, 0.5, 0.4, 0.3))),
         "zero-mass": (TestZeroMassFallback.WEIGHTS, TestZeroMassFallback.LAW),
     }
@@ -254,19 +255,78 @@ class TestScoreLawPrefix:
         weights, law = self.LAWS[case]
         multi = cell_ranking(law.counts, weights)[4]
         assert (len(multi) > 0) == (case != "one-row")
-        lengths = set()
-        for size in (1e-6, 0.05, 0.5, 1.0):
-            monkeypatch.setattr(score_dist, "_store", OrderedDict())  # cold: the walk builds what it reads
-            monkeypatch.setattr(score_dist, "_store_bytes", 0)
-            cold, warm = (score_law_prefix(weights, law, size) for _ in range(2))
-            dist = g.score_distribution(weights, law)
-            whole = (dist.values, dist.probs, np.cumsum(dist.probs))
-            n = len(cold[0])
-            assert cold[2][-1] > size or n == len(dist.values)
-            for got in (cold, warm):
-                assert [a.tobytes() for a in got] == [a[:n].tobytes() for a in whole]
-            lengths.add(n)
-        assert len(lengths) > 1 or case == "zero-mass"  # a cut short of the whole law, then the whole law
+        monkeypatch.setattr(score_dist, "_store", OrderedDict())  # cold: the walk builds what it reads
+        monkeypatch.setattr(score_dist, "_store_bytes", 0)
+        cold, warm = (score_law_walk(weights, law) for _ in range(2))
+        dist = g.score_distribution(weights, law)
+        whole = (dist.values, dist.probs, np.cumsum(dist.probs))
+        for got in (cold, warm):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
+        # a positive law's running sum is summed once and kept; one with zero masses is summed afresh, not kept
+        sums = [key for key in score_dist._store if key[0] == "_running_sum"]
+        if case == "zero-mass":
+            assert sums == [] and warm[2] is not cold[2]
+        else:
+            assert sums == [("_running_sum", law.counts, law.alarm_probs, weights)] and warm[2] is cold[2]
+
+
+def _crafted(n: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    return {
+        "zeros": np.zeros(n),
+        "subnormals": rng.uniform(0.0, 2.0**-1022, n),
+        "ones": np.ones(n),
+        "mixed": rng.choice([0.0, 1.0, 2.0**-1074, 2.0**-1030, 0.1], n),
+        # 1e-300 to 1: 997 binary exponents, 34 limbs a row
+        "wide": 10.0 ** -rng.uniform(0, 300, n),
+    }[kind]
+
+
+class TestCheckpointLimbs:
+    """A prefix summed from its checkpoint's limbs and the masses after it, with and without boundary terms times k,
+    has the bits of math.fsum of the prefix."""
+
+    BLOCK = VECTOR_SUM_MIN_LENGTH
+
+    def cuts(self, n: int) -> list[int]:
+        b = self.BLOCK
+        return sorted(i for i in {0, 1, b - 1, b, b + 1, 2 * b, n} if i <= n)
+
+    @pytest.mark.parametrize("kind", ["zeros", "subnormals", "ones", "mixed", "wide"])
+    @pytest.mark.parametrize("n", [BLOCK - 1, 3 * BLOCK + 7, 2**14 + 5 * BLOCK])  # the last spans two passes
+    def test_crafted_arrays(self, kind, n):
+        a = _crafted(n, kind)
+        rows = score_dist._checkpoint_limbs(a)
+        assert rows.shape[0] == n // self.BLOCK and rows.nbytes <= a.nbytes / 4
+        for i in self.cuts(n):
+            c = i // self.BLOCK
+            limbs = (rows[c - 1],) if c else ()
+            for j, k in ((i, 0.0), (min(n, i + 300), 0.3), (n, 1.0)):
+                want = math.fsum(a[:i].tolist() + (a[i:j] * k).tolist()).hex()
+                assert exact_sum(*limbs, a[c * self.BLOCK:i], a[i:j] * k).hex() == want
+
+    def test_a_full_cell_of_one_term(self):
+        # 2**20 rows of a full mantissa: the lowest limbs sum to almost 2**52, the most a column holds
+        a = np.full(MAX_COUNT_TUPLES, 1.0 - 2.0**-53)
+        rows = score_dist._checkpoint_limbs(a)
+        assert exact_sum(rows[-1]).hex() == math.fsum(a.tolist()).hex()
+
+    @pytest.mark.parametrize("case", [*TestScoreLawPrefix.LAWS, "cap"])
+    def test_real_laws(self, case):
+        if case == "cap":  # the 4x31 cap cell's normal law under its exact weights: 2**20 masses
+            topology = g.builtin_topology("custom", (0.93, 0.71, 0.52, 0.37), counts=(31,) * 4)
+            stats = g.validate(g.ChannelModel(p_c=0.87, p_w=0.13), topology).derived()
+            law, weights = stats.normal_law, stats.weights
+        else:
+            law, weights = TestScoreLawPrefix.LAWS[case][::-1]
+        masses = score_dist.ranked_masses(law, weights)[0]
+        n = len(masses)
+        rows = score_dist._prefix_limbs(law.counts, law.alarm_probs, weights)
+        assert rows.nbytes <= masses.nbytes / 4 and not rows.flags.writeable
+        for i in self.cuts(n) + [n // 3, n - 1]:
+            for j, k in ((i, 0.0), (min(n, i + 40), 0.6)):
+                want = math.fsum(masses[:i].tolist() + (masses[i:j] * k).tolist()).hex()
+                assert score_dist.ranked_sum(law, weights, i, j, k).hex() == want
 
 
 class TestBruteForceOracle:

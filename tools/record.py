@@ -15,9 +15,9 @@ Records, for the working tree as it is:
 - each workload's end-to-end metrics from ``bench/run.py --trace 0`` at
   seed 1 and the benchmark's own run length (BENCHMARK.json), so that
   every record compares with the last;
-- ``simulate --format csv`` on both shipped scenarios (100,000 trials over
-  five priors), each the median wall time and median peak RSS
-  (``os.wait4``) of 7 fresh processes;
+- ``simulate --format csv`` (100,000 trials over five priors), ``mp`` and
+  ``bayes`` on both shipped scenarios, each the median wall time and median
+  peak RSS (``os.wait4``) of 7 fresh processes;
 - the cap cell's row: ``mp``, ``bayes`` and ``dist --format csv`` on a 4x31
   cell (2**20 count tuples, the exact analysis' cap) whose exact scores are
   all distinct, each the median of 7 fresh processes, and its ``simulate
@@ -25,7 +25,8 @@ Records, for the working tree as it is:
 - a 6x6 cell's row (six classes of six sensors, 117,649 count tuples):
   ``mp`` and ``dist --format csv`` under its integer weights
   (``--weight-mode paper-approx``), whose ties merge count tuples into
-  atoms of many rows, each the median of 7 fresh processes.
+  atoms of many rows, and ``bayes``, whose error rates sum prefixes of
+  117,649 masses, each the median of 7 fresh processes.
 
 Every timed process runs this interpreter (``sys.executable``), never a
 ``python`` found on PATH, which may be a wrapper script that adds its own
@@ -78,7 +79,9 @@ CAP_COMMANDS = {"mp": (["mp"], 7), "bayes": (["bayes"], 7), "dist --format csv":
                 "simulate --format csv": (SIMULATE, 3)}
 APPROX = ["--weight-mode", "paper-approx"]
 WIDE_COMMANDS = {"mp --weight-mode paper-approx": (["mp", *APPROX], 7),
-                 "dist --weight-mode paper-approx --format csv": (["dist", *APPROX, "--format", "csv"], 7)}
+                 "dist --weight-mode paper-approx --format csv": (["dist", *APPROX, "--format", "csv"], 7),
+                 "bayes": (["bayes"], 7)}
+SHIPPED_COMMANDS = {"simulate --format csv": (SIMULATE, 7), "mp": (["mp"], 7), "bayes": (["bayes"], 7)}
 SHIPPED = {net: ROOT / "scenarios" / f"{net}_network.yaml" for net in ("good", "weak")}
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
 
@@ -177,8 +180,7 @@ def main(argv=None) -> int:
         "environment": environment(),
         "tier1": tier1(),
         "reproduce": reproduce(),
-        "shipped": {net: command_times(net, path, {"simulate --format csv": (SIMULATE, 7)})
-                    for net, path in SHIPPED.items()},
+        "shipped": {net: command_times(net, path, SHIPPED_COMMANDS) for net, path in SHIPPED.items()},
         "cap_cell": cell_row("cap cell", CAP_CELL, CAP_COMMANDS),
         "wide_cell": cell_row("6x6 cell", WIDE_CELL, WIDE_COMMANDS),
         "benchmark": {"seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {}},
