@@ -22,6 +22,10 @@ Schema (version 1)::
       alarm_probs: [0.8, 0.5, 0.35]  # optional; defaults to the exact values
     simulation: {n_trials: 100000, master_seed: 1}   # optional
 
+The ``approx`` lists give one value per class in validated order, by
+descending ``p_detect`` (``model.validate``), not in the order a custom
+topology lists its classes.
+
 Files are read with PyYAML's libyaml-backed ``CSafeLoader`` when PyYAML
 was built with libyaml, and with the pure-Python ``SafeLoader`` when it
 was not. Only the scanner, parser and composer differ: the resolver and

@@ -26,10 +26,10 @@ of each atom of more than one row; a law's masses in that order
 where every atom is one row, else (no mass being 0) ``_atom_masses``; the
 running sum of a positive law's atom masses (``_running_sum``); a law's
 checkpoint limbs (``_prefix_limbs``), from which :func:`ranked_sum` adds any
-prefix of its ranked masses reading fewer than ``VECTOR_SUM_MIN_LENGTH`` of
-them; and a rule set's verdict table (``decision_tests._RuleForms.table``):
-each count tuple's reject probability and coin offset per rule, in grid order,
-keyed on the rules' form arrays as bytes, which the simulator reads per trial.
+prefix of its ranked masses reading fewer than one stride of them; and a rule
+set's verdict table (``decision_tests._RuleForms.table``): each count tuple's
+reject probability and coin offset per rule, in grid order, keyed on the rules'
+form arrays as bytes, which the simulator reads per trial.
 No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
@@ -39,12 +39,14 @@ an exact tail m - head, up to 2**25 heads or tails of one e add without
 rounding (53 bits at most), ``np.ldexp`` scales each of those sums exactly
 (to a multiple of 2**-1074), and one fsum rounds their total. So any exact
 split of the terms gives the same bits: ``_checkpoint_limbs`` keeps one
-every ``VECTOR_SUM_MIN_LENGTH`` ranks. A law's masses are integers below 2**85
-times 2**(low - 53), low the exponent of the least positive one; each falls
-into three 32-bit limbs at fixed positions, a column of at most 2**20 limbs
-sums exactly below 2**52, and its sum times its limb's power of two is a double
-(a multiple of 2**-1074, as every mass is): at most 36 a row, some 7% of the
-512 masses it stands for.
+every stride ranks. A law's masses are integers below 2**85 times
+2**(low - 53), low the exponent of the least positive one; each falls into
+three 32-bit limbs at fixed positions, a column of at most 2**20 limbs sums
+exactly below 2**52, and its sum times its limb's power of two is a double (a
+multiple of 2**-1074, as every mass is). A row is width = (high - low) // 32 + 3
+limbs, high the exponent of the largest mass, at most 36; a law's stride is the
+least power of two of at least 4 * width ranks, 16 to 256, so its rows take at
+most a quarter of its masses' bytes.
 """
 
 from __future__ import annotations
@@ -192,8 +194,8 @@ def tuple_scores(weights: Sequence[float] | np.ndarray, tuples: np.ndarray) -> n
 
 # The least budget at which no command on a cell under the cap builds an entry twice: the widest grid (one class of
 # 510 sensors and 11 of one, 24 MiB of uint16), a ranking of distinct scores (28 MiB), two laws' masses (16 MiB), the
-# walked law's running sum (8 MiB) and both laws' checkpoint limbs (at most 36 doubles a 512 masses, 1.1 MiB).
-STORE_BYTES = 78 * 2**20
+# walked law's running sum (8 MiB) and both laws' checkpoint limbs (2.7 MiB, at most a quarter of their masses).
+STORE_BYTES = 79 * 2**20
 _ENTRY_BYTES = 1100  # what tracemalloc sees a ranking entry hold besides its arrays' data, the most of any kind
 _store: OrderedDict[tuple, tuple] = OrderedDict()  # (kind, *arguments): (result, bytes charged), least recent first
 _store_lock = threading.Lock()  # guards every insertion and eviction, and _store_bytes, their total
@@ -364,10 +366,12 @@ def _running_sum(counts, alarm_probs, weights) -> np.ndarray:
 
 def ranked_sum(law: ClassAlarmLaw, weights: tuple[float, ...], i: int, j: int = 0, k: float = 0.0) -> float:
     """exact_sum of the first i masses of ranked_masses(law, weights), plus k times those of ranks i to j: the
-    stored limbs of the last checkpoint at or below i, and the fewer than VECTOR_SUM_MIN_LENGTH masses after it."""
-    masses, c = ranked_masses(law, weights)[0], i // VECTOR_SUM_MIN_LENGTH
-    limbs = (_prefix_limbs(law.counts, law.alarm_probs, weights)[c - 1],) if c else ()
-    return exact_sum(*limbs, masses[c * VECTOR_SUM_MIN_LENGTH:i], masses[i:j] * k)
+    stored limbs of the last checkpoint at or below i, and the fewer than one stride of masses after it."""
+    key = law.counts, law.alarm_probs, weights
+    masses, rows = _ranked_masses(*key)[0], _prefix_limbs(*key)
+    c, tail = divmod(i, _stride(rows.shape[1]))
+    parts = (masses[i - tail:i], masses[i:j] * k) if j > i else (masses[i - tail:i],)
+    return exact_sum(rows[c - 1], *parts) if c else exact_sum(*parts)
 
 
 @_in_store
@@ -375,25 +379,33 @@ def _prefix_limbs(counts, alarm_probs, weights) -> np.ndarray:
     return _checkpoint_limbs(_ranked_masses(counts, alarm_probs, weights)[0])
 
 
+def _stride(width: int) -> int:
+    """Ranks between checkpoints of ``width`` limbs: the least power of two of at least 4 * width, so that the
+    checkpoints take at most a quarter of the bytes of the masses they stand for."""
+    return 1 << (4 * width - 1).bit_length()
+
+
 def _checkpoint_limbs(masses: np.ndarray) -> np.ndarray:
-    """Row c: doubles whose terms add up exactly to the first (c + 1) * VECTOR_SUM_MIN_LENGTH of ``masses``, at most
-    2**20 finite nonnegative float64s (the module docstring says why the sums are exact)."""
-    block, step = VECTOR_SUM_MIN_LENGTH, 2**14  # 32 blocks a pass: the temporaries stay small
+    """Row c: doubles whose terms add up exactly to the first (c + 1) * _stride(width) of ``masses``, at most 2**20
+    finite nonnegative float64s, width the row's length (the module docstring says why the sums are exact)."""
     low, high = np.frexp([np.min(masses, where=masses > 0.0, initial=1.0), masses.max()])[1].tolist()
     width = (max(high, low) - low) // 32 + 3  # 32-bit limbs from 2**(low - 53) up, 3 per mass
+    block, step = _stride(width), 2**14  # a row per 16 to 256 masses, 2**14 masses a pass: the temporaries stay small
     rows = np.zeros((len(masses) // block, width))
     end = len(rows) * block
+    rows_at = np.repeat(width * np.arange(step // block), block)  # the first limb of each mass's row in a pass
     for a in range(0, end, step):
         x = masses[a:min(a + step, end)]
         first = np.clip((np.frexp(x)[1] - low) // 32, 0, width - 3)  # each mass's lowest limb; a zero is 0 in all
         t = np.ldexp(x, 53 - low - 32 * first)  # the mass in units of that limb: an integer below 2**85
         part = rows[a // block:(a + len(x)) // block]  # these blocks' rows, a view
-        at = (first.reshape(len(part), block) + width * np.arange(len(part))[:, None]).ravel()
+        at = first + rows_at[:len(x)]
         for d in range(3):  # the low 32 bits of t into limb first + d, the rest shifted down
             rest = np.floor(t * 2.0**-32)
             part += np.bincount(at + d, t - rest * 2.0**32, part.size).reshape(part.shape)
             t = rest
-    return np.ldexp(np.cumsum(rows, axis=0), low - 53 + 32 * np.arange(width))
+    scale = np.arange(low - 53, low - 53 + 32 * width, 32, dtype=np.int32)  # ldexp casts int64 exponents first
+    return np.ldexp(np.cumsum(rows, axis=0, out=rows), scale, out=rows)
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:

@@ -160,9 +160,18 @@ def test_cold_cache_matches_warm(kind):
 def test_cache_holds_at_most_its_bound(monkeypatch):
     # stricter than the entry counts it replaces: 4 grids and 8 rankings of a 4x31 cell (4 and at least 12 MiB
     # each) and 32 MiB of ranked masses
-    assert score_dist.STORE_BYTES == 78 * MiB < 4 * 4 * MiB + 8 * 12 * MiB + 32 * MiB
-    _clear_store()
-    budget = 12 * 2**10
+    assert score_dist.STORE_BYTES == 79 * MiB < 4 * 4 * MiB + 8 * 12 * MiB + 32 * MiB
+    evicted = []  # the charge of each entry evicted, in turn
+
+    class Evicting(OrderedDict):
+        def popitem(self, last=True):
+            key, value = super().popitem(last)
+            evicted.append(value[1])
+            return key, value
+
+    monkeypatch.setattr(score_dist, "_store", Evicting())
+    monkeypatch.setattr(score_dist, "_store_bytes", 0)
+    budget = 16 * 2**10  # about one cell's entries: 15 to 17 KiB
     monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
     # each cell brings a grid, two weight vectors and two alarm laws
     for n in range(1, 10):
@@ -171,9 +180,10 @@ def test_cache_holds_at_most_its_bound(monkeypatch):
         operating_characteristics(mp, sc)
         operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         assert score_dist._store_bytes == sum(_stored()) <= budget
-    # every entry is charged its arrays' bytes and one overhead, no floor; the last cell's entries are kept
+    # every entry is charged its arrays' bytes and one overhead, no floor; the store evicts only until it is within
+    # its budget, so it holds more than the budget less the last entry it evicted; the last cell's entries are kept
     assert _stored() == [_charge(value) for value, _ in score_dist._store.values()]
-    assert budget - min(_stored()) < score_dist._store_bytes
+    assert evicted and budget - evicted[-1] < score_dist._store_bytes
     assert ("cell_grid", (9, 2)) in score_dist._store and ("cell_ranking", (9, 2), (2.0, 1.0)) in score_dist._store
 
 
@@ -195,8 +205,9 @@ def test_store_charges_what_its_entries_hold():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    long = sum(math.prod(n + 1 for n in law.counts) >= score_dist.VECTOR_SUM_MIN_LENGTH for law, _ in keys)
-    assert 0 < long < len(keys) and len(_stored()) == 4 * len(keys) + long
+    # every law keeps its limbs, one with fewer masses than its stride an empty array of them
+    empty = sum(len(score_dist._prefix_limbs(law.counts, law.alarm_probs, weights)) == 0 for law, weights in keys)
+    assert 0 < empty < len(keys) and len(_stored()) == 5 * len(keys)
     assert held <= score_dist._store_bytes < 1.5 * held
 
 
@@ -244,9 +255,9 @@ def test_second_rotation_computes_nothing_afresh(monkeypatch):
                 operating_characteristics(solve_mp_test(sc, 0.1, weights=weights), sc)
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         assert len(computed) == 16
-    # grids, rankings, ranked masses, the per-atom masses of each event law walked under integer weights, and the
-    # running sum of each walked event law; no cell of at most 112 count tuples reads a checkpoint
-    assert len(_stored()) == 4 + 8 + 16 + 4 + 8
+    # grids, rankings, ranked masses, the per-atom masses of each event law walked under integer weights, the
+    # running sum of each walked event law, and the checkpoint limbs of every law whose rates are read
+    assert len(_stored()) == 4 + 8 + 16 + 4 + 8 + 16
 
 
 def test_second_rotation_rebuilds_no_ranking(monkeypatch):
@@ -262,7 +273,7 @@ def test_second_rotation_rebuilds_no_ranking(monkeypatch):
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         if rotation == 0:
             first = {kind: len(keys) for kind, keys in built.items()}
-    assert first == {"grid": 6, "ranking": 12, "masses": 24, "atoms": 6, "cumsum": 12, "limbs": 0, "table": 0}
+    assert first == {"grid": 6, "ranking": 12, "masses": 24, "atoms": 6, "cumsum": 12, "limbs": 24, "table": 0}
     assert {kind: len(keys) for kind, keys in built.items()} == first
 
 
@@ -301,8 +312,11 @@ def test_warm_rates_read_less_than_a_block_of_masses(monkeypatch):
     monkeypatch.setattr(decision_tests, "exact_sum", counting, raising=False)  # where whole prefixes were summed
     got = [repr(operating_characteristics(rule, sc)) for rule in rules]
     assert got == [WIDE_CELL_PINNED[1], WIDE_CELL_PINNED[5]]
-    # the MP rule's type I error (its power is the solver's), the Bayes rule's two rates: each from a checkpoint on
-    assert len(read) == 3 and max(read) < score_dist.VECTOR_SUM_MIN_LENGTH
+    # the MP rule's type I error (its power is the solver's), the Bayes rule's two rates: each from a checkpoint on,
+    # reading fewer masses than the stride of either law
+    strides = [score_dist._stride(score_dist._prefix_limbs(law.counts, law.alarm_probs, stats.weights).shape[1])
+               for law in (stats.event_law, stats.normal_law)]
+    assert len(read) == 3 and max(read) < min(strides) < score_dist.VECTOR_SUM_MIN_LENGTH
 
 
 def test_second_run_builds_no_verdict_table(monkeypatch):

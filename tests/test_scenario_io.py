@@ -120,6 +120,29 @@ class TestParsing:
         )
         assert sf.scenario.topology.detect_probs == (0.6, 0.2)
 
+    def test_approx_lists_follow_the_validated_class_order(self):
+        # the file lists the far class first; validation puts the near one first, and approx follows that order
+        sf = parse(
+            """
+            schema: 1
+            channel: {p_c: 0.8, p_w: 0.2}
+            topology:
+              kind: custom
+              classes:
+                - {label: far, count: 5, p_detect: 0.2}
+                - {label: near, count: 2, p_detect: 0.6}
+            weight_mode: paper_approx
+            approx: {weights: [4, 1], alarm_probs: [0.55, 0.3]}
+            """
+        )
+        assert sf.scenario.topology.labels == ("near", "far") and sf.scenario.topology.counts == (2, 5)
+        stats = sf.scenario.derived()
+        assert stats.weights[0] > stats.weights[1] and stats.alarm_probs[0] > stats.alarm_probs[1]
+        want = ((4.0, 1.0), g.ClassAlarmLaw((2, 5), (0.55, 0.3)))
+        assert decision_tests._mp_law(sf.scenario, **sf.mp_overrides()) == want
+        rule = g.solve_mp_test(sf.scenario, 0.1, **sf.mp_overrides())
+        assert rule.weights == (4.0, 1.0) and rule.class_counts == (2, 5)
+
 
 class TestRejections:
     def reject(self, text, match):

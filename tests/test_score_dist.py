@@ -283,27 +283,35 @@ def _crafted(n: int, kind: str) -> np.ndarray:
 
 
 class TestCheckpointLimbs:
-    """A prefix summed from its checkpoint's limbs and the masses after it, with and without boundary terms times k,
-    has the bits of math.fsum of the prefix."""
+    """A prefix summed from its checkpoint's limbs and the fewer than one stride of masses after it, with and without
+    boundary terms times k, has the bits of math.fsum of the prefix; a law's checkpoints come every stride ranks, the
+    least power of two of at least 4 times its limb width, so its rows hold at most a quarter of its masses' bytes."""
 
-    BLOCK = VECTOR_SUM_MIN_LENGTH
+    @staticmethod
+    def stride(rows: np.ndarray, masses: np.ndarray) -> int:
+        s = score_dist._stride(rows.shape[1])
+        assert s >= 4 * rows.shape[1] > s // 2 and s & (s - 1) == 0
+        assert rows.shape[0] == len(masses) // s and rows.nbytes <= masses.nbytes / 4
+        return s
 
-    def cuts(self, n: int) -> list[int]:
-        b = self.BLOCK
-        return sorted(i for i in {0, 1, b - 1, b, b + 1, 2 * b, n} if i <= n)
+    @staticmethod
+    def cuts(n: int, s: int) -> list[int]:
+        return sorted(i for i in {0, 1, s - 1, s, s + 1, 2 * s, n // 3, n - 1, n} if 0 <= i <= n)
 
     @pytest.mark.parametrize("kind", ["zeros", "subnormals", "ones", "mixed", "wide"])
-    @pytest.mark.parametrize("n", [BLOCK - 1, 3 * BLOCK + 7, 2**14 + 5 * BLOCK])  # the last spans two passes
+    @pytest.mark.parametrize("n", [511, 3 * 512 + 7, 2**14 + 5 * 512])  # the last spans two passes
     def test_crafted_arrays(self, kind, n):
         a = _crafted(n, kind)
         rows = score_dist._checkpoint_limbs(a)
-        assert rows.shape[0] == n // self.BLOCK and rows.nbytes <= a.nbytes / 4
-        for i in self.cuts(n):
-            c = i // self.BLOCK
+        s = self.stride(rows, a)
+        # three limbs a mass, one more per 32 binary exponents it spans: 1e-300 to 1 spans 997, 2**-1074 to 1 1075
+        assert s == {"zeros": 16, "subnormals": 16, "ones": 16, "mixed": 256, "wide": 256}[kind]
+        for i in self.cuts(n, s):
+            c = i // s
             limbs = (rows[c - 1],) if c else ()
             for j, k in ((i, 0.0), (min(n, i + 300), 0.3), (n, 1.0)):
                 want = math.fsum(a[:i].tolist() + (a[i:j] * k).tolist()).hex()
-                assert exact_sum(*limbs, a[c * self.BLOCK:i], a[i:j] * k).hex() == want
+                assert exact_sum(*limbs, a[c * s:i], a[i:j] * k).hex() == want
 
     def test_a_full_cell_of_one_term(self):
         # 2**20 rows of a full mantissa: the lowest limbs sum to almost 2**52, the most a column holds
@@ -322,11 +330,37 @@ class TestCheckpointLimbs:
         masses = score_dist.ranked_masses(law, weights)[0]
         n = len(masses)
         rows = score_dist._prefix_limbs(law.counts, law.alarm_probs, weights)
-        assert rows.nbytes <= masses.nbytes / 4 and not rows.flags.writeable
-        for i in self.cuts(n) + [n // 3, n - 1]:
+        assert not rows.flags.writeable
+        for i in self.cuts(n, self.stride(rows, masses)):
             for j, k in ((i, 0.0), (min(n, i + 40), 0.6)):
                 want = math.fsum(masses[:i].tolist() + (masses[i:j] * k).tolist()).hex()
                 assert score_dist.ranked_sum(law, weights, i, j, k).hex() == want
+
+    def test_a_law_shorter_than_one_stride(self):
+        law, weights = g.ClassAlarmLaw((2, 2), (0.3, 0.6)), (2.0, 1.0)
+        masses = score_dist.ranked_masses(law, weights)[0]
+        rows = score_dist._prefix_limbs(law.counts, law.alarm_probs, weights)
+        assert rows.shape == (0, 3) and self.stride(rows, masses) == 16 > len(masses) == 9
+        for i in range(10):
+            for j in range(i, 10):
+                want = math.fsum(masses[:i].tolist() + (masses[i:j] * 0.7).tolist()).hex()
+                assert score_dist.ranked_sum(law, weights, i, j, 0.7).hex() == want
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data(), n_classes=st.integers(1, 5), integer=st.booleans(), k_kind=st.sampled_from([0, 1, "random"]))
+    def test_ranked_sum_is_fsum_of_the_prefix(self, data, n_classes, integer, k_kind):
+        counts = tuple(data.draw(st.lists(st.integers(1, 6), min_size=n_classes, max_size=n_classes)))
+        probs = st.one_of(st.sampled_from([0.0, 1.0, 1e-9, 0.5]), st.floats(0.0, 1.0))
+        law = g.ClassAlarmLaw(counts, tuple(data.draw(probs) for _ in counts))
+        weight = st.integers(1, 9).map(float) if integer else st.floats(0.01, 100.0)
+        weights = tuple(data.draw(weight) for _ in counts)
+        masses = score_dist.ranked_masses(law, weights)[0]
+        n = len(masses)
+        i = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(i, n))
+        k = data.draw(st.floats(0.0, 1.0)) if k_kind == "random" else float(k_kind)
+        want = math.fsum(masses[:i].tolist() + (masses[i:j] * k).tolist()).hex()
+        assert score_dist.ranked_sum(law, weights, i, j, k).hex() == want
 
 
 class TestBruteForceOracle:
