@@ -12,10 +12,11 @@ gives each count tuple a reject probability, which decides observations.
 Those tuples form a prefix of the cell's stable score order, so an exact
 error rate sums a prefix of the law's masses in that order, the boundary rows'
 times k, under the event law (type I error) or the normal law (power): the
-stored exact sum of the prefix's last checkpoint and the fewer than 512 masses
-after it (``ranked_sum``). Only the most-powerful rule builds a score law: the
-event law it walks to t, on atom masses and their running sum, each summed once.
-Its power is summed once, when solved, and reused under an equal normal law.
+stored exact sum of the prefix's last checkpoint and the fewer than one stride
+(16 to 256) of masses after it (``ranked_sum``). Only the most-powerful rule
+builds a score law: the event law it walks to t, on atom masses and their
+running sum, each summed once. Its power is summed once, when solved, and
+reused under an equal normal law.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is
@@ -220,7 +221,7 @@ def solve_mp_tests(
     stats = scenario.derived()
     degenerate = scenario.channel.silent_when_undetected
     sizes = [float(size) for size in sizes]
-    h0, tests = None, []
+    h0, scores, tests = None, None, []
     for size in sizes:
         if not (0.0 < size < 1.0):
             raise DomainError(f"test size must lie in (0, 1), got {size}")
@@ -233,10 +234,11 @@ def solve_mp_tests(
         else:
             if h0 is None:
                 w, law = _mp_law(scenario, weights, event_alarm_probs)
-                # the atoms, and cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it
-                h0 = score_law_walk(w, law)
+                # the atoms, cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it, and the ranked scores
+                *h0, scores = score_law_walk(w, law)
             threshold, k, exact_size = _walk_to_threshold(*h0, size)
-        power = _rejection_rates(counts, _threshold_form(w, threshold, k, degenerate), stats.normal_law)[0]
+        form = _threshold_form(w, threshold, k, degenerate)
+        power = _rejection_rates(counts, form, stats.normal_law, scores=scores)[0]
         tests.append(MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k,
                             requested_size=size, exact_size=exact_size, exact_power=power, degenerate=degenerate))
         object.__setattr__(tests[-1], "normal_law", stats.normal_law)
@@ -316,12 +318,12 @@ def _verdict_table(counts, weights, lo, hi, k) -> tuple[np.ndarray, np.ndarray]:
     return forms.verdicts(cell_grid(counts))
 
 
-def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw) -> list[float]:
-    """P(reject H0) of a rule's form under each law of the cell: the masses of ranks below i, plus k
-    times those of ranks i to j, at most 1 (the rounded masses of a whole cell may sum past it)."""
+def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw, scores=None) -> list[float]:
+    """P(reject H0) of a rule's form under each law of the cell, ranked into ``scores`` (else read from the store): the
+    masses of ranks below i, plus k times those of i to j, at most 1 (a whole cell's rounded masses may sum past it)."""
     # scores of rank below i are under lo, up to j at most hi; a nan bound compares false, as in _threshold_probs
     weights, lo, hi, k = form
-    scores = cell_ranking(counts, weights)[1]
+    scores = cell_ranking(counts, weights)[1] if scores is None else scores
     i = 0 if math.isnan(lo) else int(scores.searchsorted(lo, "left"))
     j = i if k == 0.0 or math.isnan(hi) else max(i, int(scores.searchsorted(hi, "right")))
     return [min(1.0, ranked_sum(law, weights, i, j, k)) for law in laws]

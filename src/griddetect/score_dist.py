@@ -15,21 +15,21 @@ masses, the grid rows in score order and each atom's first row. The count
 tuples in that order and ``ScoreAtom`` objects are built on request.
 
 One thread-safe least-recently-used store of ``STORE_BYTES`` keeps read-only
-arrays of seven kinds, each keyed by its builder's name and arguments and
-charged its bytes plus a fixed overhead: a cell's count tuples
+arrays of five kinds, each in one entry keyed by its builder's name and
+arguments and charged its bytes plus a fixed overhead: a cell's count tuples
 (:func:`cell_grid`), in the smallest unsigned dtype that holds the largest
 count (so also ``ScoreDistribution.tuples``); its ranking under a weight vector
 (:func:`cell_ranking`): the int32 stable score order, the scores in that order,
 each atom's first rank and value, and the int32 index and first and end ranks
-of each atom of more than one row; a law's masses in that order
-(:func:`ranked_masses`), which error rates slice and which are the atom masses
-where every atom is one row, else (no mass being 0) ``_atom_masses``; the
-running sum of a positive law's atom masses (``_running_sum``); a law's
-checkpoint limbs (``_prefix_limbs``), from which :func:`ranked_sum` adds any
-prefix of its ranked masses reading fewer than one stride of them; and a rule
-set's verdict table (``decision_tests._RuleForms.table``): each count tuple's
-reject probability and coin offset per rule, in grid order, keyed on the rules'
-form arrays as bytes, which the simulator reads per trial.
+of each atom of more than one row; a law's masses in that order, its atom
+masses where every atom is one row (:func:`ranked_masses`), whether all are
+positive, and its checkpoint limbs and stride, from which :func:`ranked_sum`
+adds any prefix reading fewer than one stride of masses (``_ranked_law``); a
+positive law's walk (``_law_walk``): its mass per atom where atoms have several
+rows, and their running sum; and a rule set's verdict table
+(``decision_tests._RuleForms.table``): each count tuple's reject probability and
+coin offset per rule, in grid order, keyed on the rules' form arrays as bytes,
+which the simulator reads per trial.
 No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
@@ -203,8 +203,9 @@ _store_bytes = 0
 
 
 def _in_store(build):
-    """``build`` with its results, read-only arrays or tuples of them, kept in the store under its name and its
-    arguments; a result of more than ``STORE_BYTES`` is returned, not kept."""
+    """``build`` with its results, read-only arrays or tuples of them and of ints, kept in the store under its name
+    and its arguments; a result of more than ``STORE_BYTES``, or a list (what a build sums afresh on each call), is
+    returned, not kept."""
     kind = (build.__name__,)
 
     def fetch(*args):
@@ -217,7 +218,9 @@ def _in_store(build):
         except KeyError:  # not kept, or evicted by another thread since the lookup
             pass
         value = build(*args)
-        arrays = value if isinstance(value, tuple) else (value,)
+        if isinstance(value, list):
+            return value
+        arrays = [a for a in (value if isinstance(value, tuple) else (value,)) if isinstance(a, np.ndarray)]
         for a in arrays:
             a.flags.writeable = False
         nbytes = _ENTRY_BYTES + sum(a.nbytes for a in arrays)
@@ -265,13 +268,14 @@ def cell_ranking(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[n
 
 def ranked_masses(law: ClassAlarmLaw, weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(masses, all positive): a law's masses in the stable score order of one weight vector, and a 0-d bool array."""
-    return _ranked_masses(law.counts, law.alarm_probs, weights)  # hashed in C, unlike the law
+    return _ranked_law(law.counts, law.alarm_probs, weights)[:2]  # hashed in C, unlike the law
 
 
 @_in_store
-def _ranked_masses(counts, alarm_probs, weights) -> tuple[np.ndarray, np.ndarray]:
+def _ranked_law(counts, alarm_probs, weights) -> tuple:
+    """(masses, all positive, limbs, stride): ranked_masses, the law's checkpoint limbs and the ranks between them."""
     ranked = cell_masses(ClassAlarmLaw(counts, alarm_probs))[cell_ranking(counts, weights)[0]]
-    return ranked, np.array(ranked.all())
+    return ranked, np.array(ranked.all()), *_checkpoint_limbs(ranked)
 
 
 def _atom_starts(scores: np.ndarray) -> np.ndarray:
@@ -329,13 +333,6 @@ def _atom_sums(ranked: np.ndarray, spans: np.ndarray) -> list[float]:
             for a, b in spans.tolist()]
 
 
-@_in_store
-def _atom_masses(counts, alarm_probs, weights) -> np.ndarray:
-    """A positive law's mass per atom, summed once."""
-    ranking, ranked = cell_ranking(counts, weights), _ranked_masses(counts, alarm_probs, weights)[0]
-    return _assemble(ranking, ranked, cell_grid(counts)).probs
-
-
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
@@ -345,52 +342,51 @@ def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDis
     if not positive:  # merged afresh on each call, not kept
         return _assemble(ranking, ranked, grid)
     order, _, starts, values, multi, _ = ranking
-    probs = _atom_masses(law.counts, law.alarm_probs, weights) if len(multi) else ranked
+    probs = _law_walk(law.counts, law.alarm_probs, weights)[0] if len(multi) else ranked
     return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
 
 
 def score_law_walk(weights: Iterable[float], law: ClassAlarmLaw) -> tuple[np.ndarray, ...]:
-    """What the most-powerful walk reads: score_distribution's atom values and masses, and their np.cumsum, kept
-    once for a law of positive masses, summed afresh for one with zero masses."""
-    weights = tuple(float(w) for w in weights)
-    dist = score_distribution(weights, law)
-    if len(dist.order) < len(dist.grid):  # tuples of zero mass are no atoms
-        return dist.values, dist.probs, np.cumsum(dist.probs)
-    return dist.values, dist.probs, _running_sum(law.counts, law.alarm_probs, weights)
+    """(values, probs, cum, scores): score_distribution's atom values and masses and their np.cumsum, which the
+    most-powerful walk reads, kept once for a law of positive masses, and the cell's ranked scores."""
+    key = law.counts, law.alarm_probs, tuple(float(w) for w in weights)
+    walk = _law_walk(*key)  # first: it checks the weights before any ranking under them is read
+    ranking = cell_ranking(key[0], key[2])
+    if isinstance(walk, list):  # zero masses: summed afresh
+        return *walk, ranking[1]
+    return ranking[3], walk[0] if len(walk) == 2 else _ranked_law(*key)[0], walk[-1], ranking[1]
 
 
 @_in_store
-def _running_sum(counts, alarm_probs, weights) -> np.ndarray:
-    return np.cumsum(score_distribution(weights, ClassAlarmLaw(counts, alarm_probs)).probs)
+def _law_walk(counts, alarm_probs, weights) -> tuple[np.ndarray, ...] | list[np.ndarray]:
+    """(mass per atom, running sum) of a law of positive masses, the first left out where every atom is one row;
+    checks the weights, so a kept walk needs none. A law with zero masses gives [values, probs, cum], not kept."""
+    _check_weights(weights, counts)
+    ranking, (ranked, positive, *_) = cell_ranking(counts, weights), _ranked_law(counts, alarm_probs, weights)
+    dist = _assemble(ranking, ranked, cell_grid(counts))
+    cum = np.cumsum(dist.probs)
+    if not positive:
+        return [dist.values, dist.probs, cum]
+    return (dist.probs, cum) if len(ranking[4]) else (cum,)
 
 
 def ranked_sum(law: ClassAlarmLaw, weights: tuple[float, ...], i: int, j: int = 0, k: float = 0.0) -> float:
     """exact_sum of the first i masses of ranked_masses(law, weights), plus k times those of ranks i to j: the
     stored limbs of the last checkpoint at or below i, and the fewer than one stride of masses after it."""
-    key = law.counts, law.alarm_probs, weights
-    masses, rows = _ranked_masses(*key)[0], _prefix_limbs(*key)
-    c, tail = divmod(i, _stride(rows.shape[1]))
+    masses, _, rows, stride = _ranked_law(law.counts, law.alarm_probs, weights)
+    c, tail = divmod(i, stride)
     parts = (masses[i - tail:i], masses[i:j] * k) if j > i else (masses[i - tail:i],)
     return exact_sum(rows[c - 1], *parts) if c else exact_sum(*parts)
 
 
-@_in_store
-def _prefix_limbs(counts, alarm_probs, weights) -> np.ndarray:
-    return _checkpoint_limbs(_ranked_masses(counts, alarm_probs, weights)[0])
-
-
-def _stride(width: int) -> int:
-    """Ranks between checkpoints of ``width`` limbs: the least power of two of at least 4 * width, so that the
-    checkpoints take at most a quarter of the bytes of the masses they stand for."""
-    return 1 << (4 * width - 1).bit_length()
-
-
-def _checkpoint_limbs(masses: np.ndarray) -> np.ndarray:
-    """Row c: doubles whose terms add up exactly to the first (c + 1) * _stride(width) of ``masses``, at most 2**20
-    finite nonnegative float64s, width the row's length (the module docstring says why the sums are exact)."""
+def _checkpoint_limbs(masses: np.ndarray) -> tuple[np.ndarray, int]:
+    """(rows, stride): row c's terms add up exactly to the first (c + 1) * stride of ``masses``, at most 2**20 finite
+    nonnegative float64s (the module docstring says why the sums are exact)."""
     low, high = np.frexp([np.min(masses, where=masses > 0.0, initial=1.0), masses.max()])[1].tolist()
     width = (max(high, low) - low) // 32 + 3  # 32-bit limbs from 2**(low - 53) up, 3 per mass
-    block, step = _stride(width), 2**14  # a row per 16 to 256 masses, 2**14 masses a pass: the temporaries stay small
+    # a row per 16 to 256 masses, the least power of two of at least 4 * width, so that the rows take at most a
+    # quarter of the masses' bytes; 2**14 masses a pass, so that the temporaries stay small
+    block, step = 1 << (4 * width - 1).bit_length(), 2**14
     rows = np.zeros((len(masses) // block, width))
     end = len(rows) * block
     rows_at = np.repeat(width * np.arange(step // block), block)  # the first limb of each mass's row in a pass
@@ -405,7 +401,7 @@ def _checkpoint_limbs(masses: np.ndarray) -> np.ndarray:
             part += np.bincount(at + d, t - rest * 2.0**32, part.size).reshape(part.shape)
             t = rest
     scale = np.arange(low - 53, low - 53 + 32 * width, 32, dtype=np.int32)  # ldexp casts int64 exponents first
-    return np.ldexp(np.cumsum(rows, axis=0, out=rows), scale, out=rows)
+    return np.ldexp(np.cumsum(rows, axis=0, out=rows), scale, out=rows), block
 
 
 def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:

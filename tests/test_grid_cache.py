@@ -2,15 +2,16 @@
 
 Every exact error rate and score law reads the grid of its cell from
 ``score_dist.cell_grid``, its ranking from ``score_dist.cell_ranking`` and
-its law's masses in that ranking from ``score_dist.ranked_masses``; a score
-law with atoms of several rows also reads its mass per atom, summed once, a
-most-powerful walk the running sum of its atom masses, and an error rate past
-the first checkpoint the exact limbs of the masses before it. All are kept in
-one store bounded by bytes. These tests pin the designs of a
+one entry of its law in that ranking: the ranked masses with the exact limbs
+of every checkpoint (``score_dist.ranked_masses`` and ``ranked_sum``). A
+most-powerful walk, and a score law with atoms of several rows, also read the
+law's walk: its mass per atom, summed once, and their running sum. All are
+kept in one store bounded by bytes. These tests pin the designs of a
 wide cell, check that a cold store gives the same results as a warm one,
 that the store charges what its entries hold and stays within its budget,
 that a rotation of cells, and each command on a cap cell, builds nothing
-twice, and that nothing can write to what the store holds.
+twice, that a warm design reads few entries, and that nothing can write to
+what the store holds.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ def _count_masses(monkeypatch) -> list:
     return computed
 
 
-KINDS = {"cell_grid": "grid", "cell_ranking": "ranking", "_ranked_masses": "masses", "_atom_masses": "atoms",
-         "_running_sum": "cumsum", "_prefix_limbs": "limbs", "_verdict_table": "table"}
+KINDS = {"cell_grid": "grid", "cell_ranking": "ranking", "_ranked_law": "law", "_law_walk": "walk",
+         "_verdict_table": "table"}
 
 
 def _count_builds(monkeypatch) -> dict[str, list]:
-    """The keys of the grids, rankings, ranked masses, per-atom masses, running sums, checkpoint limbs and verdict
-    tables stored from here on, one entry per build, in a store that starts empty."""
+    """The keys of the grids, rankings, ranked laws, walks and verdict tables stored from here on, one entry per
+    build, in a store that starts empty."""
     built = {kind: [] for kind in KINDS.values()}
 
     class Counting(OrderedDict):
@@ -82,7 +83,8 @@ def _stored() -> list[int]:
 
 def _charge(value) -> int:
     """What the store charges for a result: its arrays' bytes, of a tuple or of one array, and one overhead."""
-    return score_dist._ENTRY_BYTES + sum(a.nbytes for a in (value if isinstance(value, tuple) else (value,)))
+    items = value if isinstance(value, tuple) else (value,)
+    return score_dist._ENTRY_BYTES + sum(a.nbytes for a in items if isinstance(a, np.ndarray))
 
 
 def _int_weights(weights) -> tuple[float, ...]:
@@ -198,7 +200,7 @@ def test_store_charges_what_its_entries_hold():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for law, weights in keys:  # masses, and the running sum and checkpoint limbs read from them
+        for law, weights in keys:  # masses with their checkpoint limbs, and the walk's running sum
             n = len(score_dist.ranked_masses(law, weights)[0])
             score_dist.score_law_walk(weights, law)
             score_dist.ranked_sum(law, weights, n)
@@ -206,8 +208,8 @@ def test_store_charges_what_its_entries_hold():
     finally:
         tracemalloc.stop()
     # every law keeps its limbs, one with fewer masses than its stride an empty array of them
-    empty = sum(len(score_dist._prefix_limbs(law.counts, law.alarm_probs, weights)) == 0 for law, weights in keys)
-    assert 0 < empty < len(keys) and len(_stored()) == 5 * len(keys)
+    empty = sum(len(score_dist._ranked_law(law.counts, law.alarm_probs, weights)[2]) == 0 for law, weights in keys)
+    assert 0 < empty < len(keys) and len(_stored()) == 4 * len(keys)
     assert held <= score_dist._store_bytes < 1.5 * held
 
 
@@ -215,14 +217,15 @@ def test_store_keeps_within_its_budget_by_bytes(monkeypatch):
     _clear_store()
     monkeypatch.setattr(score_dist, "STORE_BYTES", 8 * MiB)
     weights = (5.0, 4.0, 3.0, 2.0, 1.0)
-    # 1.1 to 1.6 MiB of masses a law, as much again of ranking and 0.7 to 1.0 MiB of grid a cell
+    # 1.1 to 1.6 MiB of masses and 0.2 to 0.3 MiB of limbs a law, 1.7 to 2.3 MiB of ranking and 0.7 to 1.0 MiB of
+    # grid a cell
     for n in (9, 10, 11, 12, 13, 9, 10):
         for q in (0.1, 0.2):
             law = g.ClassAlarmLaw((10, 10, 10, 10, n), (0.5, 0.4, 0.3, 0.2, q))
             ranked, positive = score_dist.ranked_masses(law, weights)
             assert positive and ranked.nbytes == 8 * 11**4 * (n + 1)
             assert score_dist._store_bytes == sum(_stored()) <= 8 * MiB
-            assert score_dist._store["_ranked_masses", law.counts, law.alarm_probs, weights][0][0] is ranked
+            assert score_dist._store["_ranked_law", law.counts, law.alarm_probs, weights][0][0] is ranked
 
 
 def test_entry_larger_than_the_budget_is_returned_not_kept(monkeypatch):
@@ -255,9 +258,9 @@ def test_second_rotation_computes_nothing_afresh(monkeypatch):
                 operating_characteristics(solve_mp_test(sc, 0.1, weights=weights), sc)
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         assert len(computed) == 16
-    # grids, rankings, ranked masses, the per-atom masses of each event law walked under integer weights, the
-    # running sum of each walked event law, and the checkpoint limbs of every law whose rates are read
-    assert len(_stored()) == 4 + 8 + 16 + 4 + 8 + 16
+    # grids, rankings, each law's ranked masses with their checkpoint limbs, and each walked event law's running sum,
+    # with its per-atom masses under integer weights
+    assert len(_stored()) == 4 + 8 + 16 + 8
 
 
 def test_second_rotation_rebuilds_no_ranking(monkeypatch):
@@ -273,7 +276,7 @@ def test_second_rotation_rebuilds_no_ranking(monkeypatch):
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         if rotation == 0:
             first = {kind: len(keys) for kind, keys in built.items()}
-    assert first == {"grid": 6, "ranking": 12, "masses": 24, "atoms": 6, "cumsum": 12, "limbs": 24, "table": 0}
+    assert first == {"grid": 6, "ranking": 12, "law": 24, "walk": 12, "table": 0}
     assert {kind: len(keys) for kind, keys in built.items()} == first
 
 
@@ -283,14 +286,14 @@ def test_warm_integer_weight_walk_sums_no_atom(monkeypatch):
     _clear_store()
     built = _count_builds(monkeypatch)
     first = solve_mp_test(sc, 0.05, weights=int_w)
-    assert [key[1:] for key in built["atoms"]] == [(sc.topology.counts, sc.derived().event_law.alarm_probs, int_w)]
+    assert [key[1:] for key in built["walk"]] == [(sc.topology.counts, sc.derived().event_law.alarm_probs, int_w)]
     sums, atom_sums = [], score_dist._atom_sums
     monkeypatch.setattr(score_dist, "_atom_sums", lambda *a: sums.append(a) or atom_sums(*a))
     second = solve_mp_test(sc, 0.01, weights=int_w)
-    assert sums == [] and len(built["atoms"]) == 1  # the second walk reads the stored per-atom masses
+    assert sums == [] and len(built["walk"]) == 1  # the second walk reads the stored per-atom masses
     assert repr(first) == WIDE_CELL_PINNED[2] and second.exact_size == pytest.approx(0.01, abs=1e-12)
-    probs, nbytes = score_dist._store[built["atoms"][0]]
-    assert not probs.flags.writeable and nbytes == _charge(probs)
+    walk, nbytes = score_dist._store[built["walk"][0]]
+    assert len(walk) == 2 and not any(a.flags.writeable for a in walk) and nbytes == _charge(walk)
 
 
 def test_warm_rates_read_less_than_a_block_of_masses(monkeypatch):
@@ -314,9 +317,53 @@ def test_warm_rates_read_less_than_a_block_of_masses(monkeypatch):
     assert got == [WIDE_CELL_PINNED[1], WIDE_CELL_PINNED[5]]
     # the MP rule's type I error (its power is the solver's), the Bayes rule's two rates: each from a checkpoint on,
     # reading fewer masses than the stride of either law
-    strides = [score_dist._stride(score_dist._prefix_limbs(law.counts, law.alarm_probs, stats.weights).shape[1])
+    strides = [score_dist._ranked_law(law.counts, law.alarm_probs, stats.weights)[3]
                for law in (stats.event_law, stats.normal_law)]
     assert len(read) == 3 and max(read) < min(strides) < score_dist.VECTOR_SUM_MIN_LENGTH
+
+
+def _three_class_cell() -> g.ValidatedScenario:
+    return g.validate(g.ChannelModel(p_c=0.9, p_w=0.1), g.builtin_topology("custom", (0.8, 0.5, 0.3), counts=(6,) * 3))
+
+
+@pytest.mark.parametrize("kind", ["exact", "integer"])
+def test_warm_design_reads_few_entries(monkeypatch, kind):
+    # a walk reads its walk, the ranking and, where every atom is one row, the walked law; the solver's power reads
+    # the normal law under that ranking; each operating characteristic reads a ranking and each law it rates once
+    sc = _three_class_cell()
+    weights = _int_weights(sc.derived().weights) if kind == "integer" else None
+    args = (sc, 0.05, weights, g.Prior(0.3), g.LossRatio(5.0))
+    want = _designs(*args)  # warm
+    reads = []
+
+    class Reading(OrderedDict):
+        def __getitem__(self, key):
+            reads.append(key[0])
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(score_dist, "_store", Reading(score_dist._store))
+    assert _designs(*args) == want
+    assert len(reads) == {"exact": 9, "integer": 8}[kind] and all(name in KINDS for name in reads)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((3.0, -2.0, 1.0), "class 1: weight must be positive, got -2.0"),
+    ((3.0, math.inf, 1.0), "class 1: weight must be finite, got inf"),
+    ((3.0, 1.0), "2 weights for 3 classes"),
+    ((1e308,) * 3, "weights too large: the score with every sensor alarming overflows"),
+])
+@pytest.mark.parametrize("store", ["cold", "warm"])
+def test_bad_weights_are_refused_and_stored_under_no_key(weights, message, store):
+    # the walk checks the weights when it is built, so a hit needs no check and nothing is ever kept under bad ones
+    sc = _three_class_cell()
+    _clear_store()
+    if store == "warm":
+        solve_mp_test(sc, 0.05, weights=(3.0, 2.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(g.DomainError) as info:
+            solve_mp_test(sc, 0.05, weights=weights)
+        assert str(info.value) == message
+    assert not any(weights in key for key in score_dist._store)
 
 
 def test_second_run_builds_no_verdict_table(monkeypatch):
@@ -373,12 +420,14 @@ def test_cap_cell_command_builds_no_entry_twice(monkeypatch, tmp_path, cell, com
     path.write_text(_cap_cell(*CAP_CELLS[cell]))
     _clear_store()
     built = _count_builds(monkeypatch)
+    sums, atom_sums = [], score_dist._atom_sums
+    monkeypatch.setattr(score_dist, "_atom_sums", lambda *a: sums.append(a) or atom_sums(*a))
     result = CliRunner().invoke(main, [*command.split(), "--scenario", str(path)])
     assert result.exit_code == 0, result.output
-    assert len(built["grid"]) == 1 and built["ranking"] and built["masses"] and built["limbs"]
+    assert len(built["grid"]) == 1 and built["ranking"] and built["law"]
     # every MP design walks a running sum, kept for a law of positive masses: 0.13**510 underflows to 0
-    assert bool(built["cumsum"]) == (cell != "510+11x1" and not command.startswith("bayes"))
-    assert built["atoms"] == []  # every atom is one row: the walk reads the ranked masses
+    assert bool(built["walk"]) == (cell != "510+11x1" and not command.startswith("bayes"))
+    assert sums == []  # every atom is one row: a walk keeps only its running sum and reads the ranked masses
     assert built["table"] == []  # 2**20 count tuples: simulate scores each trial
     assert _twice(built) == {kind: [] for kind in KINDS.values()}
     assert score_dist._store_bytes <= score_dist.STORE_BYTES
@@ -406,7 +455,7 @@ def test_store_is_safe_across_threads(monkeypatch):
     cells = [g.validate(channel, g.builtin_topology("custom", (0.8, 0.5, 0.3), counts=law.counts)) for law in laws]
     designs = [(sc, size) for sc in cells for size in (0.01, 0.05, 0.2)]
     want_mp = {design: repr(solve_mp_test(design[0], design[1], weights=weights)) for design in designs}
-    assert any(key[0] == "_atom_masses" for key in score_dist._store)
+    assert any(key[0] == "_law_walk" and len(value[0]) == 2 for key, value in score_dist._store.items())
     budget = 3 * max(_stored())  # a few entries at a time: every thread evicts what another reads
     monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
     errors = []
@@ -448,9 +497,9 @@ def test_cached_arrays_are_read_only(monkeypatch):
     computed = _count_masses(monkeypatch)
     sc = _wide_cell()
     operating_characteristics(solve_mp_test(sc, 0.05), sc)
-    # the event law for the walk and the size, the normal law for the power: each computed once; the walk's running
-    # sum, and both laws' checkpoint limbs
-    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 1 + 1 + 2 + 1 + 2
+    # the event law for the walk and the size, the normal law for the power: each computed once, with its checkpoint
+    # limbs; and the walk's running sum
+    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 1 + 1 + 2 + 1
     grid = score_dist.cell_grid(sc.topology.counts)
     assert grid.dtype == np.uint8 and grid.shape == (7**6, 6)
     ranking = score_dist.cell_ranking(sc.topology.counts, sc.derived().weights)
@@ -461,10 +510,10 @@ def test_cached_arrays_are_read_only(monkeypatch):
     for law in (sc.derived().event_law, sc.derived().normal_law):
         ranked, positive = score_dist.ranked_masses(law, sc.derived().weights)
         assert positive and ranked.tobytes() == score_dist.cell_masses(law)[ranking[0]].tobytes()
-        cached += [ranked, positive, score_dist._prefix_limbs(law.counts, law.alarm_probs, sc.derived().weights)]
+        cached += [ranked, positive, score_dist._ranked_law(law.counts, law.alarm_probs, sc.derived().weights)[2]]
     for weights in (sc.derived().weights, _int_weights(sc.derived().weights)):  # per-atom masses under the second
         cached += score_dist.score_law_walk(weights, sc.derived().event_law)
-    assert len(_stored()) == 7 + 1 + 1 + 1 + 1  # the integer ranking, masses, per-atom masses and running sums
+    assert len(_stored()) == 5 + 1 + 1 + 1  # the integer ranking, ranked law, and walk with per-atom masses
     for limbs in _streams._jumps(25):
         cached.extend(limbs)
     for a in cached:

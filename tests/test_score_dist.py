@@ -239,7 +239,7 @@ class TestZeroMassFallback:
 
 class TestScoreLawPrefix:
     """The most-powerful walk reads score_distribution's arrays and their running sum bit for bit, whatever the
-    store holds."""
+    store holds, and the cell's ranked scores."""
 
     LAWS = {
         # 16,807 atoms of one row each
@@ -261,13 +261,14 @@ class TestScoreLawPrefix:
         dist = g.score_distribution(weights, law)
         whole = (dist.values, dist.probs, np.cumsum(dist.probs))
         for got in (cold, warm):
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
-        # a positive law's running sum is summed once and kept; one with zero masses is summed afresh, not kept
-        sums = [key for key in score_dist._store if key[0] == "_running_sum"]
+            assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in whole]
+            assert got[3] is cell_ranking(law.counts, weights)[1]
+        # a positive law's walk is summed once and kept; one with zero masses is summed afresh, not kept
+        walks = [key for key in score_dist._store if key[0] == "_law_walk"]
         if case == "zero-mass":
-            assert sums == [] and warm[2] is not cold[2]
+            assert walks == [] and warm[2] is not cold[2]
         else:
-            assert sums == [("_running_sum", law.counts, law.alarm_probs, weights)] and warm[2] is cold[2]
+            assert walks == [("_law_walk", law.counts, law.alarm_probs, weights)] and warm[2] is cold[2]
 
 
 def _crafted(n: int, kind: str) -> np.ndarray:
@@ -288,8 +289,7 @@ class TestCheckpointLimbs:
     least power of two of at least 4 times its limb width, so its rows hold at most a quarter of its masses' bytes."""
 
     @staticmethod
-    def stride(rows: np.ndarray, masses: np.ndarray) -> int:
-        s = score_dist._stride(rows.shape[1])
+    def stride(rows: np.ndarray, masses: np.ndarray, s: int) -> int:
         assert s >= 4 * rows.shape[1] > s // 2 and s & (s - 1) == 0
         assert rows.shape[0] == len(masses) // s and rows.nbytes <= masses.nbytes / 4
         return s
@@ -302,8 +302,8 @@ class TestCheckpointLimbs:
     @pytest.mark.parametrize("n", [511, 3 * 512 + 7, 2**14 + 5 * 512])  # the last spans two passes
     def test_crafted_arrays(self, kind, n):
         a = _crafted(n, kind)
-        rows = score_dist._checkpoint_limbs(a)
-        s = self.stride(rows, a)
+        rows, s = score_dist._checkpoint_limbs(a)
+        self.stride(rows, a, s)
         # three limbs a mass, one more per 32 binary exponents it spans: 1e-300 to 1 spans 997, 2**-1074 to 1 1075
         assert s == {"zeros": 16, "subnormals": 16, "ones": 16, "mixed": 256, "wide": 256}[kind]
         for i in self.cuts(n, s):
@@ -316,7 +316,7 @@ class TestCheckpointLimbs:
     def test_a_full_cell_of_one_term(self):
         # 2**20 rows of a full mantissa: the lowest limbs sum to almost 2**52, the most a column holds
         a = np.full(MAX_COUNT_TUPLES, 1.0 - 2.0**-53)
-        rows = score_dist._checkpoint_limbs(a)
+        rows, _ = score_dist._checkpoint_limbs(a)
         assert exact_sum(rows[-1]).hex() == math.fsum(a.tolist()).hex()
 
     @pytest.mark.parametrize("case", [*TestScoreLawPrefix.LAWS, "cap"])
@@ -329,9 +329,9 @@ class TestCheckpointLimbs:
             law, weights = TestScoreLawPrefix.LAWS[case][::-1]
         masses = score_dist.ranked_masses(law, weights)[0]
         n = len(masses)
-        rows = score_dist._prefix_limbs(law.counts, law.alarm_probs, weights)
+        _, _, rows, stride = score_dist._ranked_law(law.counts, law.alarm_probs, weights)
         assert not rows.flags.writeable
-        for i in self.cuts(n, self.stride(rows, masses)):
+        for i in self.cuts(n, self.stride(rows, masses, stride)):
             for j, k in ((i, 0.0), (min(n, i + 40), 0.6)):
                 want = math.fsum(masses[:i].tolist() + (masses[i:j] * k).tolist()).hex()
                 assert score_dist.ranked_sum(law, weights, i, j, k).hex() == want
@@ -339,8 +339,8 @@ class TestCheckpointLimbs:
     def test_a_law_shorter_than_one_stride(self):
         law, weights = g.ClassAlarmLaw((2, 2), (0.3, 0.6)), (2.0, 1.0)
         masses = score_dist.ranked_masses(law, weights)[0]
-        rows = score_dist._prefix_limbs(law.counts, law.alarm_probs, weights)
-        assert rows.shape == (0, 3) and self.stride(rows, masses) == 16 > len(masses) == 9
+        _, _, rows, stride = score_dist._ranked_law(law.counts, law.alarm_probs, weights)
+        assert rows.shape == (0, 3) and self.stride(rows, masses, stride) == 16 > len(masses) == 9
         for i in range(10):
             for j in range(i, 10):
                 want = math.fsum(masses[:i].tolist() + (masses[i:j] * 0.7).tolist()).hex()

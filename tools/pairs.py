@@ -3,27 +3,29 @@
     python3 tools/pairs.py --workload exact-wide [--pairs 10] [--seed 1] [--base HEAD]
     python3 tools/pairs.py --workload all        # every workload in BENCHMARK.json, in turn
 
-Exports --base with ``git archive`` into a temporary directory once, then,
-for each workload, runs ``bench/run.py --trace 0`` there and in the working
-tree, --pairs times, alternating which side runs first; each run lasts the
-benchmark's own run length. Every run is printed as it finishes, and each
-workload's summary after its last pair. For every end-to-end metric in
-BENCHMARK.json the summary gives each side's median and quartiles, the
-relative change of the medians, and the pairs the working tree won (ties
-count for neither). A metric is "unresolved" when the base's interquartile
+Exports --base with ``git archive`` into a temporary directory once, and the
+working tree's files (tracked, and untracked but not ignored) into another,
+so that the two sides differ only in their files; then, for each workload,
+runs ``bench/run.py --trace 0`` in both, --pairs times, alternating which
+side runs first; each run lasts the benchmark's own run length. Every run
+is printed as it finishes, and each workload's summary after its last pair.
+For every end-to-end metric in BENCHMARK.json the summary gives each side's
+median and quartiles, the relative change of the medians, and the pairs
+the working tree won (ties count for neither). A metric is "unresolved" when the base's interquartile
 range, relative to its median, is wider than the metric's bound, unless
 every working-tree run beats every base run. A gain holds when the working
 tree wins at least nine tenths of the pairs, the medians differ by more
 than the base's interquartile range, and no more ops failed in the working
 tree than in the base; a change of the medians worse than the metric's
 bound is marked as a regression. Nothing under bench/ is edited; each run
-writes only its own bench/results/ and bench/_work/.
+writes only the bench/results/ and bench/_work/ of its temporary tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -38,6 +40,17 @@ def export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_working_tree(dest: Path) -> None:
+    """The working tree's files that git tracks or would add (untracked, not ignored), as they are on disk, copied
+    under ``dest``; a tracked file deleted from the working tree is left out."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT,
+                           check=True, capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run(tree: Path, workload: str, seed: int) -> dict:
@@ -100,8 +113,11 @@ def main(argv=None) -> int:
     metrics = bench["end_to_end"]
     workloads = [w["name"] for w in bench["workloads"]] if args.workload == "all" else [args.workload]
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        trees = {"base": Path(tmp), "change": ROOT}
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        for tree in trees.values():
+            tree.mkdir()
         export(args.base, trees["base"])
+        export_working_tree(trees["change"])
         for workload in workloads:
             header = f"workload {workload} seed {args.seed}: {args.base} against the working tree, {args.pairs} pairs"
             print(header, flush=True)

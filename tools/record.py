@@ -9,9 +9,12 @@ Records, for the working tree as it is:
   ``git diff C^ C --binary --full-index -- . ':!*.md' ':!BENCH_*.json'``
   of that commit C hashes the same), and the environment: CPU count and
   model, Python, numpy, PyYAML and whether libyaml is present;
-- the tier-1 wall time (ROADMAP's tier-1 command) and its pytest summary;
-- the ``make reproduce`` wall time, into a temporary directory, and whether
-  all of its tables equal the committed ones in out/;
+- the tier-1 wall time (ROADMAP's tier-1 command) with its pytest
+  summary, and the ``make reproduce`` wall time, into a temporary
+  directory, with whether all of its tables equal the committed ones in
+  out/: each the median, least and greatest of a fixed number of runs (3 of
+  tier-1, 5 of ``make reproduce``), since a host's speed can drift by up to
+  2x over minutes;
 - each workload's end-to-end metrics from ``bench/run.py --trace 0`` at
   seed 1 and the benchmark's own run length (BENCHMARK.json), so that
   every record compares with the last;
@@ -51,6 +54,7 @@ from pathlib import Path
 from pairs import ROOT, run
 
 SEED = 1
+TIER1_RUNS, REPRODUCE_RUNS = 3, 5
 CAP_CELL = """schema: 1
 channel: {p_c: 0.87, p_w: 0.13}
 topology:
@@ -117,22 +121,37 @@ def environment() -> dict:
             "libyaml": bool(getattr(yaml, "__with_libyaml__", False))}
 
 
+def spread(walls: list[float], exits: list[int]) -> dict:
+    """The runs' median, least and greatest wall times (s), and the first nonzero exit status, else 0."""
+    return {"runs": len(walls), "wall_s": round(statistics.median(walls), 3), "wall_s_min": round(min(walls), 3),
+            "wall_s_max": round(max(walls), 3), "exit": next((e for e in exits if e), 0)}
+
+
 def tier1() -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
-    wall, proc = timed(cmd)
+    walls, exits = [], []
+    for _ in range(TIER1_RUNS):
+        wall, proc = timed(cmd)
+        walls.append(wall)
+        exits.append(proc.returncode)
+        print(f"tier-1 run {len(walls)}: {wall:.1f} s", flush=True)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    return {"command": " ".join(["python", *cmd[1:]]), "wall_s": round(wall, 3), "exit": proc.returncode,
-            "summary": summary}
+    return {"command": " ".join(["python", *cmd[1:]]), **spread(walls, exits), "summary": summary}
 
 
 def reproduce() -> dict:
-    with tempfile.TemporaryDirectory(prefix="record-") as out:
-        wall, proc = timed(["make", "--no-print-directory", "reproduce", f"PYTHON={sys.executable}", f"OUT={out}"])
-        shipped = sorted(p.name for p in (ROOT / "out").iterdir())
-        made = Path(out)
-        differ = [name for name in shipped if not (made / name).is_file()
-                  or not filecmp.cmp(ROOT / "out" / name, made / name, shallow=False)]
-    return {"wall_s": round(wall, 3), "exit": proc.returncode, "tables": len(shipped), "differ_from_out": differ}
+    shipped = sorted(p.name for p in (ROOT / "out").iterdir())
+    walls, exits, differ = [], [], set()
+    for _ in range(REPRODUCE_RUNS):
+        with tempfile.TemporaryDirectory(prefix="record-") as out:
+            wall, proc = timed(["make", "--no-print-directory", "reproduce", f"PYTHON={sys.executable}", f"OUT={out}"])
+            made = Path(out)
+            differ.update(name for name in shipped if not (made / name).is_file()
+                          or not filecmp.cmp(ROOT / "out" / name, made / name, shallow=False))
+        walls.append(wall)
+        exits.append(proc.returncode)
+        print(f"make reproduce run {len(walls)}: {wall:.1f} s", flush=True)
+    return {**spread(walls, exits), "tables": len(shipped), "differ_from_out": sorted(differ)}
 
 
 def wall_and_peak(cmd: list[str]) -> tuple[float, float]:
@@ -194,8 +213,8 @@ def main(argv=None) -> int:
         print(f"{workload}: {record['benchmark']['workloads'][workload]}", flush=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {path.name}: tier-1 {record['tier1']['wall_s']} s ({record['tier1']['summary']}), "
-          f"make reproduce {record['reproduce']['wall_s']} s")
+    print(f"wrote {path.name}: tier-1 median {record['tier1']['wall_s']} s ({record['tier1']['summary']}), "
+          f"make reproduce median {record['reproduce']['wall_s']} s")
     return 0
 
 
