@@ -25,6 +25,7 @@ the rejection probability under the event.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,9 +35,7 @@ from typing import Iterable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .model import ClassAlarmLaw, DomainError, LossRatio, Prior, ValidatedScenario
-from .score_dist import (
-    _in_store, atom_tolerance, cell_grid, cell_ranking, ranked_sum, score_law_walk, tuple_scores,
-)
+from .score_dist import atom_tolerance, cell_ranking, ranked_sum, score_law_walk, tuple_scores
 from .score_dist import score_distribution  # not called here; the benchmark traces decision_tests.score_distribution
 
 __all__ = [
@@ -109,8 +108,22 @@ def _check_observation(obs: Observation, class_counts: tuple[int, ...]) -> None:
             raise DomainError(f"class {i}: alarm count {x} exceeds class size {n}")
 
 
+class _ThresholdRule:
+    """A rule's (weights, lo, hi, k) form (_rule_form), derived when it is built, and its bytes, on first use."""
+
+    form: tuple[tuple[float, ...], float, float, float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "form", _rule_form(self))
+
+    @functools.cached_property
+    def form_bytes(self) -> bytes:
+        """The weights, lo, hi and k as float64 values; bytes, unlike floats, equal those of a form with a nan bound."""
+        return np.array(self.form[0] + self.form[1:], dtype=float).tobytes()
+
+
 @dataclass(frozen=True)
-class MPTest:
+class MPTest(_ThresholdRule):
     """A solved most-powerful test of a given size.
 
     Reject H0 when the score is below ``threshold``; on the boundary atom
@@ -135,7 +148,7 @@ class MPTest:
 
 
 @dataclass(frozen=True)
-class BayesTest:
+class BayesTest(_ThresholdRule):
     """The minimum-risk rule for a prior and loss ratio.
 
     Reject H0 when the score is strictly below ``threshold``. When the
@@ -285,10 +298,10 @@ class _RuleForms(NamedTuple):
     k: np.ndarray
 
     @classmethod
-    def of(cls, rules: Sequence[MPTest | BayesTest], n_classes: int) -> _RuleForms:
-        forms = [_rule_form(rule) for rule in rules]
-        weights = np.array([f[0] for f in forms], dtype=float).reshape(len(forms), n_classes)
-        return cls(weights.T, *(np.array([f[i] for f in forms], dtype=float) for i in (1, 2, 3)))
+    def unpack(cls, forms: Sequence[bytes], n_classes: int) -> _RuleForms:
+        """The rules whose form_bytes are ``forms``, in order."""
+        table = np.frombuffer(b"".join(forms)).reshape(len(forms), n_classes + 3)
+        return cls(table[:, :n_classes].T, *table[:, n_classes:].T)
 
     def reject_probs(self, counts: np.ndarray) -> np.ndarray:
         """Per row of an (N, K) count array, every rule's probability of rejecting H0: shape (N, R).
@@ -306,17 +319,6 @@ class _RuleForms(NamedTuple):
         offsets -= randomized
         return p, offsets
 
-    def table(self, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """verdicts of every count tuple of the cell ``counts``, in grid order, kept in score_dist's store."""
-        return _verdict_table(counts, *(a.tobytes() for a in self))  # bytes: a nan bound still finds its table
-
-
-@_in_store
-def _verdict_table(counts, weights, lo, hi, k) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi, k = (np.frombuffer(a) for a in (lo, hi, k))
-    forms = _RuleForms(np.frombuffer(weights).reshape(len(counts), len(lo)), lo, hi, k)
-    return forms.verdicts(cell_grid(counts))
-
 
 def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw, scores=None) -> list[float]:
     """P(reject H0) of a rule's form under each law of the cell, ranked into ``scores`` (else read from the store): the
@@ -331,7 +333,7 @@ def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw,
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:
     _check_observation(obs, rule.class_counts)
-    weights, lo, hi, k = _rule_form(rule)
+    weights, lo, hi, k = rule.form
     p = float(_threshold_probs(tuple_scores(weights, np.array([obs.counts])), lo, hi, k)[0])
     if 0.0 < p < 1.0:
         verdict = Verdict.REJECT_H0 if coin.random() < p else Verdict.ACCEPT_H0
@@ -411,7 +413,7 @@ def operating_characteristics(
         raise DomainError(
             f"rule was built for class counts {rule.class_counts}, scenario has {counts}"
         )
-    stats, form = scenario.derived(), _rule_form(rule)
+    stats, form = scenario.derived(), rule.form
     if isinstance(rule, MPTest) and rule.normal_law == stats.normal_law:
         return OperatingCharacteristics(*_rejection_rates(counts, form, stats.event_law), rule.exact_power)
     return OperatingCharacteristics(*_rejection_rates(counts, form, stats.event_law, stats.normal_law))

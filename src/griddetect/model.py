@@ -153,6 +153,19 @@ class Topology:
     def total_count(self) -> int:
         return sum(self.counts)
 
+    @functools.cached_property
+    def first_sensors(self) -> tuple[int, ...]:
+        """Each class's first sensor in topology order."""
+        return tuple(sum(self.counts[:i]) for i in range(len(self.counts)))
+
+    @functools.cached_property
+    def detection_column(self):
+        """Each sensor's detection probability in topology order, a read-only (sensors, 1) float array."""
+        import numpy as np  # here, so that reading a scenario needs no numpy
+        column = np.repeat(self.detect_probs, self.counts)[:, None]
+        column.flags.writeable = False
+        return column
+
 
 @dataclass(frozen=True)
 class Prior:

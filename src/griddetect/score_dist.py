@@ -26,10 +26,9 @@ masses where every atom is one row (:func:`ranked_masses`), whether all are
 positive, and its checkpoint limbs and stride, from which :func:`ranked_sum`
 adds any prefix reading fewer than one stride of masses (``_ranked_law``); a
 positive law's walk (``_law_walk``): its mass per atom where atoms have several
-rows, and their running sum; and a rule set's verdict table
-(``decision_tests._RuleForms.table``): each count tuple's reject probability and
-coin offset per rule, in grid order, keyed on the rules' form arrays as bytes,
-which the simulator reads per trial.
+rows, and their running sum; and a simulated rule set's plan on a cell
+(``simulator._plan``), keyed on the rules' form bytes: its verdict table, each
+count tuple's reject probability and coin offset per rule, or its stacked forms.
 No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum

@@ -23,12 +23,16 @@ before it draws the next; ``run_trials`` is a sweep of one run. A run reads
 the world in the order above with the same comparisons, takes every rule's
 reject probability from the threshold-rule core that ``mp_decide`` and
 ``bayes_decide`` use, and compares it with the uniform the contract assigns
-to that test's boundary coin. A cell of at most as many count tuples as a
-block has trials looks each trial's probabilities and coin positions up in
-its rules' verdict table (one row per count tuple, kept in ``score_dist``'s
-store); a wider cell scores trial by trial. The counts equal a
-trial-by-trial run's. ``forced_worlds`` reads worlds the same way for
-trials whose truth is forced (calibration logs), from their first uniform.
+to that test's boundary coin. A run reads its rules from one plan in
+``score_dist``'s store (``_plan``), keyed by the cell's class counts, the
+rules' form bytes (a nan bound's bytes equal) and whether a block has at least
+as many trials as the cell has count tuples. Then the plan holds the rules'
+verdict table, each count tuple's reject probabilities and coin offsets, and
+each sensor's stride to its tuple's row; else the rules' stacked forms, which
+score trial by trial. The prior and channel are read per call, so a warm run
+derives no form and reads one store entry. The counts equal a trial-by-trial
+run's. ``forced_worlds`` reads worlds the same way for trials whose truth is
+forced (calibration logs), from their first uniform.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .decision_tests import (
     mp_decide,
 )
 from .model import DomainError, Prior, Topology, ValidatedScenario, _check_master_seed
+from .score_dist import _in_store, cell_grid
 
 __all__ = [
     "GENERATOR_NAME",
@@ -266,8 +271,7 @@ def _world(
     """
     topology = scenario.topology
     n = topology.total_count
-    detect_probs = np.repeat(topology.detect_probs, topology.counts)[:, None]
-    detected = (u[row : row + 2 * n : 2] < detect_probs) & event
+    detected = (u[row : row + 2 * n : 2] < topology.detection_column) & event
     response = np.where(event, u[row + 1 : row + 2 * n + 1 : 2], u[row : row + n])
     return detected, response < np.where(detected, scenario.channel.p_c, scenario.channel.p_w)
 
@@ -292,45 +296,47 @@ def forced_worlds(
         yield detected.T, alarm.T
 
 
+@_in_store
+def _plan(counts: tuple[int, ...], forms: tuple[bytes, ...], lookup: bool) -> tuple[np.ndarray, ...]:
+    """What a run's blocks read of its rules, the rules' form_bytes ``forms`` on the cell ``counts``: looked up by
+    count tuple, (p, offsets, strides), the verdicts of every tuple in grid order (_RuleForms.verdicts) and each
+    sensor's stride in the grid; else the rules' four stacked forms, which score trial by trial."""
+    rules = _RuleForms.unpack(forms, len(counts))
+    if not lookup:
+        return tuple(rules)
+    dims = [c + 1 for c in counts]
+    # a tuple's row in the grid: sum x_i * prod(dims[i + 1:]), one stride per sensor of class i
+    strides = np.repeat([math.prod(dims[i + 1 :]) for i in range(len(dims))], counts)
+    return *rules.verdicts(cell_grid(counts)), strides
+
+
+def _plan_verdicts(plan: tuple[np.ndarray, ...], topology: Topology, alarm: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every rule's reject probability and coin offset, each (trials, rules), from (sensors, trials) alarm bits."""
+    if len(plan) == 3:
+        p, offsets, strides = plan
+        index = strides @ alarm
+        return p.take(index, axis=0), offsets.take(index, axis=0)
+    return _RuleForms(*plan).verdicts(np.add.reduceat(alarm, topology.first_sensors, axis=0).T)
+
+
 def _count_block(
-    scenario: ValidatedScenario, prior: Prior, verdicts, u: np.ndarray
+    scenario: ValidatedScenario, prior: Prior, plan: tuple[np.ndarray, ...], u: np.ndarray
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Counts over one block of trials from their (trials, draws) uniforms: event trials, and per sensor alarms and
+    """Counts over one block of trials from their (draws, trials) uniforms: event trials, and per sensor alarms and
     per rule event declarations, summed over all trials and over event trials.
 
     Reads each trial's stream in the module draw order; the comparisons
     are the ones draw_world and mp_decide make on the same doubles.
-    ``verdicts`` maps the block's (sensors, trials) alarm bits to every
-    rule's reject probability and coin offset per trial (_RuleForms.verdicts).
     """
-    n = scenario.topology.total_count
-    event = u[:, 0] < prior.event_prob
-    _, alarm = _world(scenario, u.T, 1, event)
-    p, coin = verdicts(alarm)
-    # a test's coin follows the world draws and the coins of earlier tests;
-    # where p is 0 or 1 the draw read is any uniform and decides nothing
-    coin = coin + np.where(event, 1 + 2 * n, 1 + n)[:, None]
-    declared = u.T.take(coin * len(u) + np.arange(len(u))[:, None]) >= p  # u[row, coin] of each row
-
-    features = np.concatenate([alarm, declared.T])
+    n, width = scenario.topology.total_count, u.shape[1]
+    event = u[0] < prior.event_prob
+    _, alarm = _world(scenario, u, 1, event)
+    p, offsets = _plan_verdicts(plan, scenario.topology, alarm)
+    # a test's coin follows the world draws and the coins of earlier tests; where p is 0 or 1 the draw read is any
+    # uniform and decides nothing. Draw d of trial t is u.flat[d * width + t].
+    coin = offsets * width + (np.where(event, (1 + 2 * n) * width, (1 + n) * width) + np.arange(width))[:, None]
+    features = np.concatenate([alarm, (u.take(coin) >= p).T])
     return int(np.count_nonzero(event)), np.add.reduce(features, axis=1), np.add.reduce(features & event, axis=1)
-
-
-def _verdicts(topology: Topology, forms: _RuleForms, rows: int):
-    """The reject probabilities and coin offsets of a block's trials from their alarm bits: looked up by count
-    tuple in the rules' stored table when the cell has at most ``rows`` tuples, else scored trial by trial."""
-    dims = [c + 1 for c in topology.counts]
-    if math.prod(dims) > rows:  # Python ints: a cell of 64 one-sensor classes has 2**64 tuples
-        starts = np.cumsum(topology.counts) - topology.counts
-        return lambda alarm: forms.verdicts(np.add.reduceat(alarm, starts, axis=0).T)
-    p, offsets = forms.table(topology.counts)
-    # a tuple's row in the grid: sum x_i * prod(dims[i + 1:]), one stride per sensor of class i
-    strides = np.repeat([math.prod(dims[i + 1 :]) for i in range(len(dims))], topology.counts)
-
-    def lookup(alarm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        index = strides @ alarm
-        return p[index], offsets[index]
-    return lookup
 
 
 def run_sweep(
@@ -348,15 +354,16 @@ def run_sweep(
     n_draws = 1 + 2 * n_sensors + max((len(tests) for _, tests in runs), default=0)
     _check_draws(n_sensors, n_draws, "simulation", "1 + 2 * sensors + tests")
     rows = _block_rows(n_draws)
-    verdicts = [_verdicts(topology, _RuleForms.of([test for _, test in tests], len(topology.counts)),
-                          min(n_trials, rows)) for _, tests in runs]
+    # Python ints: a cell of 64 one-sensor classes has 2**64 tuples
+    lookup = math.prod(c + 1 for c in topology.counts) <= min(n_trials, rows)
+    plans = [_plan(topology.counts, tuple(test.form_bytes for _, test in tests), lookup) for _, tests in runs]
 
     totals = [(0, 0, 0)] * len(runs)
     for start in range(0, n_trials, rows):
         indices = np.arange(start, min(start + rows, n_trials), dtype=np.uint64)
-        u = _streams.uniforms(master_seed, indices, n_draws)  # overwritten by the next block's
-        for r, ((prior, _), verdict) in enumerate(zip(runs, verdicts)):
-            totals[r] = tuple(a + b for a, b in zip(totals[r], _count_block(scenario, prior, verdict, u)))
+        u = _streams.uniforms(master_seed, indices, n_draws).T  # overwritten by the next block's
+        for r, ((prior, _), plan) in enumerate(zip(runs, plans)):
+            totals[r] = tuple(a + b for a, b in zip(totals[r], _count_block(scenario, prior, plan, u)))
     return [_report(topology, tests, n_trials, master_seed, *total) for (_, tests), total in zip(runs, totals)]
 
 
@@ -385,14 +392,13 @@ def _report(topology: Topology, tests: Sequence[TestSpec], n_trials: int, master
     over all trials and over event trials."""
     alarms, event_alarms = alarms.tolist(), event_alarms.tolist()
     n_normal = n_trials - n_event
-    firsts = [sum(topology.counts[:i]) for i in range(len(topology.counts))]  # each class's first sensor
     class_stats = tuple(
         ClassSimStats(label=cls.label, count=cls.count,
                       n_event_silent=cls.count * n_event - sum(event_alarms[f : f + cls.count]),
                       n_event_records=n_event * cls.count, n_first_silent_event=n_event - event_alarms[f],
                       n_first_silent=n_trials - alarms[f], n_first_alarm_normal=alarms[f] - event_alarms[f],
                       n_first_alarm=alarms[f])
-        for cls, f in zip(topology.classes, firsts)
+        for cls, f in zip(topology.classes, topology.first_sensors)
     )
     test_stats = tuple(
         TestSimStats(name=name, n_accept_event=event_alarms[ti], n_event=n_event,

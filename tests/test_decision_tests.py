@@ -833,7 +833,8 @@ class TestOneBayesThreshold:
         ops = g.operating_characteristics(rule, sc)
         _assert_prefix_rates_match(rule, sc)
         counts = sc.topology.counts
-        reject = decision_tests._RuleForms.of([rule], len(counts)).reject_probs(cell_grid(counts))[:, 0]
+        forms = decision_tests._RuleForms.unpack([rule.form_bytes], len(counts))
+        reject = forms.reject_probs(cell_grid(counts))[:, 0]
         stats = sc.derived()
         if not rule.applicable:
             assert ops == (0.0, 0.0)

@@ -31,9 +31,9 @@ from click.testing import CliRunner
 import griddetect as g
 from griddetect import _streams, decision_tests, score_dist
 from griddetect.cli import main
-from griddetect.decision_tests import bayes_test, operating_characteristics, solve_mp_test
+from griddetect.decision_tests import bayes_test, operating_characteristics, solve_mp_test, solve_mp_tests
 
-from cases import random_scenario
+from cases import GOOD_APPROX, good_scenario, random_scenario
 
 
 MiB = 2**20
@@ -52,12 +52,11 @@ def _count_masses(monkeypatch) -> list:
     return computed
 
 
-KINDS = {"cell_grid": "grid", "cell_ranking": "ranking", "_ranked_law": "law", "_law_walk": "walk",
-         "_verdict_table": "table"}
+KINDS = {"cell_grid": "grid", "cell_ranking": "ranking", "_ranked_law": "law", "_law_walk": "walk", "_plan": "plan"}
 
 
 def _count_builds(monkeypatch) -> dict[str, list]:
-    """The keys of the grids, rankings, ranked laws, walks and verdict tables stored from here on, one entry per
+    """The keys of the grids, rankings, ranked laws, walks and simulation plans stored from here on, one entry per
     build, in a store that starts empty."""
     built = {kind: [] for kind in KINDS.values()}
 
@@ -276,7 +275,7 @@ def test_second_rotation_rebuilds_no_ranking(monkeypatch):
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         if rotation == 0:
             first = {kind: len(keys) for kind, keys in built.items()}
-    assert first == {"grid": 6, "ranking": 12, "law": 24, "walk": 12, "table": 0}
+    assert first == {"grid": 6, "ranking": 12, "law": 24, "walk": 12, "plan": 0}
     assert {kind: len(keys) for kind, keys in built.items()} == first
 
 
@@ -376,11 +375,37 @@ def test_second_run_builds_no_verdict_table(monkeypatch):
     _clear_store()
     built = _count_builds(monkeypatch)
     reports = [g.run_trials(sc, prior, tests, 250, seed) for seed in (1, 2)]
-    assert len(built["table"]) == 1 and built["table"][0][1] == sc.topology.counts
+    assert len(built["plan"]) == 1 and built["plan"][0][1] == sc.topology.counts
     assert reports[0] != reports[1] and reports[1].test_stats[2].n_reject_normal == 0
-    table = score_dist._store[built["table"][0]][0]
-    assert [a.shape for a in table] == [(50, 3), (50, 3)] and not any(a.flags.writeable for a in table)
-    assert score_dist._store_bytes == sum(_stored()) and _stored()[-1] == _charge(table)
+    plan = score_dist._store[built["plan"][0]][0]  # the verdict table and each sensor's stride
+    assert [a.shape for a in plan] == [(50, 3), (50, 3), (9,)] and not any(a.flags.writeable for a in plan)
+    assert score_dist._store_bytes == sum(_stored()) and _stored()[-1] == _charge(plan)
+
+
+def test_warm_run_derives_nothing(monkeypatch):
+    # simulate's six rules on the good scenario: a warm 250-trial run reads its plan and derives nothing
+    sc, prior = good_scenario(), g.Prior(0.3)
+    sizes = (0.1, 0.05, 0.025, 0.01)
+    tests = [(f"bayes l={l:g}", bayes_test(sc, prior, g.LossRatio(l))) for l in (5, 20)]
+    tests += [(f"mp size={s:g}", t) for s, t in zip(sizes, solve_mp_tests(sc, sizes, **GOOD_APPROX))]
+    want = g.run_trials(sc, prior, tests, 250, 3)  # warm
+    reads, built, derived = [], [], []
+
+    class Counting(OrderedDict):
+        def __getitem__(self, key):
+            reads.append(key[0])
+            return super().__getitem__(key)
+
+        def __setitem__(self, key, value):
+            built.append(key[0])
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(score_dist, "_store", Counting(score_dist._store))
+    built.clear()  # the copy's insertions
+    rule_form = decision_tests._rule_form
+    monkeypatch.setattr(decision_tests, "_rule_form", lambda rule: derived.append(rule) or rule_form(rule))
+    assert g.run_trials(sc, prior, tests, 250, 3) == want
+    assert (reads, built, derived) == (["_plan"], [], [])
 
 
 def _cap_cell(classes, approx_weights) -> str:
@@ -428,7 +453,8 @@ def test_cap_cell_command_builds_no_entry_twice(monkeypatch, tmp_path, cell, com
     # every MP design walks a running sum, kept for a law of positive masses: 0.13**510 underflows to 0
     assert bool(built["walk"]) == (cell != "510+11x1" and not command.startswith("bayes"))
     assert sums == []  # every atom is one row: a walk keeps only its running sum and reads the ranked masses
-    assert built["table"] == []  # 2**20 count tuples: simulate scores each trial
+    # 2**20 count tuples: simulate scores each trial, from one plan per prior that holds no table
+    assert bool(built["plan"]) == command.startswith("simulate") and not any(key[3] for key in built["plan"])
     assert _twice(built) == {kind: [] for kind in KINDS.values()}
     assert score_dist._store_bytes <= score_dist.STORE_BYTES
 

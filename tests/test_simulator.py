@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import griddetect as g
-from griddetect import DomainError, Truth, _streams, decision_tests
+from griddetect import DomainError, Truth, _streams, score_dist, simulator
 from griddetect.decision_tests import _RuleForms
 from griddetect.score_dist import cell_grid
-from griddetect.simulator import GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, _verdicts, run_sweep, trial_rng
+from griddetect.simulator import (
+    GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, _plan, _plan_verdicts, run_sweep, trial_rng,
+)
 
 from cases import GOOD_APPROX, degenerate_scenario, good_scenario, weak_scenario
 
@@ -284,10 +286,15 @@ class TestRunTrials:
 
 
 def _count_tables(monkeypatch) -> list:
-    """The cells whose verdict tables are looked up from here on, one entry per lookup, kept or built."""
-    looked_up, table = [], decision_tests._verdict_table
-    monkeypatch.setattr(decision_tests, "_verdict_table", lambda counts, *form: looked_up.append(counts)
-                        or table(counts, *form))
+    """The cells whose runs read a verdict table from here on, one entry per plan read, kept or built."""
+    looked_up, plan = [], simulator._plan
+
+    def counting(counts, forms, lookup):
+        if lookup:
+            looked_up.append(counts)
+        return plan(counts, forms, lookup)
+
+    monkeypatch.setattr(simulator, "_plan", counting)
     return looked_up
 
 
@@ -312,15 +319,15 @@ class TestSweep:
         sc, prior, tests = REPLAY_CASES[case]()
         counts = sc.topology.counts
         n_tuples = math.prod(c + 1 for c in counts)
-        forms = _RuleForms.of([test for _, test in tests], len(counts))
+        forms = tuple(test.form_bytes for _, test in tests)
         grid = cell_grid(counts)
         # the alarm bits of every count tuple: the first x_i sensors of class i alarm
         alarm = np.concatenate([np.arange(c)[:, None] < grid[:, i] for i, c in enumerate(counts)])
-        table = _verdicts(sc.topology, forms, n_tuples)(alarm)
-        scored = _verdicts(sc.topology, forms, n_tuples - 1)(alarm)
+        table = _plan_verdicts(_plan(counts, forms, True), sc.topology, alarm)
+        scored = _plan_verdicts(_plan(counts, forms, False), sc.topology, alarm)
         assert all(np.array_equal(a, b) for a, b in zip(table, scored))
         p = table[0]
-        assert np.array_equal(p, forms.reject_probs(grid))
+        assert np.array_equal(p, _RuleForms.unpack(forms, len(counts)).reject_probs(grid))
         assert ((0.0 < p) & (p < 1.0)).any(), case  # a randomized boundary (0 < k < 1)
         # runs at the bound (tuples = n_trials) read the table; one trial fewer scores trial by trial
         looked_up = _count_tables(monkeypatch)
@@ -358,6 +365,55 @@ class TestSweep:
                     if field.type == "int":
                         assert type(getattr(record, field.name)) is int, (type(record).__name__, field.name)
             assert json.loads(json.dumps(dataclasses.asdict(report)))["n_event"] == report.n_event
+
+
+def _store_size() -> tuple[int, int]:
+    return len(score_dist._store), score_dist._store_bytes
+
+
+class TestPlan:
+    """A run reads its rules from one stored plan, keyed by the cell's counts and the rules' form bytes."""
+
+    @pytest.mark.parametrize("n", [40, 100])  # scored trial by trial, and read from the table
+    @pytest.mark.parametrize("cell", [degenerate_scenario, good_scenario])
+    def test_equal_rule_sets_share_a_plan(self, cell, n):
+        sc = cell()
+        prior = g.Prior(0.4)
+
+        def rules():
+            # fresh objects each time: p_w = 0 Bayes rules report a nan threshold, and a threshold of -inf gives the
+            # form of a rule with p_w > 0 a nan bound
+            bayes = [(f"bayes l={l:g}", g.bayes_test(sc, prior, g.LossRatio(l))) for l in (5, 1e9)]
+            never = dataclasses.replace(bayes[0][1], threshold=-math.inf, applicable=False, normalized_weights=None)
+            return bayes + [("mp", g.solve_mp_test(sc, 0.01)), ("never", never)]
+
+        tests = rules()
+        assert math.isnan(tests[0][1].threshold if cell is degenerate_scenario else tests[3][1].form[2])
+        want = [_replay_counts(sc, prior, tests, n, seed)[0] for seed in (3, 4)]
+        assert _report_counts(g.run_trials(sc, prior, tests, n, 3)) == want[0]
+        size = _store_size()
+        for i in range(20):
+            assert _report_counts(g.run_trials(sc, prior, rules(), n, 3 + i % 2)) == want[i % 2]
+        assert _store_size() == size
+
+    def test_a_rule_set_that_differs_in_one_boundary_gets_its_own_plan(self):
+        sc, prior, tests = _good_replay_case()
+        name, mp = tests[1]
+        assert isinstance(mp, g.MPTest) and mp.boundary_prob not in (0.0, 0.25)
+        other = tests[:1] + [(name, dataclasses.replace(mp, boundary_prob=0.25))] + tests[2:]
+        keys = [("_plan", sc.topology.counts, tuple(t.form_bytes for _, t in rules), True) for rules in (tests, other)]
+        for rules in (tests, other):
+            assert _report_counts(g.run_trials(sc, prior, rules, 100, 6)) == _replay_counts(sc, prior, rules, 100, 6)[0]
+        assert keys[0] != keys[1] and all(key in score_dist._store for key in keys)
+
+    def test_the_channel_is_read_per_run(self):
+        # rules solved on one channel, run on two cells of the same topology: one plan, each run its own channel's
+        sc, prior, tests = _good_replay_case()
+        other = g.validate(g.ChannelModel(p_c=0.7, p_w=0.25), sc.topology)
+        for cell in (sc, other, sc):
+            replayed = _replay_counts(cell, prior, tests, 100, 8)[0]
+            assert _report_counts(g.run_trials(cell, prior, tests, 100, 8)) == replayed
+        assert g.run_trials(sc, prior, tests, 100, 8) != g.run_trials(other, prior, tests, 100, 8)
 
 
 class TestWorkspace:

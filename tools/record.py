@@ -30,6 +30,11 @@ Records, for the working tree as it is:
   (``--weight-mode paper-approx``), whose ties merge count tuples into
   atoms of many rows, and ``bayes``, whose error rates sum prefixes of
   117,649 masses, each the median of 7 fresh processes.
+- the split of one simulator block: a 250-trial ``run_trials`` call on the
+  good scenario with ``simulate``'s six rules (p_e = 0.3), next to
+  ``_streams.uniforms`` alone for the same block, each the median of 7
+  rounds of 200 calls in one fresh process, the two taking rounds in turn,
+  and their difference, the block's cost outside the streams.
 
 Every timed process runs this interpreter (``sys.executable``), never a
 ``python`` found on PATH, which may be a wrapper script that adds its own
@@ -85,6 +90,35 @@ APPROX = ["--weight-mode", "paper-approx"]
 WIDE_COMMANDS = {"mp --weight-mode paper-approx": (["mp", *APPROX], 7),
                  "dist --weight-mode paper-approx --format csv": (["dist", *APPROX, "--format", "csv"], 7),
                  "bayes": (["bayes"], 7)}
+# run in a fresh process on a scenario file: microseconds per call, each the median of 7 rounds of 200 calls
+BLOCK_SPLIT = """
+import json, statistics, sys, time
+import numpy as np
+from griddetect import _streams, simulator
+from griddetect.decision_tests import bayes_test, solve_mp_tests
+from griddetect.model import LossRatio, Prior
+from griddetect.scenario_io import load_scenario
+
+sf, prior, trials = load_scenario(sys.argv[1]), Prior(0.3), 250
+tests = [("bayes", bayes_test(sf.scenario, prior, LossRatio(l))) for l in sf.loss_ratios]
+tests += [("mp", test) for test in solve_mp_tests(sf.scenario, sf.sizes, **sf.mp_overrides())]
+n_draws = 1 + 2 * sf.scenario.topology.total_count + len(tests)
+indices = np.arange(trials, dtype=np.uint64)
+calls = {"run_trials": lambda: simulator.run_trials(sf.scenario, prior, tests, trials, 101),
+         "streams": lambda: _streams.uniforms(101, indices, n_draws)}  # the same block's uniforms
+rounds = {name: [] for name in calls}
+for call in calls.values():
+    call()
+for _ in range(7):  # round by round in turn, so that a change of the host's speed reaches both
+    for name, call in calls.items():
+        start = time.perf_counter()
+        for _ in range(200):
+            call()
+        rounds[name].append((time.perf_counter() - start) / 200 * 1e6)
+split = {"trials": trials, "rules": len(tests)}
+split.update((name + "_us", round(statistics.median(r), 1)) for name, r in rounds.items())
+print(json.dumps(split))
+"""
 SHIPPED_COMMANDS = {"simulate --format csv": (SIMULATE, 7), "mp": (["mp"], 7), "bayes": (["bayes"], 7)}
 SHIPPED = {net: ROOT / "scenarios" / f"{net}_network.yaml" for net in ("good", "weak")}
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
@@ -186,6 +220,16 @@ def cell_row(label: str, scenario: str, commands: dict[str, tuple[list[str], int
         return {"scenario": scenario, "commands": command_times(label, path, commands)}
 
 
+def block_split() -> dict:
+    """One simulator block on the good scenario, timed in a fresh process (BLOCK_SPLIT), with its non-stream cost."""
+    proc = subprocess.run([sys.executable, "-c", BLOCK_SPLIT, str(SHIPPED["good"])], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, check=True)
+    split = json.loads(proc.stdout)
+    split["non_stream_us"] = round(split["run_trials_us"] - split["streams_us"], 1)
+    print(f"simulator block: {split}", flush=True)
+    return split
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number in the file name BENCH_<pr>.json")
@@ -202,6 +246,7 @@ def main(argv=None) -> int:
         "shipped": {net: command_times(net, path, SHIPPED_COMMANDS) for net, path in SHIPPED.items()},
         "cap_cell": cell_row("cap cell", CAP_CELL, CAP_COMMANDS),
         "wide_cell": cell_row("6x6 cell", WIDE_CELL, WIDE_COMMANDS),
+        "sim_block": block_split(),
         "benchmark": {"seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {}},
     }
     for workload in (w["name"] for w in bench["workloads"]):
