@@ -106,7 +106,7 @@ def _seed(master_seed: int, idx: np.ndarray, ws: _Workspace) -> None:
     for src, init, mult, dst in _MIX_STEPS:
         _hash(pool[src], init, mult, h, t[1:])
         np.multiply(h, _MIX_R, out=h)
-        mixed = np.take(pool, dst, axis=0, out=t[1:], mode="clip")
+        mixed = pool.take(dst, axis=0, out=t[1:], mode="clip")
         np.multiply(mixed, _MIX_L, out=mixed)
         np.subtract(mixed, h, out=mixed)
         np.right_shift(mixed, _U32_16, out=h)
@@ -114,7 +114,7 @@ def _seed(master_seed: int, idx: np.ndarray, ws: _Workspace) -> None:
         pool[dst] = mixed
 
     st, s = ws.st, ws.s
-    np.take(pool, _STATE_WORDS, axis=0, out=st, mode="clip")
+    pool.take(_STATE_WORDS, axis=0, out=st, mode="clip")
     _hash(st, _STATE_HASH[:-1], _STATE_HASH[1:], st, ws.st_tmp)
     np.left_shift(st[1::2], _U64_32, out=s, dtype=np.uint64)
     np.bitwise_or(s, st[0::2], out=s)

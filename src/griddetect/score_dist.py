@@ -3,7 +3,7 @@
 The base station sums one weight per alarming sensor, grouped by class:
 X = sum_i w_i * x_i where x_i is the alarm count of class i. Under either
 hypothesis the x_i are independent binomials, so every exact quantity is
-a sum over a cell's grid of count tuples (:func:`cell_grid`), weighted by
+a sum over a cell's grid of count tuples (:func:`count_tuples`), weighted by
 each tuple's probability under a law (:func:`cell_masses`). Its score
 (:func:`tuple_scores`) is the one definition that atoms, decision rules and
 the simulator all compare. :func:`cell_ranking` sorts a cell's tuples by
@@ -15,21 +15,18 @@ masses, the grid rows in score order and each atom's first row. The count
 tuples in that order and ``ScoreAtom`` objects are built on request.
 
 One thread-safe least-recently-used store of ``STORE_BYTES`` keeps read-only
-arrays of five kinds, each in one entry keyed by its builder's name and
-arguments and charged its bytes plus a fixed overhead: a cell's count tuples
-(:func:`cell_grid`), in the smallest unsigned dtype that holds the largest
-count (so also ``ScoreDistribution.tuples``); its ranking under a weight vector
-(:func:`cell_ranking`): the int32 stable score order, the scores in that order,
-each atom's first rank and value, and the int32 index and first and end ranks
-of each atom of more than one row; a law's masses in that order, its atom
-masses where every atom is one row (:func:`ranked_masses`), whether all are
-positive, and its checkpoint limbs and stride, from which :func:`ranked_sum`
-adds any prefix reading fewer than one stride of masses (``_ranked_law``); a
-positive law's walk (``_law_walk``): its mass per atom where atoms have several
-rows, and their running sum; and a simulated rule set's plan on a cell
-(``simulator._plan``), keyed on the rules' form bytes: its verdict table, each
-count tuple's reject probability and coin offset per rule, or its stacked forms.
-No command on a ``MAX_COUNT_TUPLES`` cell builds an entry twice.
+arrays of four kinds, each in one entry keyed by its builder's name and
+arguments and charged its bytes plus a fixed overhead. Each holds only what a
+warm read needs; the grid is never kept, but built afresh where an entry is.
+A cell's ranking under a weight vector (:func:`cell_ranking`): the int32 stable
+score order, the scores in that order, and each atom's int32 first rank and
+value; a law is tied where it has fewer atoms than ranks. A law's masses in
+that order, with its checkpoint limbs and stride, from which :func:`ranked_sum`
+adds any prefix reading fewer than one stride of masses (``_ranked_law``). A
+positive law's walk (``_law_walk``): its mass per atom where it is tied, and
+their running sum. A simulated rule set's verdict table on a cell
+(``simulator._plan``). No command on a ``MAX_COUNT_TUPLES`` cell builds an
+entry twice.
 
 :func:`exact_sum` gives the bits of ``math.fsum``, which rounds the exact sum
 once (Shewchuk 1997), by summing exactly per exponent first (after Rump,
@@ -66,8 +63,8 @@ from .model import ClassAlarmLaw, DomainError, _check_weights
 __all__ = [
     "MERGE_REL_TOL", "BRUTE_FORCE_MAX_SENSORS", "MAX_COUNT_TUPLES", "STORE_BYTES", "MAX_BINOMIAL_COUNT",
     "VECTOR_SUM_MIN_LENGTH", "atom_tolerance", "exact_sum", "ClassAlarmLaw", "ScoreAtom", "ScoreDistribution",
-    "count_tuples", "tuple_scores", "cell_grid", "cell_masses", "cell_ranking", "ranked_masses", "score_distribution",
-    "score_law_walk", "ranked_sum", "brute_force_distribution",
+    "count_tuples", "tuple_scores", "cell_masses", "cell_ranking", "score_distribution", "score_law_walk", "ranked_sum",
+    "brute_force_distribution",
 ]
 
 # Relative tolerance under which two scores count as the same atom. Equal
@@ -123,18 +120,19 @@ class ScoreDistribution:
 
     Atom i has value ``values[i]`` and mass ``probs[i]``; its count tuples
     are ``tuples[starts[i]:starts[i + 1]]``. ``order`` lists the rows of
-    ``grid`` of positive mass, sorted by score; ``tuples`` gathers them.
+    the grid of ``counts`` of positive mass, sorted by score; ``tuples``
+    gathers them.
     """
 
     values: np.ndarray
     probs: np.ndarray
     starts: np.ndarray
     order: np.ndarray
-    grid: np.ndarray
+    counts: tuple[int, ...]
 
     @functools.cached_property
     def tuples(self) -> np.ndarray:  # gathered on first use
-        return np.take(self.grid, self.order, axis=0)
+        return count_tuples(self.counts)[self.order]
 
     @functools.cached_property
     def atoms(self) -> tuple[ScoreAtom, ...]:
@@ -168,13 +166,19 @@ class ScoreDistribution:
         return float(self.values[-1])
 
 
-def count_tuples(counts: Sequence[int]) -> np.ndarray:
-    """(N, K) array of every count tuple with 0 <= x_i <= counts[i], in lexicographic order."""
+def _check_cap(counts: Sequence[int]) -> tuple[int, ...]:
+    """The grid's size per class, once the cell is found to have at most MAX_COUNT_TUPLES count tuples."""
     dims = tuple(int(n) + 1 for n in counts)
-    n_tuples = math.prod(dims)
-    if n_tuples > MAX_COUNT_TUPLES:
+    if (n_tuples := math.prod(dims)) > MAX_COUNT_TUPLES:
         raise DomainError(f"the cell has {n_tuples} count tuples; exact analysis is capped at {MAX_COUNT_TUPLES}")
-    return np.indices(dims, dtype=np.min_scalar_type(max(dims) - 1)).reshape(len(dims), -1).T
+    return dims
+
+
+def count_tuples(counts: Sequence[int]) -> np.ndarray:
+    """(N, K) row-major array of every count tuple with 0 <= x_i <= counts[i], in lexicographic order, in the
+    smallest unsigned dtype that holds the largest count."""
+    dims = _check_cap(counts)
+    return np.ascontiguousarray(np.indices(dims, dtype=np.min_scalar_type(max(dims) - 1)).reshape(len(dims), -1).T)
 
 
 def tuple_scores(weights: Sequence[float] | np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -191,11 +195,14 @@ def tuple_scores(weights: Sequence[float] | np.ndarray, tuples: np.ndarray) -> n
     return scores
 
 
-# The least budget at which no command on a cell under the cap builds an entry twice: the widest grid (one class of
-# 510 sensors and 11 of one, 24 MiB of uint16), a ranking of distinct scores (28 MiB), two laws' masses (16 MiB), the
-# walked law's running sum (8 MiB) and both laws' checkpoint limbs (2.7 MiB, at most a quarter of their masses).
-STORE_BYTES = 79 * 2**20
-_ENTRY_BYTES = 1100  # what tracemalloc sees a ranking entry hold besides its arrays' data, the most of any kind
+# The least budget at which no command on a cell under the cap builds an entry twice, 44 MiB, and 8 MiB to spare: what
+# a design's rates read together, a ranking of distinct scores (24 MiB: its order and atom starts int32, its scores and
+# values float64) and two laws' masses (16 MiB) with their checkpoint limbs (at most a quarter of the masses). A walk's
+# running sum (8 MiB) is read before the rates, and may make way for them.
+STORE_BYTES = 52 * 2**20
+# what tracemalloc sees an entry hold besides its arrays' data, the most of any kind: over 242 small cells, 770 bytes
+# a ranking, 590 a ranked law and 520 a walk
+_ENTRY_BYTES = 800
 _store: OrderedDict[tuple, tuple] = OrderedDict()  # (kind, *arguments): (result, bytes charged), least recent first
 _store_lock = threading.Lock()  # guards every insertion and eviction, and _store_bytes, their total
 _store_bytes = 0
@@ -234,15 +241,9 @@ def _in_store(build):
     return functools.wraps(build)(fetch)
 
 
-@_in_store
-def cell_grid(counts: tuple[int, ...]) -> np.ndarray:
-    """count_tuples of a cell, row-major so that rows gather whole."""
-    return np.ascontiguousarray(count_tuples(counts))
-
-
 def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
     """Probability of each count tuple of the cell, in grid order: its binomial masses multiplied in class order."""
-    cell_grid(law.counts)  # refuses a cell of too many tuples
+    _check_cap(law.counts)
     masses = np.ones(1)  # times each class's masses, an outer product in grid order
     for i, (n, q) in enumerate(zip(law.counts, law.alarm_probs)):
         if n > MAX_BINOMIAL_COUNT:
@@ -255,30 +256,25 @@ def cell_masses(law: ClassAlarmLaw) -> np.ndarray:
 
 @_in_store
 def cell_ranking(counts: tuple[int, ...], weights: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """(order, ranked, starts, values, multi, spans): the cell's int32 stable ascending score order, the
-    scores in that order, each atom's first rank and value, near-equal scores merged over the whole
-    grid, and _multi_row_atoms of those atoms."""
-    scores = tuple_scores(weights, cell_grid(counts))
+    """(order, scores, starts, values): the cell's int32 stable ascending score order, the scores in that order,
+    and each atom's int32 first rank and value, near-equal scores merged over the whole grid."""
+    scores = tuple_scores(weights, count_tuples(counts))
     order = np.argsort(scores, kind="stable").astype(np.int32)
     ranked = scores[order]
     starts = _atom_starts(ranked)
-    return order, ranked, starts, ranked[starts], *_multi_row_atoms(starts, len(ranked))
-
-
-def ranked_masses(law: ClassAlarmLaw, weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(masses, all positive): a law's masses in the stable score order of one weight vector, and a 0-d bool array."""
-    return _ranked_law(law.counts, law.alarm_probs, weights)[:2]  # hashed in C, unlike the law
+    return order, ranked, starts, ranked[starts]
 
 
 @_in_store
 def _ranked_law(counts, alarm_probs, weights) -> tuple:
-    """(masses, all positive, limbs, stride): ranked_masses, the law's checkpoint limbs and the ranks between them."""
-    ranked = cell_masses(ClassAlarmLaw(counts, alarm_probs))[cell_ranking(counts, weights)[0]]
-    return ranked, np.array(ranked.all()), *_checkpoint_limbs(ranked)
+    """(masses, limbs, stride): a law's masses in the stable score order of one weight vector, their checkpoint
+    limbs and the ranks between them."""
+    masses = cell_masses(ClassAlarmLaw(counts, alarm_probs))[cell_ranking(counts, weights)[0]]
+    return masses, *_checkpoint_limbs(masses)
 
 
 def _atom_starts(scores: np.ndarray) -> np.ndarray:
-    """First row of each atom of ascending ``scores``: a head and every later score within its tolerance.
+    """First row of each atom of ascending ``scores``, int32: a head and every later score within its tolerance.
 
     Scores are >= 0, so no head has a wider tolerance than a later score: a gap wider than the
     tolerance of the score before it starts an atom. A run between such gaps is one atom unless its
@@ -296,53 +292,46 @@ def _atom_starts(scores: np.ndarray) -> np.ndarray:
             if head == end:
                 break
             heads.append(head)
-    return np.sort(np.append(runs, heads)) if heads else runs
+    return (np.sort(np.append(runs, heads)) if heads else runs).astype(np.int32)
 
 
-def _multi_row_atoms(starts: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms of more than one of ``n_rows`` ranks: their int32 indices and (M, 2) int32 first and end ranks."""
-    bounds = np.append(starts, n_rows)
-    multi = np.flatnonzero(np.diff(bounds) > 1)
-    return multi.astype(np.int32), np.stack((bounds[multi], bounds[multi + 1]), axis=1).astype(np.int32)
-
-
-def _assemble(ranking: tuple[np.ndarray, ...], ranked: np.ndarray, grid: np.ndarray) -> ScoreDistribution:
-    """Add up a law's masses in rank order per atom; ties keep the order of ``grid``.
+def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, counts: tuple[int, ...]) -> ScoreDistribution:
+    """Add up a law's ranked masses per atom; ties keep the grid's order.
 
     Zero-mass tuples (alarm probabilities of 0 or 1) are no atoms: the rest keeps its order, merged afresh.
     """
-    order, scores, starts, values, multi, spans = ranking
-    if not ranked.all():
-        keep = ranked > 0.0
-        order, scores, ranked = order[keep], scores[keep], ranked[keep]
+    order, scores, starts, values = ranking
+    if not masses.all():
+        keep = masses > 0.0
+        order, scores, masses = order[keep], scores[keep], masses[keep]
         starts = _atom_starts(scores)
         values = scores[starts]
-        multi, spans = _multi_row_atoms(starts, len(ranked))
-    probs = ranked  # when every atom is one row
-    if len(multi):
-        probs = ranked[starts]
-        probs[multi] = _atom_sums(ranked, spans)
-    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
+    probs = masses  # when every atom is one row
+    if len(starts) < len(masses):
+        bounds = np.append(starts, len(masses))
+        multi = np.flatnonzero(np.diff(bounds) > 1)
+        probs = masses[starts]
+        probs[multi] = _atom_sums(masses, zip(bounds[multi].tolist(), bounds[multi + 1].tolist()))
+    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, counts=counts)
 
 
-def _atom_sums(ranked: np.ndarray, spans: np.ndarray) -> list[float]:
-    """The exact sum of ``ranked[a:b]`` for each first and end rank (a, b) of ``spans``."""
-    flat = memoryview(ranked)  # fsum reads a slice's floats straight from the buffer
-    return [exact_sum(ranked[a:b]) if b - a >= VECTOR_SUM_MIN_LENGTH else math.fsum(flat[a:b])
-            for a, b in spans.tolist()]
+def _atom_sums(masses: np.ndarray, spans: Iterable[tuple[int, int]]) -> list[float]:
+    """The exact sum of ``masses[a:b]`` for each first and end rank (a, b) of ``spans``."""
+    flat = memoryview(masses)  # fsum reads a slice's floats straight from the buffer
+    return [exact_sum(masses[a:b]) if b - a >= VECTOR_SUM_MIN_LENGTH else math.fsum(flat[a:b]) for a, b in spans]
 
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
     weights = tuple(float(w) for w in weights)
     _check_weights(weights, law.counts)
-    ranking, grid = cell_ranking(law.counts, weights), cell_grid(law.counts)
-    ranked, positive = ranked_masses(law, weights)
-    if not positive:  # merged afresh on each call, not kept
-        return _assemble(ranking, ranked, grid)
-    order, _, starts, values, multi, _ = ranking
-    probs = _law_walk(law.counts, law.alarm_probs, weights)[0] if len(multi) else ranked
-    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, grid=grid)
+    ranking = cell_ranking(law.counts, weights)
+    masses = _ranked_law(law.counts, law.alarm_probs, weights)[0]
+    if not masses.all():  # merged afresh on each call, not kept
+        return _assemble(ranking, masses, law.counts)
+    order, _, starts, values = ranking
+    probs = _law_walk(law.counts, law.alarm_probs, weights)[0] if len(starts) < len(order) else masses
+    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, counts=law.counts)
 
 
 def score_law_walk(weights: Iterable[float], law: ClassAlarmLaw) -> tuple[np.ndarray, ...]:
@@ -358,21 +347,21 @@ def score_law_walk(weights: Iterable[float], law: ClassAlarmLaw) -> tuple[np.nda
 
 @_in_store
 def _law_walk(counts, alarm_probs, weights) -> tuple[np.ndarray, ...] | list[np.ndarray]:
-    """(mass per atom, running sum) of a law of positive masses, the first left out where every atom is one row;
+    """(mass per atom, running sum) of a law of positive masses, the first left out where the law is not tied;
     checks the weights, so a kept walk needs none. A law with zero masses gives [values, probs, cum], not kept."""
     _check_weights(weights, counts)
-    ranking, (ranked, positive, *_) = cell_ranking(counts, weights), _ranked_law(counts, alarm_probs, weights)
-    dist = _assemble(ranking, ranked, cell_grid(counts))
+    ranking, masses = cell_ranking(counts, weights), _ranked_law(counts, alarm_probs, weights)[0]
+    dist = _assemble(ranking, masses, counts)
     cum = np.cumsum(dist.probs)
-    if not positive:
+    if not masses.all():
         return [dist.values, dist.probs, cum]
-    return (dist.probs, cum) if len(ranking[4]) else (cum,)
+    return (dist.probs, cum) if len(dist.starts) < len(masses) else (cum,)
 
 
 def ranked_sum(law: ClassAlarmLaw, weights: tuple[float, ...], i: int, j: int = 0, k: float = 0.0) -> float:
-    """exact_sum of the first i masses of ranked_masses(law, weights), plus k times those of ranks i to j: the
+    """exact_sum of a law's first i masses in the score order of ``weights``, plus k times those of ranks i to j: the
     stored limbs of the last checkpoint at or below i, and the fewer than one stride of masses after it."""
-    masses, _, rows, stride = _ranked_law(law.counts, law.alarm_probs, weights)
+    masses, rows, stride = _ranked_law(law.counts, law.alarm_probs, weights)
     c, tail = divmod(i, stride)
     parts = (masses[i - tail:i], masses[i:j] * k) if j > i else (masses[i - tail:i],)
     return exact_sum(rows[c - 1], *parts) if c else exact_sum(*parts)
@@ -433,4 +422,4 @@ def brute_force_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> Sc
     # every count tuple is reachable, so the sorted keys are the rows of the cell's grid
     masses = np.array([tuple_probs[key] for key in sorted(tuple_probs)])
     ranking = cell_ranking(law.counts, weights)
-    return _assemble(ranking, masses[ranking[0]], cell_grid(law.counts))
+    return _assemble(ranking, masses[ranking[0]], law.counts)

@@ -23,16 +23,17 @@ before it draws the next; ``run_trials`` is a sweep of one run. A run reads
 the world in the order above with the same comparisons, takes every rule's
 reject probability from the threshold-rule core that ``mp_decide`` and
 ``bayes_decide`` use, and compares it with the uniform the contract assigns
-to that test's boundary coin. A run reads its rules from one plan in
-``score_dist``'s store (``_plan``), keyed by the cell's class counts, the
-rules' form bytes (a nan bound's bytes equal) and whether a block has at least
-as many trials as the cell has count tuples. Then the plan holds the rules'
-verdict table, each count tuple's reject probabilities and coin offsets, and
-each sensor's stride to its tuple's row; else the rules' stacked forms, which
-score trial by trial. The prior and channel are read per call, so a warm run
-derives no form and reads one store entry. The counts equal a trial-by-trial
-run's. ``forced_worlds`` reads worlds the same way for trials whose truth is
-forced (calibration logs), from their first uniform.
+to that test's boundary coin. Where a block has at least as many trials as
+the cell has count tuples, a run looks its verdicts up in one table in
+``score_dist``'s store (``_plan``), keyed by the cell's class counts and the
+rules' form bytes (a nan bound's bytes equal): each count tuple's reject
+probabilities and coin offsets, and each sensor's stride to its tuple's row.
+On a wider cell a run unpacks the rules' stacked forms from their form bytes
+once per call and scores trial by trial. The prior and channel are read per
+call, so a warm run derives no form and reads one store entry. The counts
+equal a trial-by-trial run's. ``forced_worlds`` reads worlds the same way
+for trials whose truth is forced (calibration logs), from their first
+uniform.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .decision_tests import (
     mp_decide,
 )
 from .model import DomainError, Prior, Topology, ValidatedScenario, _check_master_seed
-from .score_dist import _in_store, cell_grid
+from .score_dist import _in_store, count_tuples
 
 __all__ = [
     "GENERATOR_NAME",
@@ -297,30 +298,28 @@ def forced_worlds(
 
 
 @_in_store
-def _plan(counts: tuple[int, ...], forms: tuple[bytes, ...], lookup: bool) -> tuple[np.ndarray, ...]:
-    """What a run's blocks read of its rules, the rules' form_bytes ``forms`` on the cell ``counts``: looked up by
-    count tuple, (p, offsets, strides), the verdicts of every tuple in grid order (_RuleForms.verdicts) and each
-    sensor's stride in the grid; else the rules' four stacked forms, which score trial by trial."""
-    rules = _RuleForms.unpack(forms, len(counts))
-    if not lookup:
-        return tuple(rules)
+def _plan(counts: tuple[int, ...], forms: tuple[bytes, ...]) -> tuple[np.ndarray, ...]:
+    """The verdict table of the rules whose form_bytes are ``forms`` on the cell ``counts``: (p, offsets, strides),
+    the verdicts of every count tuple in grid order (_RuleForms.verdicts) and each sensor's stride in the grid."""
     dims = [c + 1 for c in counts]
     # a tuple's row in the grid: sum x_i * prod(dims[i + 1:]), one stride per sensor of class i
     strides = np.repeat([math.prod(dims[i + 1 :]) for i in range(len(dims))], counts)
-    return *rules.verdicts(cell_grid(counts)), strides
+    return *_RuleForms.unpack(forms, len(counts)).verdicts(count_tuples(counts)), strides
 
 
-def _plan_verdicts(plan: tuple[np.ndarray, ...], topology: Topology, alarm: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every rule's reject probability and coin offset, each (trials, rules), from (sensors, trials) alarm bits."""
-    if len(plan) == 3:
-        p, offsets, strides = plan
-        index = strides @ alarm
-        return p.take(index, axis=0), offsets.take(index, axis=0)
-    return _RuleForms(*plan).verdicts(np.add.reduceat(alarm, topology.first_sensors, axis=0).T)
+def _plan_verdicts(plan: tuple[np.ndarray, ...] | _RuleForms, topology: Topology,
+                   alarm: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every rule's reject probability and coin offset, each (trials, rules), from (sensors, trials) alarm bits:
+    looked up in a verdict table, or scored by the rules' forms."""
+    if isinstance(plan, _RuleForms):
+        return plan.verdicts(np.add.reduceat(alarm, topology.first_sensors, axis=0).T)
+    p, offsets, strides = plan
+    index = strides @ alarm
+    return p.take(index, axis=0), offsets.take(index, axis=0)
 
 
 def _count_block(
-    scenario: ValidatedScenario, prior: Prior, plan: tuple[np.ndarray, ...], u: np.ndarray
+    scenario: ValidatedScenario, prior: Prior, plan: tuple[np.ndarray, ...] | _RuleForms, u: np.ndarray
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Counts over one block of trials from their (draws, trials) uniforms: event trials, and per sensor alarms and
     per rule event declarations, summed over all trials and over event trials.
@@ -354,9 +353,11 @@ def run_sweep(
     n_draws = 1 + 2 * n_sensors + max((len(tests) for _, tests in runs), default=0)
     _check_draws(n_sensors, n_draws, "simulation", "1 + 2 * sensors + tests")
     rows = _block_rows(n_draws)
-    # Python ints: a cell of 64 one-sensor classes has 2**64 tuples
+    # a verdict table where a block covers the cell's count tuples (Python ints: a cell of 64 one-sensor classes has
+    # 2**64), else the rules' forms
     lookup = math.prod(c + 1 for c in topology.counts) <= min(n_trials, rows)
-    plans = [_plan(topology.counts, tuple(test.form_bytes for _, test in tests), lookup) for _, tests in runs]
+    forms = [tuple(test.form_bytes for _, test in tests) for _, tests in runs]
+    plans = [_plan(topology.counts, f) if lookup else _RuleForms.unpack(f, len(topology.counts)) for f in forms]
 
     totals = [(0, 0, 0)] * len(runs)
     for start in range(0, n_trials, rows):

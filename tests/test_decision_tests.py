@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import griddetect as g
 from griddetect import DomainError, Verdict, decision_tests
 from griddetect.scenario_io import load_scenario
-from griddetect.score_dist import MERGE_REL_TOL, atom_tolerance, cell_grid, cell_masses, exact_sum, tuple_scores
+from griddetect.score_dist import MERGE_REL_TOL, atom_tolerance, cell_masses, count_tuples, exact_sum, tuple_scores
 
 from cases import (
     FixedCoin,
@@ -648,7 +648,7 @@ def _grid_mask_rates(rule, *laws):
     from its score, the rejecting tuples masked out, their weighted masses summed,
     at most 1."""
     weights, lo, hi, k = decision_tests._rule_form(rule)
-    scores = tuple_scores(weights, cell_grid(rule.class_counts))
+    scores = tuple_scores(weights, count_tuples(rule.class_counts))
     reject = np.where(scores < lo, 1.0, np.where(scores <= hi, k, 0.0))
     hit = reject > 0.0
     return [min(1.0, exact_sum(cell_masses(law)[hit] * reject[hit])) for law in laws]
@@ -732,7 +732,7 @@ class TestPrefixRates:
     def test_boundary_atom_of_several_tuples(self):
         sc = good_scenario()
         rule = g.solve_mp_test(sc, 0.05, **GOOD_APPROX)
-        scores = tuple_scores(rule.weights, cell_grid(sc.topology.counts))
+        scores = tuple_scores(rule.weights, count_tuples(sc.topology.counts))
         assert np.count_nonzero(scores == rule.threshold) > 1
         assert 0.0 < rule.boundary_prob < 1.0
         _assert_prefix_rates_match(rule, sc)
@@ -834,7 +834,7 @@ class TestOneBayesThreshold:
         _assert_prefix_rates_match(rule, sc)
         counts = sc.topology.counts
         forms = decision_tests._RuleForms.unpack([rule.form_bytes], len(counts))
-        reject = forms.reject_probs(cell_grid(counts))[:, 0]
+        reject = forms.reject_probs(count_tuples(counts))[:, 0]
         stats = sc.derived()
         if not rule.applicable:
             assert ops == (0.0, 0.0)

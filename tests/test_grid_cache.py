@@ -1,17 +1,18 @@
-"""The stored grids, rankings and masses: results do not depend on what the store holds.
+"""The stored rankings, masses and walks: results do not depend on what the store holds.
 
-Every exact error rate and score law reads the grid of its cell from
-``score_dist.cell_grid``, its ranking from ``score_dist.cell_ranking`` and
-one entry of its law in that ranking: the ranked masses with the exact limbs
-of every checkpoint (``score_dist.ranked_masses`` and ``ranked_sum``). A
-most-powerful walk, and a score law with atoms of several rows, also read the
-law's walk: its mass per atom, summed once, and their running sum. All are
-kept in one store bounded by bytes. These tests pin the designs of a
-wide cell, check that a cold store gives the same results as a warm one,
-that the store charges what its entries hold and stays within its budget,
-that a rotation of cells, and each command on a cap cell, builds nothing
-twice, that a warm design reads few entries, and that nothing can write to
-what the store holds.
+Every exact error rate and score law reads the ranking of its cell from
+``score_dist.cell_ranking`` and one entry of its law in that ranking: the
+ranked masses with the exact limbs of every checkpoint
+(``score_dist._ranked_law``, which ``ranked_sum`` reads). A most-powerful
+walk, and a score law with atoms of several rows, also read the law's walk:
+its mass per atom, summed once, and their running sum. All are kept in one
+store bounded by bytes, with the simulator's verdict tables; no grid of
+count tuples is kept. These tests pin the designs of a wide cell, check that
+a cold store gives the same results as a warm one, that the store charges
+what its entries hold and stays within its budget, that a rotation of cells,
+and each command on a cap cell, builds nothing twice while a quarter less
+budget makes one build twice, that a warm design reads few entries, and that
+nothing can write to what the store holds.
 """
 
 from __future__ import annotations
@@ -52,17 +53,17 @@ def _count_masses(monkeypatch) -> list:
     return computed
 
 
-KINDS = {"cell_grid": "grid", "cell_ranking": "ranking", "_ranked_law": "law", "_law_walk": "walk", "_plan": "plan"}
+KINDS = {"cell_ranking": "ranking", "_ranked_law": "law", "_law_walk": "walk", "_plan": "plan"}
 
 
 def _count_builds(monkeypatch) -> dict[str, list]:
-    """The keys of the grids, rankings, ranked laws, walks and simulation plans stored from here on, one entry per
-    build, in a store that starts empty."""
+    """The keys of the rankings, ranked laws, walks and verdict tables stored from here on, one entry per build, in a
+    store that starts empty; a key of any other kind under its builder's name."""
     built = {kind: [] for kind in KINDS.values()}
 
     class Counting(OrderedDict):
         def __setitem__(self, key, value):
-            built[KINDS[key[0]]].append(key)  # a key starts with its kind's name
+            built.setdefault(KINDS.get(key[0], key[0]), []).append(key)  # a key starts with its builder's name
             super().__setitem__(key, value)
 
     monkeypatch.setattr(score_dist, "_store", Counting())
@@ -161,7 +162,7 @@ def test_cold_cache_matches_warm(kind):
 def test_cache_holds_at_most_its_bound(monkeypatch):
     # stricter than the entry counts it replaces: 4 grids and 8 rankings of a 4x31 cell (4 and at least 12 MiB
     # each) and 32 MiB of ranked masses
-    assert score_dist.STORE_BYTES == 79 * MiB < 4 * 4 * MiB + 8 * 12 * MiB + 32 * MiB
+    assert score_dist.STORE_BYTES == 52 * MiB < 4 * 4 * MiB + 8 * 12 * MiB + 32 * MiB
     evicted = []  # the charge of each entry evicted, in turn
 
     class Evicting(OrderedDict):
@@ -172,9 +173,9 @@ def test_cache_holds_at_most_its_bound(monkeypatch):
 
     monkeypatch.setattr(score_dist, "_store", Evicting())
     monkeypatch.setattr(score_dist, "_store_bytes", 0)
-    budget = 16 * 2**10  # about one cell's entries: 15 to 17 KiB
+    budget = 9 * 2**10  # about one cell's entries: 6.0 to 8.1 KiB
     monkeypatch.setattr(score_dist, "STORE_BYTES", budget)
-    # each cell brings a grid, two weight vectors and two alarm laws
+    # each cell brings two weight vectors and two alarm laws
     for n in range(1, 10):
         sc = g.validate(g.ChannelModel(p_c=0.9, p_w=0.1), g.builtin_topology("custom", (0.8, 0.4), counts=(n, 2)))
         mp = solve_mp_test(sc, 0.1, weights=(2.0, 1.0))
@@ -185,7 +186,7 @@ def test_cache_holds_at_most_its_bound(monkeypatch):
     # its budget, so it holds more than the budget less the last entry it evicted; the last cell's entries are kept
     assert _stored() == [_charge(value) for value, _ in score_dist._store.values()]
     assert evicted and budget - evicted[-1] < score_dist._store_bytes
-    assert ("cell_grid", (9, 2)) in score_dist._store and ("cell_ranking", (9, 2), (2.0, 1.0)) in score_dist._store
+    assert ("cell_ranking", (9, 2), (2.0, 1.0)) in score_dist._store
 
 
 def test_store_charges_what_its_entries_hold():
@@ -200,15 +201,15 @@ def test_store_charges_what_its_entries_hold():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for law, weights in keys:  # masses with their checkpoint limbs, and the walk's running sum
-            n = len(score_dist.ranked_masses(law, weights)[0])
+            n = len(score_dist._ranked_law(law.counts, law.alarm_probs, weights)[0])
             score_dist.score_law_walk(weights, law)
             score_dist.ranked_sum(law, weights, n)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     # every law keeps its limbs, one with fewer masses than its stride an empty array of them
-    empty = sum(len(score_dist._ranked_law(law.counts, law.alarm_probs, weights)[2]) == 0 for law, weights in keys)
-    assert 0 < empty < len(keys) and len(_stored()) == 4 * len(keys)
+    empty = sum(len(score_dist._ranked_law(law.counts, law.alarm_probs, weights)[1]) == 0 for law, weights in keys)
+    assert 0 < empty < len(keys) and len(_stored()) == 3 * len(keys)
     assert held <= score_dist._store_bytes < 1.5 * held
 
 
@@ -216,13 +217,12 @@ def test_store_keeps_within_its_budget_by_bytes(monkeypatch):
     _clear_store()
     monkeypatch.setattr(score_dist, "STORE_BYTES", 8 * MiB)
     weights = (5.0, 4.0, 3.0, 2.0, 1.0)
-    # 1.1 to 1.6 MiB of masses and 0.2 to 0.3 MiB of limbs a law, 1.7 to 2.3 MiB of ranking and 0.7 to 1.0 MiB of
-    # grid a cell
+    # 1.1 to 1.6 MiB of masses and 0.2 to 0.3 MiB of limbs a law, 1.7 to 2.3 MiB of ranking a cell
     for n in (9, 10, 11, 12, 13, 9, 10):
         for q in (0.1, 0.2):
             law = g.ClassAlarmLaw((10, 10, 10, 10, n), (0.5, 0.4, 0.3, 0.2, q))
-            ranked, positive = score_dist.ranked_masses(law, weights)
-            assert positive and ranked.nbytes == 8 * 11**4 * (n + 1)
+            ranked = score_dist._ranked_law(law.counts, law.alarm_probs, weights)[0]
+            assert ranked.all() and ranked.nbytes == 8 * 11**4 * (n + 1)
             assert score_dist._store_bytes == sum(_stored()) <= 8 * MiB
             assert score_dist._store["_ranked_law", law.counts, law.alarm_probs, weights][0][0] is ranked
 
@@ -232,16 +232,16 @@ def test_entry_larger_than_the_budget_is_returned_not_kept(monkeypatch):
     monkeypatch.setattr(score_dist, "STORE_BYTES", MiB)
     computed = _count_masses(monkeypatch)
     small, large = g.ClassAlarmLaw((2, 2), (0.3, 0.6)), g.ClassAlarmLaw((7,) * 6, (0.3,) * 6)
-    score_dist.ranked_masses(small, (2.0, 1.0))
+    score_dist._ranked_law(small.counts, small.alarm_probs, (2.0, 1.0))
     kept = list(score_dist._store)
     weights = (6.0, 5.0, 4.0, 3.0, 2.0, 1.0)
     for _ in range(2):
-        ranked, _ = score_dist.ranked_masses(large, weights)
+        ranked = score_dist._ranked_law(large.counts, large.alarm_probs, weights)[0]
         assert ranked.nbytes == 2 * MiB
         order = score_dist.cell_ranking(large.counts, weights)[0]
         assert ranked.tobytes() == score_dist.cell_masses(large)[order].tobytes()
     assert computed.count(large) == 2 + 2  # both calls compute, and so do the two checks
-    assert list(score_dist._store) == kept  # the large cell's grid, ranking and masses are not kept; the rest stays
+    assert list(score_dist._store) == kept  # the large cell's ranking and masses are not kept; the rest stays
     assert score_dist._store_bytes == sum(_stored())
 
 
@@ -257,9 +257,9 @@ def test_second_rotation_computes_nothing_afresh(monkeypatch):
                 operating_characteristics(solve_mp_test(sc, 0.1, weights=weights), sc)
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         assert len(computed) == 16
-    # grids, rankings, each law's ranked masses with their checkpoint limbs, and each walked event law's running sum,
-    # with its per-atom masses under integer weights
-    assert len(_stored()) == 4 + 8 + 16 + 8
+    # rankings, each law's ranked masses with their checkpoint limbs, and each walked event law's running sum, with
+    # its per-atom masses under integer weights
+    assert len(_stored()) == 8 + 16 + 8
 
 
 def test_second_rotation_rebuilds_no_ranking(monkeypatch):
@@ -275,7 +275,7 @@ def test_second_rotation_rebuilds_no_ranking(monkeypatch):
                 operating_characteristics(bayes_test(sc, g.Prior(0.3), g.LossRatio(5.0)), sc)
         if rotation == 0:
             first = {kind: len(keys) for kind, keys in built.items()}
-    assert first == {"grid": 6, "ranking": 12, "law": 24, "walk": 12, "plan": 0}
+    assert first == {"ranking": 12, "law": 24, "walk": 12, "plan": 0}
     assert {kind: len(keys) for kind, keys in built.items()} == first
 
 
@@ -303,7 +303,8 @@ def test_warm_rates_read_less_than_a_block_of_masses(monkeypatch):
         operating_characteristics(rule, sc)
     ranked = score_dist.cell_ranking(sc.topology.counts, stats.weights)[1]
     assert min(ranked.searchsorted(rule.threshold) for rule in rules) > 30 * score_dist.VECTOR_SUM_MIN_LENGTH
-    masses = [score_dist.ranked_masses(law, stats.weights)[0] for law in (stats.event_law, stats.normal_law)]
+    masses = [score_dist._ranked_law(law.counts, law.alarm_probs, stats.weights)[0]
+              for law in (stats.event_law, stats.normal_law)]
     read, exact_sum = [], score_dist.exact_sum
 
     def counting(*parts):
@@ -316,7 +317,7 @@ def test_warm_rates_read_less_than_a_block_of_masses(monkeypatch):
     assert got == [WIDE_CELL_PINNED[1], WIDE_CELL_PINNED[5]]
     # the MP rule's type I error (its power is the solver's), the Bayes rule's two rates: each from a checkpoint on,
     # reading fewer masses than the stride of either law
-    strides = [score_dist._ranked_law(law.counts, law.alarm_probs, stats.weights)[3]
+    strides = [score_dist._ranked_law(law.counts, law.alarm_probs, stats.weights)[2]
                for law in (stats.event_law, stats.normal_law)]
     assert len(read) == 3 and max(read) < min(strides) < score_dist.VECTOR_SUM_MIN_LENGTH
 
@@ -424,11 +425,12 @@ def _cap_cell(classes, approx_weights) -> str:
 CAP_CELLS = {
     # four classes of 31 sensors (2**20 count tuples, a 4 MiB grid): the roadmap's cap cell
     "4x31": ([(31, p) for p in (0.93, 0.71, 0.52, 0.37)], [32768, 1024, 32, 1]),
-    # 510 sensors and 11 single ones (2**20 - 2**11 count tuples): a uint16 grid of 24 MiB, the widest under the cap
+    # 510 sensors and 11 single ones (2**20 - 2**11 count tuples): a uint16 grid of 24 MiB, the widest under the cap,
+    # which a ranking builds and drops
     "510+11x1": ([(510, 0.05)] + [(1, round(0.97 - 0.085 * i, 3)) for i in range(11)],
                  [1] + [512 << i for i in range(11)]),
     # the same with an event law of positive masses (alarm probability 0.5 in the wide class, listed in the order of
-    # detection probability): its walk keeps the running sum of every atom next to the grid, ranking and masses
+    # detection probability): its walk keeps the running sum of every atom next to the ranking and masses
     "510p+11x1": ([(1, round(0.97 - 0.085 * i, 3)) for i in range(6)] + [(510, 0.5)]
                   + [(1, round(0.97 - 0.085 * i, 3)) for i in range(6, 11)],
                   [512 << i for i in range(6)] + [1] + [512 << i for i in range(6, 11)]),
@@ -449,14 +451,25 @@ def test_cap_cell_command_builds_no_entry_twice(monkeypatch, tmp_path, cell, com
     monkeypatch.setattr(score_dist, "_atom_sums", lambda *a: sums.append(a) or atom_sums(*a))
     result = CliRunner().invoke(main, [*command.split(), "--scenario", str(path)])
     assert result.exit_code == 0, result.output
-    assert len(built["grid"]) == 1 and built["ranking"] and built["law"]
+    assert set(built) == set(KINDS.values()) and built["ranking"] and built["law"]  # no grid, no kind but these
     # every MP design walks a running sum, kept for a law of positive masses: 0.13**510 underflows to 0
     assert bool(built["walk"]) == (cell != "510+11x1" and not command.startswith("bayes"))
     assert sums == []  # every atom is one row: a walk keeps only its running sum and reads the ranked masses
-    # 2**20 count tuples: simulate scores each trial, from one plan per prior that holds no table
-    assert bool(built["plan"]) == command.startswith("simulate") and not any(key[3] for key in built["plan"])
+    assert built["plan"] == []  # 2**20 count tuples: simulate scores each trial by its rules' forms, keeping no table
     assert _twice(built) == {kind: [] for kind in KINDS.values()}
     assert score_dist._store_bytes <= score_dist.STORE_BYTES
+
+
+def test_cap_cell_command_builds_an_entry_twice_at_three_quarters_of_the_budget(monkeypatch, tmp_path):
+    # with the test above, this holds STORE_BYTES near the least budget of the cap-cell commands: a bayes design reads
+    # the 4x31 cell's ranking (24 MiB) and both laws' masses with their limbs (about 20 MiB) together
+    path = tmp_path / "cap.yaml"
+    path.write_text(_cap_cell(*CAP_CELLS["4x31"]))
+    monkeypatch.setattr(score_dist, "STORE_BYTES", score_dist.STORE_BYTES * 3 // 4)
+    built = _count_builds(monkeypatch)
+    result = CliRunner().invoke(main, ["bayes", "--scenario", str(path)])
+    assert result.exit_code == 0, result.output
+    assert any(_twice(built).values())
 
 
 def test_cap_cells_keep_the_store_within_its_budget(tmp_path):
@@ -467,7 +480,7 @@ def test_cap_cells_keep_the_store_within_its_budget(tmp_path):
         result = CliRunner().invoke(main, ["mp", "--scenario", str(path)])
         assert result.exit_code == 0, result.output
         assert score_dist._store_bytes == sum(_stored()) <= score_dist.STORE_BYTES
-        assert score_dist._store_bytes > 40 * MiB  # the grid, the ranking and two laws' masses of this cell
+        assert score_dist._store_bytes > 40 * MiB  # the ranking and two laws' masses of this cell
 
 
 def test_store_is_safe_across_threads(monkeypatch):
@@ -496,7 +509,7 @@ def test_store_is_safe_across_threads(monkeypatch):
                         errors.append(design)
                     continue
                 law = rng.choice(laws)
-                if score_dist.ranked_masses(law, weights)[0].tobytes() != want[law]:
+                if score_dist._ranked_law(law.counts, law.alarm_probs, weights)[0].tobytes() != want[law]:
                     errors.append(law)
         except Exception as exc:  # reported by the assertion below, not lost in the thread
             errors.append(exc)
@@ -523,23 +536,22 @@ def test_cached_arrays_are_read_only(monkeypatch):
     computed = _count_masses(monkeypatch)
     sc = _wide_cell()
     operating_characteristics(solve_mp_test(sc, 0.05), sc)
-    # the event law for the walk and the size, the normal law for the power: each computed once, with its checkpoint
-    # limbs; and the walk's running sum
-    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 1 + 1 + 2 + 1
-    grid = score_dist.cell_grid(sc.topology.counts)
-    assert grid.dtype == np.uint8 and grid.shape == (7**6, 6)
+    # the ranking; the event law for the walk and the size, the normal law for the power: each computed once, with its
+    # checkpoint limbs; and the walk's running sum
+    assert computed == [sc.derived().event_law, sc.derived().normal_law] and len(_stored()) == 1 + 2 + 1
     ranking = score_dist.cell_ranking(sc.topology.counts, sc.derived().weights)
-    assert ranking[0].dtype == np.int32
+    assert len(ranking) == 4 and ranking[0].dtype == ranking[2].dtype == np.int32
     int_ranking = score_dist.cell_ranking(sc.topology.counts, _int_weights(sc.derived().weights))
-    assert len(int_ranking[4]) > 0  # integer weights tie: atoms of several rows, with their bounds
-    cached = [grid, *ranking, *int_ranking]
+    assert len(int_ranking[2]) < len(int_ranking[0])  # integer weights tie: atoms of several rows
+    cached = [*ranking, *int_ranking]
     for law in (sc.derived().event_law, sc.derived().normal_law):
-        ranked, positive = score_dist.ranked_masses(law, sc.derived().weights)
-        assert positive and ranked.tobytes() == score_dist.cell_masses(law)[ranking[0]].tobytes()
-        cached += [ranked, positive, score_dist._ranked_law(law.counts, law.alarm_probs, sc.derived().weights)[2]]
+        masses, limbs, stride = score_dist._ranked_law(law.counts, law.alarm_probs, sc.derived().weights)
+        assert type(stride) is int  # two arrays and a stride
+        assert masses.all() and masses.tobytes() == score_dist.cell_masses(law)[ranking[0]].tobytes()
+        cached += [masses, limbs]
     for weights in (sc.derived().weights, _int_weights(sc.derived().weights)):  # per-atom masses under the second
         cached += score_dist.score_law_walk(weights, sc.derived().event_law)
-    assert len(_stored()) == 5 + 1 + 1 + 1  # the integer ranking, ranked law, and walk with per-atom masses
+    assert len(_stored()) == 4 + 1 + 1 + 1  # the integer ranking, ranked law, and walk with per-atom masses
     for limbs in _streams._jumps(25):
         cached.extend(limbs)
     for a in cached:
@@ -548,14 +560,21 @@ def test_cached_arrays_are_read_only(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["exact", "integer"])
-def test_ranking_holds_the_bounds_of_its_multi_row_atoms(kind):
+def test_assembled_atom_masses_are_fsums_of_their_rows(kind):
+    # a ranking keeps no bounds of its atoms of several rows: _assemble finds them from the atoms' first ranks
     rng = random.Random(f"atom-bounds/{kind}")
+    tied = 0
     for _ in range(12):
         sc = random_scenario(rng, max_classes=4, max_count=5)
         weights = sc.derived().weights
-        order, ranked, starts, values, multi, spans = score_dist.cell_ranking(
-            sc.topology.counts, _int_weights(weights) if kind == "integer" else weights)
-        ends = np.append(starts[1:], len(ranked))
-        assert multi.tolist() == np.flatnonzero(ends - starts > 1).tolist()
-        assert spans.tolist() == [[starts[i], ends[i]] for i in multi.tolist()]
-        assert multi.dtype == spans.dtype == np.int32 and spans.shape == (len(multi), 2)
+        weights = _int_weights(weights) if kind == "integer" else weights
+        ranking = score_dist.cell_ranking(sc.topology.counts, weights)
+        assert len(ranking) == 4 and ranking[2].dtype == np.int32
+        for law in (sc.derived().event_law, sc.derived().normal_law):
+            masses = score_dist._ranked_law(law.counts, law.alarm_probs, weights)[0]
+            dist = score_dist._assemble(ranking, masses, law.counts)
+            kept = masses[masses > 0.0].tolist()  # a zero-mass row is in no atom
+            bounds = [*dist.starts.tolist(), len(kept)]
+            assert dist.probs.tolist() == [math.fsum(kept[a:b]) for a, b in zip(bounds, bounds[1:])]
+            tied += len(dist.starts) < len(kept)
+    assert tied or kind == "exact"

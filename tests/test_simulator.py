@@ -15,7 +15,7 @@ import pytest
 import griddetect as g
 from griddetect import DomainError, Truth, _streams, score_dist, simulator
 from griddetect.decision_tests import _RuleForms
-from griddetect.score_dist import cell_grid
+from griddetect.score_dist import count_tuples
 from griddetect.simulator import (
     GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, _plan, _plan_verdicts, run_sweep, trial_rng,
 )
@@ -288,13 +288,7 @@ class TestRunTrials:
 def _count_tables(monkeypatch) -> list:
     """The cells whose runs read a verdict table from here on, one entry per plan read, kept or built."""
     looked_up, plan = [], simulator._plan
-
-    def counting(counts, forms, lookup):
-        if lookup:
-            looked_up.append(counts)
-        return plan(counts, forms, lookup)
-
-    monkeypatch.setattr(simulator, "_plan", counting)
+    monkeypatch.setattr(simulator, "_plan", lambda counts, forms: looked_up.append(counts) or plan(counts, forms))
     return looked_up
 
 
@@ -320,14 +314,15 @@ class TestSweep:
         counts = sc.topology.counts
         n_tuples = math.prod(c + 1 for c in counts)
         forms = tuple(test.form_bytes for _, test in tests)
-        grid = cell_grid(counts)
+        grid = count_tuples(counts)
         # the alarm bits of every count tuple: the first x_i sensors of class i alarm
         alarm = np.concatenate([np.arange(c)[:, None] < grid[:, i] for i, c in enumerate(counts)])
-        table = _plan_verdicts(_plan(counts, forms, True), sc.topology, alarm)
-        scored = _plan_verdicts(_plan(counts, forms, False), sc.topology, alarm)
+        rules = _RuleForms.unpack(forms, len(counts))
+        table = _plan_verdicts(_plan(counts, forms), sc.topology, alarm)
+        scored = _plan_verdicts(rules, sc.topology, alarm)
         assert all(np.array_equal(a, b) for a, b in zip(table, scored))
         p = table[0]
-        assert np.array_equal(p, _RuleForms.unpack(forms, len(counts)).reject_probs(grid))
+        assert np.array_equal(p, rules.reject_probs(grid))
         assert ((0.0 < p) & (p < 1.0)).any(), case  # a randomized boundary (0 < k < 1)
         # runs at the bound (tuples = n_trials) read the table; one trial fewer scores trial by trial
         looked_up = _count_tables(monkeypatch)
@@ -401,7 +396,7 @@ class TestPlan:
         name, mp = tests[1]
         assert isinstance(mp, g.MPTest) and mp.boundary_prob not in (0.0, 0.25)
         other = tests[:1] + [(name, dataclasses.replace(mp, boundary_prob=0.25))] + tests[2:]
-        keys = [("_plan", sc.topology.counts, tuple(t.form_bytes for _, t in rules), True) for rules in (tests, other)]
+        keys = [("_plan", sc.topology.counts, tuple(t.form_bytes for _, t in rules)) for rules in (tests, other)]
         for rules in (tests, other):
             assert _report_counts(g.run_trials(sc, prior, rules, 100, 6)) == _replay_counts(sc, prior, rules, 100, 6)[0]
         assert keys[0] != keys[1] and all(key in score_dist._store for key in keys)

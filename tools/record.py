@@ -29,7 +29,10 @@ Records, for the working tree as it is:
   ``mp`` and ``dist --format csv`` under its integer weights
   (``--weight-mode paper-approx``), whose ties merge count tuples into
   atoms of many rows, and ``bayes``, whose error rates sum prefixes of
-  117,649 masses, each the median of 7 fresh processes.
+  117,649 masses, each the median of 7 fresh processes;
+- the widest cell's row: ``mp`` and ``bayes`` on one class of 510 sensors
+  and 11 single ones (2**20 - 2**11 count tuples, whose grid takes 24 MiB
+  of uint16), each the median of 7 fresh processes;
 - the split of one simulator block: a 250-trial ``run_trials`` call on the
   good scenario with ``simulate``'s six rules (p_e = 0.3), next to
   ``_streams.uniforms`` alone for the same block, each the median of 7
@@ -82,6 +85,20 @@ loss_ratio: [10]
 sizes: [0.05]
 approx: {weights: [17, 14, 11, 9, 6, 3]}
 """
+# the widest grid under the cap: the cell "510p+11x1" of CAP_CELLS in tests/test_grid_cache.py, whose event law has
+# positive masses
+WIDEST_CELL = """schema: 1
+channel: {p_c: 0.87, p_w: 0.13}
+topology:
+  kind: custom
+  classes: [{count: 1, p_detect: 0.97}, {count: 1, p_detect: 0.885}, {count: 1, p_detect: 0.8},
+            {count: 1, p_detect: 0.715}, {count: 1, p_detect: 0.63}, {count: 1, p_detect: 0.545},
+            {count: 510, p_detect: 0.5}, {count: 1, p_detect: 0.46}, {count: 1, p_detect: 0.375},
+            {count: 1, p_detect: 0.29}, {count: 1, p_detect: 0.205}, {count: 1, p_detect: 0.12}]
+prior: {p_e: [0.1, 0.5]}
+loss_ratio: [5, 20]
+sizes: [0.1, 0.05, 0.01]
+"""
 SIMULATE = ["simulate", "--format", "csv"]
 # each command's arguments and how many processes its median is taken over
 CAP_COMMANDS = {"mp": (["mp"], 7), "bayes": (["bayes"], 7), "dist --format csv": (["dist", "--format", "csv"], 7),
@@ -90,6 +107,7 @@ APPROX = ["--weight-mode", "paper-approx"]
 WIDE_COMMANDS = {"mp --weight-mode paper-approx": (["mp", *APPROX], 7),
                  "dist --weight-mode paper-approx --format csv": (["dist", *APPROX, "--format", "csv"], 7),
                  "bayes": (["bayes"], 7)}
+WIDEST_COMMANDS = {"mp": (["mp"], 7), "bayes": (["bayes"], 7)}
 # run in a fresh process on a scenario file: microseconds per call, each the median of 7 rounds of 200 calls
 BLOCK_SPLIT = """
 import json, statistics, sys, time
@@ -246,6 +264,7 @@ def main(argv=None) -> int:
         "shipped": {net: command_times(net, path, SHIPPED_COMMANDS) for net, path in SHIPPED.items()},
         "cap_cell": cell_row("cap cell", CAP_CELL, CAP_COMMANDS),
         "wide_cell": cell_row("6x6 cell", WIDE_CELL, WIDE_COMMANDS),
+        "widest_cell": cell_row("510+11x1 cell", WIDEST_CELL, WIDEST_COMMANDS),
         "sim_block": block_split(),
         "benchmark": {"seed": SEED, "run_seconds": bench["run_seconds"], "workloads": {}},
     }
