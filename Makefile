@@ -54,23 +54,10 @@ pairs:
 record:
 	$(PYTHON) tools/record.py --pr $(PR)
 
-# Regenerate every benchmark table analytically and by simulation.
+# Regenerate every benchmark table analytically and by simulation, all 14 in one interpreter.
 reproduce:
 	mkdir -p $(OUT)
-	$(GRIDDETECT) errors   --scenario $(GOOD) --out $(OUT)/errors_good.txt
-	$(GRIDDETECT) errors   --scenario $(WEAK) --out $(OUT)/errors_weak.txt
-	$(GRIDDETECT) bayes    --scenario $(GOOD) --out $(OUT)/bayes_good.txt
-	$(GRIDDETECT) bayes    --scenario $(WEAK) --out $(OUT)/bayes_weak.txt
-	$(GRIDDETECT) mp       --scenario $(GOOD) --out $(OUT)/mp_good.txt
-	$(GRIDDETECT) mp       --scenario $(WEAK) --out $(OUT)/mp_weak.txt
-	$(GRIDDETECT) errors   --scenario $(GOOD) --format csv --out $(OUT)/errors_good.csv
-	$(GRIDDETECT) errors   --scenario $(WEAK) --format csv --out $(OUT)/errors_weak.csv
-	$(GRIDDETECT) bayes    --scenario $(GOOD) --format csv --out $(OUT)/bayes_good.csv
-	$(GRIDDETECT) bayes    --scenario $(WEAK) --format csv --out $(OUT)/bayes_weak.csv
-	$(GRIDDETECT) mp       --scenario $(GOOD) --format csv --out $(OUT)/mp_good.csv
-	$(GRIDDETECT) mp       --scenario $(WEAK) --format csv --out $(OUT)/mp_weak.csv
-	$(GRIDDETECT) simulate --scenario $(GOOD) --format csv --out $(OUT)/simulation_good.csv
-	$(GRIDDETECT) simulate --scenario $(WEAK) --format csv --out $(OUT)/simulation_weak.csv
+	$(RUN) tools/reproduce.py $(OUT)
 	@echo "tables written to $(OUT)/"
 
 clean:

@@ -37,10 +37,17 @@ first rejects a document nested deeper than ``MAX_YAML_DEPTH``
 collections; the schema's deepest legal document has four. A collection
 opens at an indicator of its own (``[ { - : ?``), so a text with at most
 ``MAX_YAML_DEPTH`` of these characters skips that pass (each shipped scenario has 28).
+
+``load_scenario`` reads its file on every call, then looks up the path, the
+text and the loader in a memo of the last ``MEMO_FILES`` successful loads, so
+a process that runs several commands on one file parses it once. A load that
+fails is not kept: an invalid file raises its error, naming its path, on
+every call. Each entry holds one file's text and its immutable ``ScenarioFile``.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import reprlib
 from contextlib import contextmanager
@@ -72,6 +79,7 @@ DEFAULT_N_TRIALS = 100_000
 WEIGHT_MODES = ("exact", "paper_approx")
 MAX_YAML_DEPTH = 32
 MAX_SHOWN_CHARS = 200
+MEMO_FILES = 8  # scenario files load_scenario keeps parsed
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -345,12 +353,12 @@ def parse_scenario(data: dict) -> ScenarioFile:
     )
 
 
-def _check_depth(stream) -> None:
+def _check_depth(stream, loader) -> None:
     """Reject nesting past MAX_YAML_DEPTH collections before a composer recurses into it."""
     if sum(map(stream.getvalue().count, "[{-:?")) <= MAX_YAML_DEPTH:
         return  # too few indicators to open that many collections
     depth = 0
-    for event in yaml.parse(stream, Loader=_LOADER):
+    for event in yaml.parse(stream, Loader=loader):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > MAX_YAML_DEPTH:
@@ -360,20 +368,25 @@ def _check_depth(stream) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioFile:
-    """Load and validate a scenario file from disk."""
+    """Load and validate a scenario file from disk: read on each call, parsed unless the memo holds its text."""
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+    return _load(path, text, _LOADER)
+
+
+@functools.lru_cache(maxsize=MEMO_FILES)
+def _load(path: Path, text: str, loader) -> ScenarioFile:
     # a named stream makes YAML errors say `in "<path>", line L, column C`
     stream = io.StringIO(text)
     stream.name = str(path)
     try:
-        _check_depth(stream)
+        _check_depth(stream, loader)
         stream.seek(0)
         try:
-            data = yaml.load(stream, Loader=_LOADER)
+            data = yaml.load(stream, Loader=loader)
         except ValueError as exc:
             # from PyYAML's int() past 4300 digits, or date() on a day such as 2020-13-45
             raise ScenarioError(f"invalid YAML value: {exc}") from exc

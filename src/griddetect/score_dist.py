@@ -178,7 +178,10 @@ def count_tuples(counts: Sequence[int]) -> np.ndarray:
     """(N, K) row-major array of every count tuple with 0 <= x_i <= counts[i], in lexicographic order, in the
     smallest unsigned dtype that holds the largest count."""
     dims = _check_cap(counts)
-    return np.ascontiguousarray(np.indices(dims, dtype=np.min_scalar_type(max(dims) - 1)).reshape(len(dims), -1).T)
+    grid = np.empty(dims + (len(dims),), np.min_scalar_type(max(dims) - 1))
+    for i, d in enumerate(dims):  # filled one column at a time, so the grid is held once
+        grid[..., i] = np.arange(d, dtype=grid.dtype).reshape((d,) + (1,) * (len(dims) - 1 - i))
+    return grid.reshape(-1, len(dims))
 
 
 def tuple_scores(weights: Sequence[float] | np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -301,7 +304,7 @@ def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, counts: tuple
     Zero-mass tuples (alarm probabilities of 0 or 1) are no atoms: the rest keeps its order, merged afresh.
     """
     order, scores, starts, values = ranking
-    if not masses.all():
+    if np.count_nonzero(masses) < masses.size:
         keep = masses > 0.0
         order, scores, masses = order[keep], scores[keep], masses[keep]
         starts = _atom_starts(scores)
@@ -327,7 +330,7 @@ def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDis
     _check_weights(weights, law.counts)
     ranking = cell_ranking(law.counts, weights)
     masses = _ranked_law(law.counts, law.alarm_probs, weights)[0]
-    if not masses.all():  # merged afresh on each call, not kept
+    if np.count_nonzero(masses) < masses.size:  # merged afresh on each call, not kept
         return _assemble(ranking, masses, law.counts)
     order, _, starts, values = ranking
     probs = _law_walk(law.counts, law.alarm_probs, weights)[0] if len(starts) < len(order) else masses
@@ -353,7 +356,7 @@ def _law_walk(counts, alarm_probs, weights) -> tuple[np.ndarray, ...] | list[np.
     ranking, masses = cell_ranking(counts, weights), _ranked_law(counts, alarm_probs, weights)[0]
     dist = _assemble(ranking, masses, counts)
     cum = np.cumsum(dist.probs)
-    if not masses.all():
+    if np.count_nonzero(masses) < masses.size:
         return [dist.values, dist.probs, cum]
     return (dist.probs, cum) if len(dist.starts) < len(masses) else (cum,)
 

@@ -1,12 +1,13 @@
 """The committed tables regenerate byte for byte through the CLI.
 
-Each case in out/ runs the command `make reproduce` runs for that file,
-through griddetect.cli.main, and compares the written file with the golden
-copy. The `dist` and `estimate` tables, which `make reproduce` does not
-write, are compared with copies in tests/golden/; the estimate log is
-regenerated at a fixed seed.
+Each case in out/ runs the command `make reproduce` runs for that file (a
+step of tools/reproduce.py), through griddetect.cli.main, and compares the
+written file with the golden copy. The `dist` and `estimate` tables, which
+`make reproduce` does not write, are compared with copies in tests/golden/;
+the estimate log is regenerated at a fixed seed.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -18,14 +19,9 @@ from griddetect.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NETWORKS = ("good", "weak")
-# golden file stem per command
-STEMS = {"errors": "errors", "bayes": "bayes", "mp": "mp", "simulate": "simulation"}
-CASES = [
-    (command, network, ext)
-    for command in ("errors", "bayes", "mp")
-    for ext in ("txt", "csv")
-    for network in NETWORKS
-] + [("simulate", network, "csv") for network in NETWORKS]
+_spec = importlib.util.spec_from_file_location("reproduce", ROOT / "tools" / "reproduce.py")
+reproduce = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reproduce)
 DIST_CASES = [
     (network, under, mode, ext)
     for network in NETWORKS
@@ -53,10 +49,20 @@ def write_estimate_log(path: Path) -> None:
     write_log_file(path, logs + generate_trial_logs(sc, Condition.NORMAL, 50, 12))
 
 
-@pytest.mark.parametrize("command,network,ext", CASES)
-def test_golden_table(tmp_path, command, network, ext):
-    golden = ROOT / "out" / f"{STEMS[command]}_{network}.{ext}"
-    assert _run([command, "--scenario", _scenario(network)], tmp_path / golden.name, ext) == golden.read_bytes()
+@pytest.mark.parametrize("step", reproduce.STEPS, ids="-".join)
+def test_golden_table(tmp_path, step):
+    result = CliRunner().invoke(main, reproduce.step_args(step, tmp_path), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    name = reproduce.table_name(*step)
+    assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes()
+
+
+def test_reproduce_stops_at_a_failed_write_with_one_error_line(tmp_path, capsys):
+    (tmp_path / "errors_weak.txt").symlink_to(tmp_path / "missing" / "errors_weak.txt")
+    assert reproduce.reproduce(tmp_path) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / 'errors_weak.txt'}: No such file or directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["errors_good.txt", "errors_weak.txt"]
+    assert (tmp_path / "errors_good.txt").read_bytes() == (ROOT / "out" / "errors_good.txt").read_bytes()
 
 
 @pytest.mark.parametrize("network,under,mode,ext", DIST_CASES)

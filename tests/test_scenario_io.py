@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -356,6 +357,7 @@ class TestLoadScenario:
         assert scenario_io._LOADER is yaml.CSafeLoader
 
     def test_loaders_agree_on_checked_in_scenarios(self, monkeypatch):
+        scenario_io._load.cache_clear()  # so that each loader parses
         for name in ("good_network.yaml", "weak_network.yaml"):
             loaded = []
             for loader in YAML_LOADERS:
@@ -378,6 +380,55 @@ class TestLoadScenario:
             with pytest.raises(ScenarioError) as info:
                 g.load_scenario(path)
             assert str(info.value) == f"{path}: {message}"
+
+
+class TestLoadMemo:
+    """load_scenario reads its file on each call and parses a text once per path and loader."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        scenario_io._load.cache_clear()
+
+    def test_rewrite_of_the_same_size_and_mtime_is_read(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_YAML)
+        first = g.load_scenario(path)
+        stat = path.stat()
+        path.write_text(GOOD_YAML.replace("n_trials: 5000", "n_trials: 6000"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+        assert (first.simulation.n_trials, g.load_scenario(path).simulation.n_trials) == (5000, 6000)
+
+    def test_invalid_text_is_parsed_on_each_call(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_YAML)
+        good = g.load_scenario(path)
+        path.write_text("schema: 1\n")
+        for _ in range(2):
+            with pytest.raises(ScenarioError) as info:
+                g.load_scenario(path)
+            assert str(info.value) == f"{path}: top level: missing required key(s) 'channel', 'topology'"
+        assert scenario_io._load.cache_info().currsize == 1
+        path.write_text(GOOD_YAML)
+        assert g.load_scenario(path) is good
+
+    def test_another_loader_parses_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_YAML)
+        first = g.load_scenario(path)
+        monkeypatch.setattr(scenario_io, "_LOADER", type("Loader", (yaml.SafeLoader,), {}))
+        second = g.load_scenario(path)
+        assert second == first and second is not first
+        assert g.load_scenario(path) is second
+
+    def test_keeps_the_last_files(self, tmp_path):
+        paths = [tmp_path / f"scenario{i}.yaml" for i in range(scenario_io.MEMO_FILES + 1)]
+        for seed, path in enumerate(paths):
+            path.write_text(GOOD_YAML.replace("master_seed: 7", f"master_seed: {seed}"))
+        loaded = [g.load_scenario(path) for path in paths]
+        assert [sf.simulation.master_seed for sf in loaded] == list(range(len(paths)))
+        assert scenario_io._load.cache_info().currsize == scenario_io.MEMO_FILES
+        assert g.load_scenario(paths[-1]) is loaded[-1] and g.load_scenario(paths[0]) is not loaded[0]
 
 
 INDICATORS = "[{-:?"
@@ -463,6 +514,8 @@ class TestNestingBound:
         assert str(info.value) == f"{path}: nested deeper than 32 levels"
 
     def test_shipped_scenarios_skip_the_event_walk(self, monkeypatch):
+        scenario_io._load.cache_clear()  # so that each file parses
+
         def walk(*args, **kwargs):
             raise AssertionError("parse events walked")
 

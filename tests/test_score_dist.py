@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -135,6 +136,19 @@ class TestCountTupleGrid:
         grid = count_tuples((1, 2, 3))
         assert grid.shape == (24, 3) and grid.dtype == np.uint8 and grid.flags.c_contiguous
         assert [tuple(row) for row in grid.tolist()] == list(itertools.product(range(2), range(3), range(4)))
+
+    @pytest.mark.parametrize("counts", [(31,) * 4, (510,) + (1,) * 11, (5,) * 6], ids=["4x31", "510+11x1", "6x6"])
+    def test_grid_is_built_as_one_copy(self, counts):
+        tracemalloc.start()
+        try:
+            grid = count_tuples(counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.nbytes + 64 * 1024
+        dims = tuple(n + 1 for n in counts)  # the reference: np.indices, transposed
+        reference = np.indices(dims, dtype=grid.dtype).reshape(len(dims), -1).T
+        assert grid.flags.c_contiguous and grid.shape == reference.shape and np.array_equal(grid, reference)
 
     def test_grid_cap(self):
         assert len(count_tuples((MAX_COUNT_TUPLES - 1,))) == MAX_COUNT_TUPLES
