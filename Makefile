@@ -2,6 +2,7 @@ PYTHON ?= python3
 OUT ?= out
 GOOD = scenarios/good_network.yaml
 WEAK = scenarios/weak_network.yaml
+CAP = tests/scenarios/cap_cell_4x31.yaml
 # runs from the source tree, installed or not
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 GRIDDETECT = $(RUN) -m griddetect.cli
@@ -17,7 +18,10 @@ test:
 # Tier-1 tests; `dist` as a real process writing to stdout, in text and CSV,
 # against its goldens; `mp` and `simulate` the same way on both shipped
 # scenarios against out/; the byte-identity check of the simulation tables in
-# out/, then one short sim-interior run: every simulator block against a
+# out/; `dist` on the 4x31 cap cell (2**20 count tuples), in text and CSV under
+# both laws, each output's sha256 against the value it has had since it was
+# first recorded (about 3.5 s a run, too slow for the tests); then one short
+# sim-interior run: every simulator block against a
 # trial-by-trial replay; one short table-sweep run: every table command against
 # its oracle, and the shipped errors/bayes/mp tables against out/; then one
 # short exact-wide run: every 3- to 6-class design against the enumeration
@@ -31,6 +35,10 @@ check: test
 	$(GRIDDETECT) mp --scenario $(WEAK) --format csv | cmp - out/mp_weak.csv
 	$(GRIDDETECT) simulate --scenario $(GOOD) --format csv | cmp - out/simulation_good.csv
 	$(GRIDDETECT) simulate --scenario $(WEAK) --format csv | cmp - out/simulation_weak.csv
+	$(GRIDDETECT) dist --scenario $(CAP) --under event | sha256sum | grep -qx '6d9e6bea08226a0c6946e990d36a5c9ecf210423f94f87e4c1c239e243f33e0c  -'
+	$(GRIDDETECT) dist --scenario $(CAP) --under event --format csv | sha256sum | grep -qx 'b127f9037a4356df2b04db7a3f098afe297789507248cf119848ec0112a3f0f9  -'
+	$(GRIDDETECT) dist --scenario $(CAP) --under normal | sha256sum | grep -qx 'c94358130a865e56ef7aeb6beb6cb8589f06ad0a65878cdecc40a0c3231d9fd8  -'
+	$(GRIDDETECT) dist --scenario $(CAP) --under normal --format csv | sha256sum | grep -qx '5ebe26b0ba8f33d5b0dd269372220d96e3816b8baa11131dc3310a810c51da4f  -'
 	$(RUN) bench/run.py --golden-sim
 	$(RUN) bench/run.py --workload sim-interior --seed 1 --seconds 1 --trace 0
 	$(RUN) bench/run.py --workload table-sweep --seed 1 --seconds 1 --trace 0

@@ -7,16 +7,17 @@ cell). The most-powerful rule calibrates an exact size through k; the
 Bayes rule derives t from the prior and the loss ratio and takes k = 0.
 When p_w = 0 both are the same rule on unit weights with t = 0: reject
 only the all-silent observation, with the MP rule's k, or with k = 1 for
-an applicable Bayes rule and k = 0 otherwise. That (weights, t, k) form
-gives each count tuple a reject probability, which decides observations.
-Those tuples form a prefix of the cell's stable score order, so an exact
-error rate sums a prefix of the law's masses in that order, the boundary rows'
-times k, under the event law (type I error) or the normal law (power): the
-stored exact sum of the prefix's last checkpoint and the fewer than one stride
-(16 to 256) of masses after it (``ranked_sum``). Only the most-powerful rule
-builds a score law: the event law it walks to t, on atom masses and their
-running sum, each summed once. Its power is summed once, when solved, and
-reused under an equal normal law.
+an applicable Bayes rule and k = 0 otherwise (``BayesTest.boundary_prob``).
+A rule derives its (weights, lo, hi, k) form from these when it is built;
+``_reject_probs`` alone applies a form, or the simulator's stack of several,
+to count tuples. The rejecting tuples form a prefix of the cell's stable score
+order, so an exact error rate sums a prefix of the law's masses in that order,
+the boundary rows' times k, under the event law (type I error) or the normal
+law (power): the stored exact sum of the prefix's last checkpoint and the
+fewer than one stride (16 to 256) of masses after it (``ranked_sum``). Only
+the most-powerful rule builds a score law: the event law it walks to t, on
+atom masses and their running sum, each summed once. Its power is summed once,
+when solved, and reused under an equal normal law.
 
 Hypothesis convention: H0 = event occurred, H1 = normal. Rejecting H0
 declares the cell normal, so the type I error (missing a real event) is
@@ -30,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -109,12 +110,13 @@ def _check_observation(obs: Observation, class_counts: tuple[int, ...]) -> None:
 
 
 class _ThresholdRule:
-    """A rule's (weights, lo, hi, k) form (_rule_form), derived when it is built, and its bytes, on first use."""
+    """A rule's (weights, lo, hi, k) form, derived when it is built from its weights, threshold, boundary_prob and
+    degenerate flag (_threshold_form), and its bytes, on first use. ``_reject_probs`` applies the form."""
 
     form: tuple[tuple[float, ...], float, float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "form", _rule_form(self))
+        object.__setattr__(self, "form", _threshold_form(self.weights, self.threshold, self.boundary_prob, self.degenerate))
 
     @functools.cached_property
     def form_bytes(self) -> bytes:
@@ -166,6 +168,12 @@ class BayesTest(_ThresholdRule):
     applicable: bool
     normalized_weights: tuple[float, ...] | None
     degenerate: bool = False
+
+    @property
+    def boundary_prob(self) -> float:
+        """The probability of rejecting on the boundary atom: 1.0 for an applicable p_w = 0 rule, whose only
+        rejecting tuple, the all-silent one, is its boundary; else 0.0, since a Bayes rule accepts a tie."""
+        return float(self.applicable) if self.degenerate else 0.0
 
 
 class OperatingCharacteristics(NamedTuple):
@@ -258,21 +266,9 @@ def solve_mp_tests(
     return tests
 
 
-def _rule_form(rule: MPTest | BayesTest) -> tuple[tuple[float, ...], float, float, float]:
-    """A rule as (weights, lo, hi, k): reject with probability 1 for a score below lo, k up to hi, else 0.
-
-    lo and hi are the threshold t less and plus its atom tolerance. Bayes
-    rules take k = 0, except an applicable p_w = 0 rule, which takes 1.
-    """
-    if isinstance(rule, MPTest):
-        k = rule.boundary_prob
-    else:
-        k = float(rule.applicable) if rule.degenerate else 0.0
-    return _threshold_form(rule.weights, rule.threshold, k, rule.degenerate)
-
-
 def _threshold_form(weights: tuple[float, ...], t: float, k: float, degenerate: bool) -> tuple:
-    """The form of a rule with these weights, threshold t, boundary k and p_w = 0 flag."""
+    """The (weights, lo, hi, k) form of a rule with these weights, threshold t, boundary k and p_w = 0 flag: reject
+    with probability 1 for a score below lo, k up to hi, else 0. lo and hi are t less and plus its atom tolerance."""
     if degenerate:
         # p_w = 0: the all-silent tuple is the only one scoring 0 on unit weights
         weights, t = (1.0,) * len(weights), 0.0
@@ -282,48 +278,19 @@ def _threshold_form(weights: tuple[float, ...], t: float, k: float, degenerate: 
     return weights, t - tol, t + tol, k
 
 
-def _threshold_probs(score: np.ndarray, lo, hi, k) -> np.ndarray:
+def _reject_probs(form: tuple, counts: np.ndarray) -> np.ndarray:
+    """Per row of an (N, K) count array, the probability that ``form`` rejects H0: shape (N,) for one rule's
+    (weights, lo, hi, k), (N, R) for R rules stacked as (K, R) weights and (R,) bounds and k. Scores come from
+    score_dist.tuple_scores and compare as on the grid; a nan bound compares false."""
+    weights, lo, hi, k = form
+    score = tuple_scores(weights, counts)
     return np.where(score < lo, 1.0, np.where(score <= hi, k, 0.0))
-
-
-class _RuleForms(NamedTuple):
-    """Several rules' (weights, lo, hi, k) forms side by side, one column per rule.
-
-    ``weights`` is (K, R); ``lo``, ``hi`` and ``k`` are (R,).
-    """
-
-    weights: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    k: np.ndarray
-
-    @classmethod
-    def unpack(cls, forms: Sequence[bytes], n_classes: int) -> _RuleForms:
-        """The rules whose form_bytes are ``forms``, in order."""
-        table = np.frombuffer(b"".join(forms)).reshape(len(forms), n_classes + 3)
-        return cls(table[:, :n_classes].T, *table[:, n_classes:].T)
-
-    def reject_probs(self, counts: np.ndarray) -> np.ndarray:
-        """Per row of an (N, K) count array, every rule's probability of rejecting H0: shape (N, R).
-
-        Scores come from score_dist.tuple_scores and compare as on the grid.
-        """
-        return _threshold_probs(tuple_scores(self.weights, counts), self.lo, self.hi, self.k)
-
-    def verdicts(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """reject_probs of each row, and per rule its coin offset: how many earlier rules have a p strictly inside
-        (0, 1), so that a trial of that row draws their boundary coins first. Both (N, R)."""
-        p = self.reject_probs(counts)
-        randomized = (0.0 < p) & (p < 1.0)
-        offsets = np.cumsum(randomized, axis=1)
-        offsets -= randomized
-        return p, offsets
 
 
 def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw, scores=None) -> list[float]:
     """P(reject H0) of a rule's form under each law of the cell, ranked into ``scores`` (else read from the store): the
     masses of ranks below i, plus k times those of i to j, at most 1 (a whole cell's rounded masses may sum past it)."""
-    # scores of rank below i are under lo, up to j at most hi; a nan bound compares false, as in _threshold_probs
+    # scores of rank below i are under lo, up to j at most hi; a nan bound compares false, as in _reject_probs
     weights, lo, hi, k = form
     scores = cell_ranking(counts, weights)[1] if scores is None else scores
     i = 0 if math.isnan(lo) else int(scores.searchsorted(lo, "left"))
@@ -333,8 +300,7 @@ def _rejection_rates(counts: tuple[int, ...], form: tuple, *laws: ClassAlarmLaw,
 
 def _decide(rule: MPTest | BayesTest, obs: Observation, coin: UniformSource | None) -> Decision:
     _check_observation(obs, rule.class_counts)
-    weights, lo, hi, k = rule.form
-    p = float(_threshold_probs(tuple_scores(weights, np.array([obs.counts])), lo, hi, k)[0])
+    p = float(_reject_probs(rule.form, np.array([obs.counts]))[0])
     if 0.0 < p < 1.0:
         verdict = Verdict.REJECT_H0 if coin.random() < p else Verdict.ACCEPT_H0
         return Decision(verdict, randomized=True)

@@ -20,20 +20,21 @@ Generator. ``run_sweep`` computes the same streams in blocks of trial
 indices with numpy (``_streams``), once per block for all the (prior, rules)
 runs of a sweep (``simulate``'s priors), and counts every run from a block
 before it draws the next; ``run_trials`` is a sweep of one run. A run reads
-the world in the order above with the same comparisons, takes every rule's
-reject probability from the threshold-rule core that ``mp_decide`` and
-``bayes_decide`` use, and compares it with the uniform the contract assigns
-to that test's boundary coin. Where a block has at least as many trials as
-the cell has count tuples, a run looks its verdicts up in one table in
-``score_dist``'s store (``_plan``), keyed by the cell's class counts and the
-rules' form bytes (a nan bound's bytes equal): each count tuple's reject
-probabilities and coin offsets, and each sensor's stride to its tuple's row.
-On a wider cell a run unpacks the rules' stacked forms from their form bytes
-once per call and scores trial by trial. The prior and channel are read per
-call, so a warm run derives no form and reads one store entry. The counts
-equal a trial-by-trial run's. ``forced_worlds`` reads worlds the same way
-for trials whose truth is forced (calibration logs), from their first
-uniform.
+the world in the order above with the same comparisons. This module alone
+stacks a rule set's forms from their form bytes (``_stacked_forms``) and
+places its coins (``_verdicts``): ``decision_tests._reject_probs``, which
+``mp_decide`` and ``bayes_decide`` use, gives every rule's reject
+probability, and a test's coin is the uniform after the world draws and one
+per earlier test whose probability lies strictly inside (0, 1). Where a block
+has at least as many trials as the cell has count tuples, a run looks these
+up in one table in ``score_dist``'s store (``_plan``), keyed by the cell's
+class counts and the rules' form bytes (a nan bound's bytes equal): each
+count tuple's reject probabilities and coin offsets, and each sensor's stride
+to its tuple's row. On a wider cell a run stacks the forms once per call and
+scores trial by trial. The prior and channel are read per call, so a warm run
+derives no form and reads one store entry. The counts equal a trial-by-trial
+run's. ``forced_worlds`` reads worlds the same way for trials whose truth is
+forced (calibration logs), from their first uniform.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .decision_tests import (
     Decision,
     MPTest,
     Observation,
-    _RuleForms,
+    _reject_probs,
     bayes_decide,
     mp_decide,
 )
@@ -297,29 +298,46 @@ def forced_worlds(
         yield detected.T, alarm.T
 
 
+def _stacked_forms(forms: Sequence[bytes], n_classes: int) -> tuple[np.ndarray, ...]:
+    """The rules whose form_bytes are ``forms``, in order, as one stacked form: (K, R) weights and (R,) lo, hi, k."""
+    table = np.frombuffer(b"".join(forms)).reshape(len(forms), n_classes + 3)
+    return table[:, :n_classes].T, *table[:, n_classes:].T
+
+
+def _verdicts(stacked: tuple[np.ndarray, ...], counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (N, K) count array, every rule's reject probability (_reject_probs), and its coin offset: how
+    many earlier rules have a p strictly inside (0, 1), so that a trial of that row draws their boundary coins first
+    (contract step 3). Both (N, R)."""
+    p = _reject_probs(stacked, counts)
+    randomized = (0.0 < p) & (p < 1.0)
+    offsets = np.cumsum(randomized, axis=1)
+    offsets -= randomized
+    return p, offsets
+
+
 @_in_store
 def _plan(counts: tuple[int, ...], forms: tuple[bytes, ...]) -> tuple[np.ndarray, ...]:
     """The verdict table of the rules whose form_bytes are ``forms`` on the cell ``counts``: (p, offsets, strides),
-    the verdicts of every count tuple in grid order (_RuleForms.verdicts) and each sensor's stride in the grid."""
+    the _verdicts of every count tuple in grid order and each sensor's stride in the grid."""
     dims = [c + 1 for c in counts]
     # a tuple's row in the grid: sum x_i * prod(dims[i + 1:]), one stride per sensor of class i
     strides = np.repeat([math.prod(dims[i + 1 :]) for i in range(len(dims))], counts)
-    return *_RuleForms.unpack(forms, len(counts)).verdicts(count_tuples(counts)), strides
+    return *_verdicts(_stacked_forms(forms, len(counts)), count_tuples(counts)), strides
 
 
-def _plan_verdicts(plan: tuple[np.ndarray, ...] | _RuleForms, topology: Topology,
+def _plan_verdicts(plan: tuple[np.ndarray, ...], lookup: bool, topology: Topology,
                    alarm: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every rule's reject probability and coin offset, each (trials, rules), from (sensors, trials) alarm bits:
-    looked up in a verdict table, or scored by the rules' forms."""
-    if isinstance(plan, _RuleForms):
-        return plan.verdicts(np.add.reduceat(alarm, topology.first_sensors, axis=0).T)
+    looked up in a verdict table (_plan) where ``lookup`` is set, else scored by the rules' stacked form."""
+    if not lookup:
+        return _verdicts(plan, np.add.reduceat(alarm, topology.first_sensors, axis=0).T)
     p, offsets, strides = plan
     index = strides @ alarm
     return p.take(index, axis=0), offsets.take(index, axis=0)
 
 
 def _count_block(
-    scenario: ValidatedScenario, prior: Prior, plan: tuple[np.ndarray, ...] | _RuleForms, u: np.ndarray
+    scenario: ValidatedScenario, prior: Prior, plan: tuple[np.ndarray, ...], lookup: bool, u: np.ndarray
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Counts over one block of trials from their (draws, trials) uniforms: event trials, and per sensor alarms and
     per rule event declarations, summed over all trials and over event trials.
@@ -330,7 +348,7 @@ def _count_block(
     n, width = scenario.topology.total_count, u.shape[1]
     event = u[0] < prior.event_prob
     _, alarm = _world(scenario, u, 1, event)
-    p, offsets = _plan_verdicts(plan, scenario.topology, alarm)
+    p, offsets = _plan_verdicts(plan, lookup, scenario.topology, alarm)
     # a test's coin follows the world draws and the coins of earlier tests; where p is 0 or 1 the draw read is any
     # uniform and decides nothing. Draw d of trial t is u.flat[d * width + t].
     coin = offsets * width + (np.where(event, (1 + 2 * n) * width, (1 + n) * width) + np.arange(width))[:, None]
@@ -357,14 +375,14 @@ def run_sweep(
     # 2**64), else the rules' forms
     lookup = math.prod(c + 1 for c in topology.counts) <= min(n_trials, rows)
     forms = [tuple(test.form_bytes for _, test in tests) for _, tests in runs]
-    plans = [_plan(topology.counts, f) if lookup else _RuleForms.unpack(f, len(topology.counts)) for f in forms]
+    plans = [_plan(topology.counts, f) if lookup else _stacked_forms(f, len(topology.counts)) for f in forms]
 
     totals = [(0, 0, 0)] * len(runs)
     for start in range(0, n_trials, rows):
         indices = np.arange(start, min(start + rows, n_trials), dtype=np.uint64)
         u = _streams.uniforms(master_seed, indices, n_draws).T  # overwritten by the next block's
         for r, ((prior, _), plan) in enumerate(zip(runs, plans)):
-            totals[r] = tuple(a + b for a, b in zip(totals[r], _count_block(scenario, prior, plan, u)))
+            totals[r] = tuple(a + b for a, b in zip(totals[r], _count_block(scenario, prior, plan, lookup, u)))
     return [_report(topology, tests, n_trials, master_seed, *total) for (_, tests), total in zip(runs, totals)]
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import griddetect as g
-from griddetect import DomainError, Verdict, decision_tests
+from griddetect import DomainError, Verdict, decision_tests, simulator
 from griddetect.scenario_io import load_scenario
 from griddetect.score_dist import MERGE_REL_TOL, atom_tolerance, cell_masses, count_tuples, exact_sum, tuple_scores
 
@@ -647,7 +647,7 @@ def _grid_mask_rates(rule, *laws):
     """Error rates summed over the whole grid: each tuple's reject probability
     from its score, the rejecting tuples masked out, their weighted masses summed,
     at most 1."""
-    weights, lo, hi, k = decision_tests._rule_form(rule)
+    weights, lo, hi, k = rule.form
     scores = tuple_scores(weights, count_tuples(rule.class_counts))
     reject = np.where(scores < lo, 1.0, np.where(scores <= hi, k, 0.0))
     hit = reject > 0.0
@@ -725,7 +725,7 @@ class TestPrefixRates:
         # a score exactly on lo is a boundary row, one exactly on hi too
         for bound in ("lo", "hi"):
             edge = replace(rule, threshold=_threshold_on(bound, rule.threshold), boundary_prob=0.5)
-            weights, lo, hi, _ = decision_tests._rule_form(edge)
+            weights, lo, hi, _ = edge.form
             assert (lo if bound == "lo" else hi) == rule.threshold
             _assert_prefix_rates_match(edge, sc, solved=False)
 
@@ -833,8 +833,10 @@ class TestOneBayesThreshold:
         ops = g.operating_characteristics(rule, sc)
         _assert_prefix_rates_match(rule, sc)
         counts = sc.topology.counts
-        forms = decision_tests._RuleForms.unpack([rule.form_bytes], len(counts))
-        reject = forms.reject_probs(count_tuples(counts))[:, 0]
+        # the rule's form as the simulator reads it back from its bytes, a nan bound too
+        stacked = simulator._stacked_forms([rule.form_bytes], len(counts))
+        reject = decision_tests._reject_probs(stacked, count_tuples(counts))[:, 0]
+        assert np.array_equal(reject, decision_tests._reject_probs(rule.form, count_tuples(counts)))
         stats = sc.derived()
         if not rule.applicable:
             assert ops == (0.0, 0.0)
@@ -849,8 +851,8 @@ class TestOneBayesThreshold:
 def _summed_again(rule, sc):
     """Both rates of a rule summed under the scenario's laws, as operating_characteristics sums a rate it does not reuse."""
     stats = sc.derived()
-    form = decision_tests._rule_form(rule)
-    return [x.hex() for x in decision_tests._rejection_rates(sc.topology.counts, form, stats.event_law, stats.normal_law)]
+    return [x.hex() for x in decision_tests._rejection_rates(sc.topology.counts, rule.form, stats.event_law,
+                                                              stats.normal_law)]
 
 
 class TestPowerReuse:
@@ -901,3 +903,13 @@ class TestPowerReuse:
             assert "normal_law" not in repr(rule)
             assert repr(rule) == repr(hand)
             assert rule == hand and hash(rule) == hash(hand)
+
+    def test_bayes_boundary_prob_is_read_not_stored(self):
+        # 0.0 with p_w > 0; with p_w = 0, 1.0 where the rule applies (it rejects the all-silent tuple) and 0.0 where not
+        for sc, loss, applicable, want in ((good_scenario(), 5.0, True, 0.0), (degenerate_scenario(), 5.0, True, 1.0),
+                                           (degenerate_scenario(), 1e6, False, 0.0)):
+            rule = g.bayes_test(sc, g.Prior(0.1), g.LossRatio(loss))
+            assert (rule.applicable, rule.boundary_prob, rule.form[3]) == (applicable, want, want)
+            hand = g.BayesTest(**{f.name: getattr(rule, f.name) for f in fields(rule) if f.init})
+            assert "boundary_prob" not in repr(rule)
+            assert (hand.form, hand.form_bytes, repr(hand)) == (rule.form, rule.form_bytes, repr(rule))

@@ -30,7 +30,7 @@ import pytest
 from click.testing import CliRunner
 
 import griddetect as g
-from griddetect import _streams, decision_tests, score_dist
+from griddetect import _streams, decision_tests, score_dist, simulator
 from griddetect.cli import main
 from griddetect.decision_tests import bayes_test, operating_characteristics, solve_mp_test, solve_mp_tests
 
@@ -403,8 +403,10 @@ def test_warm_run_derives_nothing(monkeypatch):
 
     monkeypatch.setattr(score_dist, "_store", Counting(score_dist._store))
     built.clear()  # the copy's insertions
-    rule_form = decision_tests._rule_form
-    monkeypatch.setattr(decision_tests, "_rule_form", lambda rule: derived.append(rule) or rule_form(rule))
+    # a rule's form is derived from its fields (_threshold_form), and a rule set's stacked form from its form bytes
+    threshold_form, stacked_forms = decision_tests._threshold_form, simulator._stacked_forms
+    monkeypatch.setattr(decision_tests, "_threshold_form", lambda *a: derived.append(a) or threshold_form(*a))
+    monkeypatch.setattr(simulator, "_stacked_forms", lambda *a: derived.append(a) or stacked_forms(*a))
     assert g.run_trials(sc, prior, tests, 250, 3) == want
     assert (reads, built, derived) == (["_plan"], [], [])
 

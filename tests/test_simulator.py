@@ -14,10 +14,10 @@ import pytest
 
 import griddetect as g
 from griddetect import DomainError, Truth, _streams, score_dist, simulator
-from griddetect.decision_tests import _RuleForms
+from griddetect.decision_tests import _reject_probs
 from griddetect.score_dist import count_tuples
 from griddetect.simulator import (
-    GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, _plan, _plan_verdicts, run_sweep, trial_rng,
+    GENERATOR_NAME, MAX_TRIAL_DRAWS, _block_rows, _plan, _plan_verdicts, _stacked_forms, run_sweep, trial_rng,
 )
 
 from cases import GOOD_APPROX, degenerate_scenario, good_scenario, weak_scenario
@@ -317,12 +317,14 @@ class TestSweep:
         grid = count_tuples(counts)
         # the alarm bits of every count tuple: the first x_i sensors of class i alarm
         alarm = np.concatenate([np.arange(c)[:, None] < grid[:, i] for i, c in enumerate(counts)])
-        rules = _RuleForms.unpack(forms, len(counts))
-        table = _plan_verdicts(_plan(counts, forms), sc.topology, alarm)
-        scored = _plan_verdicts(rules, sc.topology, alarm)
+        stacked = _stacked_forms(forms, len(counts))
+        table = _plan_verdicts(_plan(counts, forms), True, sc.topology, alarm)
+        scored = _plan_verdicts(stacked, False, sc.topology, alarm)
         assert all(np.array_equal(a, b) for a, b in zip(table, scored))
         p = table[0]
-        assert np.array_equal(p, rules.reject_probs(grid))
+        assert np.array_equal(p, _reject_probs(stacked, grid))
+        # each column of the stacked form's probabilities is its rule's own
+        assert all(np.array_equal(p[:, r], _reject_probs(test.form, grid)) for r, (_, test) in enumerate(tests))
         assert ((0.0 < p) & (p < 1.0)).any(), case  # a randomized boundary (0 < k < 1)
         # runs at the bound (tuples = n_trials) read the table; one trial fewer scores trial by trial
         looked_up = _count_tables(monkeypatch)
