@@ -16,7 +16,8 @@ test:
 	$(RUN) -m pytest -q
 
 # Tier-1 tests; `dist` as a real process writing to stdout, in text and CSV,
-# against its goldens; `mp` and `simulate` the same way on both shipped
+# against its goldens; every command `make reproduce` runs (`errors`, `bayes`
+# and `mp` in text, `mp` and `simulate` in CSV) the same way on both shipped
 # scenarios against out/; the byte-identity check of the simulation tables in
 # out/; `dist` on the 4x31 cap cell (2**20 count tuples), in text and CSV under
 # both laws, each output's sha256 against the value it has had since it was
@@ -29,6 +30,10 @@ test:
 check: test
 	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact | cmp - tests/golden/dist_weak_normal_exact.txt
 	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact --format csv | cmp - tests/golden/dist_weak_normal_exact.csv
+	$(GRIDDETECT) errors --scenario $(GOOD) | cmp - out/errors_good.txt
+	$(GRIDDETECT) errors --scenario $(WEAK) | cmp - out/errors_weak.txt
+	$(GRIDDETECT) bayes --scenario $(GOOD) | cmp - out/bayes_good.txt
+	$(GRIDDETECT) bayes --scenario $(WEAK) | cmp - out/bayes_weak.txt
 	$(GRIDDETECT) mp --scenario $(GOOD) | cmp - out/mp_good.txt
 	$(GRIDDETECT) mp --scenario $(WEAK) | cmp - out/mp_weak.txt
 	$(GRIDDETECT) mp --scenario $(GOOD) --format csv | cmp - out/mp_good.csv

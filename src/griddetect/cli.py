@@ -1,8 +1,11 @@
 """Command-line front end: load a scenario file, run an analysis, emit tables.
 
-Every command reads one scenario file (see scenario_io for the schema),
-writes its table(s) to stdout or --out in text or CSV form, and exits 0
-on success. Invalid input (a DomainError from any layer) prints one
+Each scenario command is a body that turns a loaded scenario file (see
+scenario_io for the schema) into a Table; ``_table_command`` registers it,
+loads the file, resolves --weight-mode (the one place the CLI does) and
+writes the table. ``estimate`` reads a calibration log instead. Every
+command writes to stdout or --out in text or CSV form and exits 0 on
+success. Invalid input (a DomainError from any layer) prints one
 ``error: ...`` line on stderr and exits 1; a click usage error exits 2.
 Any other exception is a bug and propagates with its traceback.
 """
@@ -32,7 +35,7 @@ from .estimation import (
 )
 from .model import DomainError, LossRatio
 from .node_errors import node_error_report
-from .scenario_io import load_scenario
+from .scenario_io import ScenarioFile, load_scenario
 from .score_dist import score_distribution
 from .simulator import GENERATOR_NAME, run_sweep
 from .simulator import run_trials  # not called here; the benchmark traces cli.run_trials
@@ -87,13 +90,24 @@ def main() -> None:
     """Exact decision tests and simulation for sensor-grid event detection."""
 
 
-@main.command("errors")
-@_SCENARIO
-@_FORMAT
-@_OUT
-def cmd_errors(scenario_path: Path, fmt: str, out: Path | None) -> None:
+def _table_command(name: str, *options):
+    """Register ``body(sf, **own) -> Table`` as a command taking --scenario, --format, --out, *options.
+
+    The command loads the scenario, applies --weight-mode (None where it has none) and writes the
+    table; load_scenario and render are looked up when it runs, where the benchmark's tracer wraps them."""
+    def register(body):
+        def command(scenario_path: Path, fmt: str, out: Path | None, weight_mode: str | None = None, **own):
+            _emit(body(load_scenario(scenario_path).with_weight_mode(weight_mode), **own), fmt, out)
+        command.__doc__ = body.__doc__
+        for option in reversed((_SCENARIO, _FORMAT, _OUT) + options):
+            command = option(command)
+        return main.command(name)(command)
+    return register
+
+
+@_table_command("errors")
+def cmd_errors(sf: ScenarioFile) -> Table:
     """Per-sensor error probabilities and posteriors over the prior sweep."""
-    sf = load_scenario(scenario_path)
     rows = []
     for prior in sf.priors():
         report = node_error_report(sf.scenario, prior)
@@ -110,16 +124,12 @@ def cmd_errors(scenario_path: Path, fmt: str, out: Path | None) -> None:
             )
     columns = ("p_e", "class", "type1_silent_given_event", "type2_alarm_given_normal",
                "event_given_silent", "normal_given_alarm")
-    _emit(Table.from_rows("node-errors", columns, rows), fmt, out)
+    return Table.from_rows("node-errors", columns, rows)
 
 
-@main.command("bayes")
-@_SCENARIO
-@_FORMAT
-@_OUT
-def cmd_bayes(scenario_path: Path, fmt: str, out: Path | None) -> None:
+@_table_command("bayes")
+def cmd_bayes(sf: ScenarioFile) -> Table:
     """Bayes rules for every (prior, loss ratio) pair in the scenario."""
-    sf = load_scenario(scenario_path)
     k = len(sf.scenario.topology.classes)
     rows = []
     for prior in sf.priors():
@@ -133,21 +143,13 @@ def cmd_bayes(scenario_path: Path, fmt: str, out: Path | None) -> None:
             )
     columns = (("p_e", "loss_ratio") + tuple(f"weight_{i + 1}" for i in range(k))
                + ("threshold", "applicable", "exact_type1", "exact_power"))
-    _emit(Table.from_rows("bayes-tests", columns, rows), fmt, out)
+    return Table.from_rows("bayes-tests", columns, rows)
 
 
-@main.command("mp")
-@_SCENARIO
-@_FORMAT
-@_OUT
-@_WEIGHT_MODE
-@click.option("--sizes", "sizes_arg", default=None,
-              help="Comma-separated test sizes overriding the scenario file.")
-def cmd_mp(
-    scenario_path: Path, fmt: str, out: Path | None, weight_mode: str | None, sizes_arg: str | None
-) -> None:
+@_table_command("mp", _WEIGHT_MODE, click.option(
+    "--sizes", "sizes_arg", default=None, help="Comma-separated test sizes overriding the scenario file."))
+def cmd_mp(sf: ScenarioFile, sizes_arg: str | None) -> Table:
     """Most-powerful tests for each size; alpha column shows 1 - size."""
-    sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
     sizes = sf.sizes
     if sizes_arg is not None:
         try:
@@ -168,21 +170,14 @@ def cmd_mp(
         )
     columns = (("alpha_printed", "size") + tuple(f"weight_{i + 1}" for i in range(k))
                + ("threshold", "boundary_prob", "solved_size", "solved_power", "true_type1", "true_power"))
-    _emit(Table.from_rows(f"mp-tests ({sf.weight_mode})", columns, rows), fmt, out)
+    return Table.from_rows(f"mp-tests ({sf.weight_mode})", columns, rows)
 
 
-@main.command("dist")
-@_SCENARIO
-@_FORMAT
-@_OUT
-@_WEIGHT_MODE
-@click.option("--under", type=click.Choice(["event", "normal"]), default="event",
-              show_default=True, help="Hypothesis for the alarm law.")
-def cmd_dist(
-    scenario_path: Path, fmt: str, out: Path | None, weight_mode: str | None, under: str
-) -> None:
+@_table_command("dist", _WEIGHT_MODE, click.option(
+    "--under", type=click.Choice(["event", "normal"]), default="event",
+    show_default=True, help="Hypothesis for the alarm law."))
+def cmd_dist(sf: ScenarioFile, under: str) -> Table:
     """Dump the exact score distribution for debugging."""
-    sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
     if sf.weight_mode == "exact" and sf.scenario.channel.silent_when_undetected:
         raise DomainError(f"class {sf.scenario.topology.classes[0].label!r}: exact weights are infinite at p_w = 0 "
                           "(an alarm is conclusive); use --weight-mode paper-approx")
@@ -190,27 +185,18 @@ def cmd_dist(
     dist = score_distribution(weights, event_law if under == "event" else sf.scenario.derived().normal_law)
     # cumsum adds the masses one by one, as a running sum does
     cells = (dist.values, dist.probs, np.cumsum(dist.probs), np.diff(dist.starts, append=len(dist.order)))
-    table = Table(
+    return Table(
         title=f"score-distribution under {under} ({sf.weight_mode})",
         columns=("value", "prob", "cumulative", "n_count_tuples"),
         cells=tuple(c.tolist() for c in cells),
     )
-    _emit(table, fmt, out)
 
 
-@main.command("simulate")
-@_SCENARIO
-@_FORMAT
-@_OUT
-@_WEIGHT_MODE
-@click.option("--trials", type=int, default=None, help="Override simulation.n_trials.")
-@click.option("--seed", type=int, default=None, help="Override simulation.master_seed.")
-def cmd_simulate(
-    scenario_path: Path, fmt: str, out: Path | None, weight_mode: str | None,
-    trials: int | None, seed: int | None,
-) -> None:
+@_table_command("simulate", _WEIGHT_MODE,
+                click.option("--trials", type=int, default=None, help="Override simulation.n_trials."),
+                click.option("--seed", type=int, default=None, help="Override simulation.master_seed."))
+def cmd_simulate(sf: ScenarioFile, trials: int | None, seed: int | None) -> Table:
     """Monte Carlo runs per prior with empirical vs exact columns."""
-    sf = load_scenario(scenario_path).with_weight_mode(weight_mode)
     if not sf.event_priors:
         raise DomainError("simulation needs a prior sweep (prior.p_e)")
     n_trials = trials if trials is not None else sf.simulation.n_trials
@@ -251,7 +237,7 @@ def cmd_simulate(
     title = (f"simulation n_trials={n_trials} master_seed={master_seed} "
              f"rng={GENERATOR_NAME} weights={sf.weight_mode}")
     columns = ("p_e", "statistic", "target", "empirical", "exact", "abs_delta", "numerator", "denominator")
-    _emit(Table.from_rows(title, columns, rows), fmt, out)
+    return Table.from_rows(title, columns, rows)
 
 
 @main.command("estimate")
