@@ -18,14 +18,30 @@ then added.
 A thread's workspace holds the arrays of the last block shape it computed;
 blocks of the same shape reuse them, so a run of equal blocks allocates
 nothing large, and a new shape frees the old arrays before allocating its
-own. The array ``uniforms`` returns is part of that workspace: it is valid
-only until the next call on the same thread. This module sets no bound on
-a block's size; the simulator sizes blocks (``simulator._block_rows``).
+own; each starts on a 64-byte boundary (``_empty``). The array
+``uniforms`` returns is part of that workspace: it is valid only until the
+next call on the same thread. This module sets no bound on a block's size;
+the simulator sizes blocks (``simulator._block_rows``).
+
+At a few hundred rows most of a numpy call's time is its fixed cost, and
+that cost depends on the operands. A ufunc over 250 elements took 1.25 us
+with a numpy scalar operand, 0.99 us with a Python int, 0.69 us with a 0-d
+array and 0.56 us with an operand of the output's shape (2 vCPU Xeon,
+numpy 2.4). So every constant operand is a read-only 0-d array: the shift
+counts, masks, mixing multipliers and the double scale. The SeedSequence
+hash constants differ from pool word to pool word, and a hash against
+(k, 1) constant columns took 4.2-4.4 us; so each workspace widens them to
+its block's rows, read-only, when it is fitted to a new shape (about 48 KB
+at 250 rows). They live and die with the thread's last block shape, like
+its other arrays. The jump constants of ``_jumps`` stay (2, draws, 1)
+columns, shared by every shape: widened to the block's rows they cost more
+at 4096 rows than they saved at 250.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -35,16 +51,24 @@ _M64 = (1 << 64) - 1
 # SeedSequence hashing constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
 # PCG64's default 128-bit multiplier
 _PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
 
-_U32_16 = np.uint32(16)
-_U64_1, _U64_11, _U64_32 = np.uint64(1), np.uint64(11), np.uint64(32)
-_U64_58, _U64_63, _U64_64 = np.uint64(58), np.uint64(63), np.uint64(64)
-_U64_M32 = np.uint64(_M32)
-_TO_DOUBLE = 1.0 / 9007199254740992.0
+
+def _scalar(value: int | float, dtype: type) -> np.ndarray:
+    """A read-only 0-d array: numpy's cheapest operand for a constant."""
+    a = np.array(value, dtype)
+    a.flags.writeable = False
+    return a
+
+
+_MIX_L, _MIX_R = _scalar(0xCA01F9DD, np.uint32), _scalar(0x4973F715, np.uint32)
+_U32_16 = _scalar(16, np.uint32)
+_U64_1, _U64_11, _U64_32 = _scalar(1, np.uint64), _scalar(11, np.uint64), _scalar(32, np.uint64)
+_U64_58, _U64_63, _U64_64 = _scalar(58, np.uint64), _scalar(63, np.uint64), _scalar(64, np.uint64)
+_U64_M32 = _scalar(_M32, np.uint64)
+_TO_DOUBLE = _scalar(1.0 / 9007199254740992.0, np.float64)
 
 
 def _int_words(n: int) -> list[int]:
@@ -56,68 +80,88 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
-def _consts(init: int, mult: int, n: int) -> np.ndarray:
-    """init, init * mult, init * mult**2, ... (mod 2**32) as a read-only uint32 column."""
+def _chain(init: int, mult: int, n: int) -> list[int]:
+    """init, init * mult, init * mult**2, ... (mod 2**32): n hash constants in the order SeedSequence uses them."""
     out = [init]
     for _ in range(n - 1):
         out.append(out[-1] * mult & _M32)
-    consts = np.array(out, dtype=np.uint32)[:, None]
-    consts.flags.writeable = False
-    return consts
+    return out
 
 
-# SeedSequence.mix_entropy: the four pool words hash with the first five
+def _hash_pairs(chain: list[int], uses: list[int]) -> list[int]:
+    """The init then the mult constant of each hash in ``uses``: hash k xors chain[k] and multiplies by chain[k + 1]."""
+    return [chain[k] for k in uses] + [chain[k + 1] for k in uses]
+
+
+# SeedSequence.mix_entropy hashes the four pool words with the first five
 # constants; then each source word, hashed with the next constants in turn,
-# is mixed into the three other words. The three mixes of one source read
-# the same source value, so they run as one array operation.
-_POOL_HASH = _consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
-_MIX_STEPS = tuple(
-    (src, consts[:-1], consts[1:], np.array([d for d in range(_POOL_SIZE) if d != src]))
-    for src in range(_POOL_SIZE)
-    for consts in [_POOL_HASH[_POOL_SIZE + (_POOL_SIZE - 1) * src :][:_POOL_SIZE]]
+# is mixed into the three other words. _seed keeps the pool in seven rows,
+# word k in row k and, for k < 3, in row k + 4 as well once source k + 1 is
+# reached: source s is row s, and the words it mixes into, s + 1, s + 2 and
+# s + 3 (mod 4), are the slice of rows s + 1 to s + 3, so that each step
+# reads and writes a view, not an indexed copy. The constants of each step
+# are ordered to match. The mixed words 0, 1, 2 and 3 end in rows 4, 5, 6
+# and 3; generate_state(4, uint64) then hashes the words 0, 1, 2, 3, 0, 1,
+# 2, 3 with constants of its own.
+_POOL_CHAIN = _chain(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
+# source s mixes into the j-th other word, in ascending order, with the hash of chain[4 + 3 * s + j]; its rows hold
+# the words s + 1, s + 2, s + 3 (mod 4), so each source's hashes are listed in that order
+_MIX_USES = [[4 + 3 * s + d - (d > s) for d in ((s + k) % _POOL_SIZE for k in (1, 2, 3))] for s in range(_POOL_SIZE)]
+# each mixing source's row three times, copied out so that its hash runs on operands of one shape (a broadcast
+# row costs more than the copy); the pool rows of the eight state words, in little-endian pairs. Both are left
+# writable: ndarray.take copies a read-only index array on every call.
+_SRC_ROWS = np.repeat(np.arange(_POOL_SIZE)[:, None], _POOL_SIZE - 1, axis=1)
+_STATE_ROWS = np.array([[4, 5], [6, 3]] * 2)
+# the init then the mult constants of each hash _seed runs, in its order: the 4 pool words, 3 words per mixing
+# source, then the 8 state words; 48 in all, which a workspace widens to its block's rows (_Workspace.fit)
+_SEED_HASH = np.array(
+    _hash_pairs(_POOL_CHAIN, list(range(_POOL_SIZE)))
+    + [c for uses in _MIX_USES for c in _hash_pairs(_POOL_CHAIN, uses)]
+    + _hash_pairs(_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), list(range(2 * _POOL_SIZE))),
+    dtype=np.uint32,
 )
-# generate_state(4, uint64): eight hashed pool words, paired little-endian
-_STATE_HASH = _consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
-_STATE_WORDS = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+_SEED_HASH.flags.writeable = False
 
 
-def _hash(value: np.ndarray, init: np.ndarray, mult: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """SeedSequence's hash of each row of ``value`` into ``out``, row r using init[r] and mult[r]."""
-    np.bitwise_xor(value, init, out=out)
-    np.multiply(out, mult, out=out)
-    np.right_shift(out, _U32_16, out=tmp)
-    np.bitwise_xor(out, tmp, out=out)
+def _hash(words: np.ndarray, init: np.ndarray, mult: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """SeedSequence's hash of each element of ``words``, using the same element of init and mult: computed in place,
+    its last step written to ``out``, which may be ``words``."""
+    np.bitwise_xor(words, init, out=words)
+    np.multiply(words, mult, out=words)
+    np.right_shift(words, _U32_16, out=tmp)
+    np.bitwise_xor(words, tmp, out=out)
 
 
 def _seed(master_seed: int, idx: np.ndarray, ws: _Workspace) -> None:
-    """Fill ws.limbs with each trial's (x, inc) as 64-bit and 32-bit limbs."""
+    """Fill ws.limbs with each trial's (x, inc) as 64-bit and 32-bit limbs; ``idx`` is a contiguous little-endian
+    uint64 array."""
     pool, h, t = ws.pool, ws.h, ws.t
     words = _int_words(master_seed)
     for r, w in enumerate(words):
         pool[r].fill(w)
     r = len(words)
-    # each index enters as two words: a zero high word hashes exactly as
-    # SeedSequence's zero padding, because seed and index words never
-    # exceed the pool size of four
-    np.bitwise_and(idx, _U64_M32, out=pool[r])
-    np.right_shift(idx, _U64_32, out=pool[r + 1])
-    pool[r + 2 :].fill(0)
-    _hash(pool, _POOL_HASH[:_POOL_SIZE], _POOL_HASH[1 : _POOL_SIZE + 1], pool, t)
-    for src, init, mult, dst in _MIX_STEPS:
-        _hash(pool[src], init, mult, h, t[1:])
+    # each index enters as two words, its little-endian halves: a zero high
+    # word hashes exactly as SeedSequence's zero padding, because seed and
+    # index words never exceed the pool size of four
+    pool[r : r + 2] = idx.view("<u4").reshape(-1, 2).T
+    pool[r + 2 : _POOL_SIZE].fill(0)
+    _hash(pool[:_POOL_SIZE], *ws.pool_hash, t, pool[:_POOL_SIZE])
+    for src, (init, mult) in enumerate(ws.mix_hash):
+        if src:
+            pool[src + 3] = pool[src - 1]  # word src - 1: the slice below reads it from row src + 3
+        mixed = pool[src + 1 : src + 4]
+        pool.take(_SRC_ROWS[src], axis=0, out=h, mode="clip")
+        _hash(h, init, mult, t[1:], h)
         np.multiply(h, _MIX_R, out=h)
-        mixed = pool.take(dst, axis=0, out=t[1:], mode="clip")
         np.multiply(mixed, _MIX_L, out=mixed)
         np.subtract(mixed, h, out=mixed)
         np.right_shift(mixed, _U32_16, out=h)
         np.bitwise_xor(mixed, h, out=mixed)
-        pool[dst] = mixed
 
-    st, s = ws.st, ws.s
-    pool.take(_STATE_WORDS, axis=0, out=st, mode="clip")
-    _hash(st, _STATE_HASH[:-1], _STATE_HASH[1:], st, ws.st_tmp)
-    np.left_shift(st[1::2], _U64_32, out=s, dtype=np.uint64)
-    np.bitwise_or(s, st[0::2], out=s)
+    # the eight hashed words pair up little-endian into the four uint64 words of ws.s
+    s = ws.s
+    pool.take(_STATE_ROWS, axis=0, out=ws.st, mode="clip")
+    _hash(ws.st, *ws.state_hash, ws.st_tmp, ws.s_words)
 
     # PCG64 seeding: inc = 2 * s[2:4] + 1 and x = inc + s[0:2], each as
     # (high, low) words; the seeded state is M * x + inc
@@ -205,6 +249,22 @@ def _draws(n_draws: int, ws: _Workspace) -> np.ndarray:
     return out.T
 
 
+def _empty(shape: tuple[int, ...], dtype: type | str) -> np.ndarray:
+    """An uninitialized array whose data starts on a 64-byte boundary.
+
+    malloc aligns to 16 bytes only. numpy's vector loops ran ``_draws``
+    1-21% slower with its products and limbs 16 bytes past a 32-byte
+    boundary (11% at 4096 x 13, 3-5% at 250 x 25; best of 9 rounds, 2 vCPU
+    Xeon), so where each array landed moved a block's cost from process to
+    process.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = np.empty(nbytes + 64, np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start : start + nbytes].view(dtype).reshape(shape)
+
+
 class _Workspace(threading.local):
     """A thread's arrays for the last block shape it computed; blocks of that shape reuse them."""
 
@@ -214,14 +274,23 @@ class _Workspace(threading.local):
         if (rows, n_draws) != self.shape:
             # free the last shape's arrays before allocating the new shape's
             vars(self).clear()
-            self.pool = np.empty((_POOL_SIZE, rows), np.uint32)
-            self.h = np.empty((_POOL_SIZE - 1, rows), np.uint32)
-            self.t = np.empty((_POOL_SIZE, rows), np.uint32)
-            self.st = np.empty((2 * _POOL_SIZE, rows), np.uint32)
-            self.st_tmp = np.empty((2 * _POOL_SIZE, rows), np.uint32)
-            self.s = np.empty((_POOL_SIZE, rows), np.uint64)
-            self.limbs = np.empty((4, 2, rows), np.uint64)
-            self.p, self.q, self.r = (np.empty((2, n_draws, rows), np.uint64) for _ in range(3))
+            self.pool = _empty((2 * _POOL_SIZE - 1, rows), np.uint32)
+            self.h = _empty((_POOL_SIZE - 1, rows), np.uint32)
+            self.t = _empty((_POOL_SIZE, rows), np.uint32)
+            self.st = _empty((_POOL_SIZE, 2, rows), np.uint32)
+            self.st_tmp = _empty((_POOL_SIZE, 2, rows), np.uint32)
+            self.s = _empty((_POOL_SIZE, rows), "<u8")
+            # (word, half, row): the little-endian uint32 halves of s
+            self.s_words = self.s.view("<u4").reshape(_POOL_SIZE, rows, 2).transpose(0, 2, 1)
+            # the seeding's hash constants, one row of the block's width each (see the module docstring)
+            hashes = _empty((len(_SEED_HASH), rows), np.uint32)
+            hashes[...] = _SEED_HASH[:, None]
+            hashes.flags.writeable = False
+            self.pool_hash = hashes[: 2 * _POOL_SIZE].reshape(2, _POOL_SIZE, rows)
+            self.mix_hash = hashes[2 * _POOL_SIZE : 8 * _POOL_SIZE].reshape(_POOL_SIZE, 2, _POOL_SIZE - 1, rows)
+            self.state_hash = hashes[8 * _POOL_SIZE :].reshape(2, _POOL_SIZE, 2, rows)
+            self.limbs = _empty((4, 2, rows), np.uint64)
+            self.p, self.q, self.r = (_empty((2, n_draws, rows), np.uint64) for _ in range(3))
             self.shape = (rows, n_draws)
         return self
 
@@ -236,7 +305,7 @@ def uniforms(master_seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     result is a view of this thread's workspace, overwritten by the next
     call on the same thread.
     """
-    idx = np.asarray(indices, dtype=np.uint64)
+    idx = np.ascontiguousarray(indices, dtype="<u8")
     ws = _workspace.fit(len(idx), n_draws)
     _seed(master_seed, idx, ws)
     return _draws(n_draws, ws)

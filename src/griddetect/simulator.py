@@ -349,9 +349,13 @@ def _count_block(
     event = u[0] < prior.event_prob
     _, alarm = _world(scenario, u, 1, event)
     p, offsets = _plan_verdicts(plan, lookup, scenario.topology, alarm)
-    # a test's coin follows the world draws and the coins of earlier tests; where p is 0 or 1 the draw read is any
-    # uniform and decides nothing. Draw d of trial t is u.flat[d * width + t].
-    coin = offsets * width + (np.where(event, (1 + 2 * n) * width, (1 + n) * width) + np.arange(width))[:, None]
+    # a test's coin follows the world draws, 1 + 2 * n in an event trial and 1 + n in a normal one, and the coins of
+    # earlier tests; where p is 0 or 1 the draw read is any uniform and decides nothing. Draw d of trial t is
+    # u.flat[d * width + t].
+    first = np.arange((1 + n) * width, (2 + n) * width)
+    first += event * (n * width)
+    coin = offsets * width
+    coin += first[:, None]
     features = np.concatenate([alarm, (u.take(coin) >= p).T])
     return int(np.count_nonzero(event)), np.add.reduce(features, axis=1), np.add.reduce(features & event, axis=1)
 
@@ -411,18 +415,15 @@ def _report(topology: Topology, tests: Sequence[TestSpec], n_trials: int, master
     over all trials and over event trials."""
     alarms, event_alarms = alarms.tolist(), event_alarms.tolist()
     n_normal = n_trials - n_event
+    # positional arguments, in field order: keywords cost a few microseconds per call over ten objects
     class_stats = tuple(
-        ClassSimStats(label=cls.label, count=cls.count,
-                      n_event_silent=cls.count * n_event - sum(event_alarms[f : f + cls.count]),
-                      n_event_records=n_event * cls.count, n_first_silent_event=n_event - event_alarms[f],
-                      n_first_silent=n_trials - alarms[f], n_first_alarm_normal=alarms[f] - event_alarms[f],
-                      n_first_alarm=alarms[f])
+        ClassSimStats(cls.label, cls.count, cls.count * n_event - sum(event_alarms[f : f + cls.count]),
+                      n_event * cls.count, n_event - event_alarms[f], n_trials - alarms[f],
+                      alarms[f] - event_alarms[f], alarms[f])
         for cls, f in zip(topology.classes, topology.first_sensors)
     )
     test_stats = tuple(
-        TestSimStats(name=name, n_accept_event=event_alarms[ti], n_event=n_event,
-                     n_reject_normal=n_normal - (alarms[ti] - event_alarms[ti]), n_normal=n_normal)
+        TestSimStats(name, event_alarms[ti], n_event, n_normal - (alarms[ti] - event_alarms[ti]), n_normal)
         for ti, (name, _) in enumerate(tests, start=topology.total_count)
     )
-    return SimReport(n_trials=n_trials, master_seed=master_seed, generator=GENERATOR_NAME, n_event=n_event,
-                     n_normal=n_normal, class_stats=class_stats, test_stats=test_stats)
+    return SimReport(n_trials, master_seed, GENERATOR_NAME, n_event, n_normal, class_stats, test_stats)

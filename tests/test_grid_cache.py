@@ -12,7 +12,8 @@ a cold store gives the same results as a warm one, that the store charges
 what its entries hold and stays within its budget, that a rotation of cells,
 and each command on a cap cell, builds nothing twice while a quarter less
 budget makes one build twice, that a warm design reads few entries, and that
-nothing can write to what the store holds.
+nothing can write to what the store holds or to the stream constants blocks
+share.
 """
 
 from __future__ import annotations
@@ -556,9 +557,14 @@ def test_cached_arrays_are_read_only(monkeypatch):
     assert len(_stored()) == 4 + 1 + 1 + 1  # the integer ranking, ranked law, and walk with per-atom masses
     for limbs in _streams._jumps(25):
         cached.extend(limbs)
+    # the 0-d constants every block shares, the seeding's hash constants, and one workspace's widening of them
+    scalars = [a for a in vars(_streams).values() if isinstance(a, np.ndarray) and a.ndim == 0]
+    assert scalars
+    ws = _streams._Workspace().fit(3, 25)
+    cached += [*scalars, _streams._SEED_HASH, ws.pool_hash, ws.mix_hash, ws.state_hash]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1
+            a[...] = 1
 
 
 @pytest.mark.parametrize("kind", ["exact", "integer"])

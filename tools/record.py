@@ -35,9 +35,11 @@ Records, for the working tree as it is:
   of uint16), each the median of 7 fresh processes;
 - the split of one simulator block: a 250-trial ``run_trials`` call on the
   good scenario with ``simulate``'s six rules (p_e = 0.3), next to
-  ``_streams.uniforms`` alone for the same block, each the median of 7
-  rounds of 200 calls in one fresh process, the two taking rounds in turn,
-  and their difference, the block's cost outside the streams.
+  ``_streams.uniforms`` alone for the same block and that block's two
+  stream stages, ``_streams._seed`` and ``_streams._draws``, on a workspace
+  of their own, each the median of 7 rounds of 200 calls in one fresh
+  process, the four taking rounds in turn, and the difference of the first
+  two, the block's cost outside the streams.
 
 Every timed process runs this interpreter (``sys.executable``), never a
 ``python`` found on PATH, which may be a wrapper script that adds its own
@@ -122,8 +124,11 @@ tests = [("bayes", bayes_test(sf.scenario, prior, LossRatio(l))) for l in sf.los
 tests += [("mp", test) for test in solve_mp_tests(sf.scenario, sf.sizes, **sf.mp_overrides())]
 n_draws = 1 + 2 * sf.scenario.topology.total_count + len(tests)
 indices = np.arange(trials, dtype=np.uint64)
+ws = _streams._Workspace().fit(trials, n_draws)
 calls = {"run_trials": lambda: simulator.run_trials(sf.scenario, prior, tests, trials, 101),
-         "streams": lambda: _streams.uniforms(101, indices, n_draws)}  # the same block's uniforms
+         "streams": lambda: _streams.uniforms(101, indices, n_draws),  # the same block's uniforms
+         "seed": lambda: _streams._seed(101, indices, ws),
+         "draws": lambda: _streams._draws(n_draws, ws)}
 rounds = {name: [] for name in calls}
 for call in calls.values():
     call()
