@@ -16,7 +16,8 @@ test:
 	$(RUN) -m pytest -q
 
 # Tier-1 tests; `dist` as a real process writing to stdout, in text and CSV,
-# against its goldens; every command `make reproduce` runs (`errors`, `bayes`
+# against its goldens; `estimate` the same way on the committed fixed-seed
+# log; every command `make reproduce` runs (`errors`, `bayes`
 # and `mp` in text, `mp` and `simulate` in CSV) the same way on both shipped
 # scenarios against out/; the byte-identity check of the simulation tables in
 # out/; `dist` on the 4x31 cap cell (2**20 count tuples), in text and CSV under
@@ -30,6 +31,8 @@ test:
 check: test
 	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact | cmp - tests/golden/dist_weak_normal_exact.txt
 	$(GRIDDETECT) dist --scenario $(WEAK) --under normal --weight-mode exact --format csv | cmp - tests/golden/dist_weak_normal_exact.csv
+	$(GRIDDETECT) estimate tests/golden/estimate_log.csv | cmp - tests/golden/estimate.txt
+	$(GRIDDETECT) estimate tests/golden/estimate_log.csv --format csv | cmp - tests/golden/estimate.csv
 	$(GRIDDETECT) errors --scenario $(GOOD) | cmp - out/errors_good.txt
 	$(GRIDDETECT) errors --scenario $(WEAK) | cmp - out/errors_weak.txt
 	$(GRIDDETECT) bayes --scenario $(GOOD) | cmp - out/bayes_good.txt

@@ -12,6 +12,7 @@ Any other exception is a bug and propagates with its traceback.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -41,8 +42,16 @@ from .simulator import GENERATOR_NAME, run_sweep
 from .simulator import run_trials  # not called here; the benchmark traces cli.run_trials
 from .tables import Table, render
 
+
+class _Choice(click.Choice):
+    """Returns a value equal to a choice as it is, without the mapping click >= 8.2 rebuilds per call; else click's."""
+
+    def convert(self, value, param, ctx):
+        return value if value in self.choices else super().convert(value, param, ctx)
+
+
 _FORMAT = click.option(
-    "--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True,
+    "--format", "fmt", type=_Choice(["text", "csv"]), default="text", show_default=True,
     help="Output format.",
 )
 _OUT = click.option(
@@ -55,21 +64,30 @@ _SCENARIO = click.option(
     help="Scenario file (YAML, schema 1).",
 )
 _WEIGHT_MODE = click.option(
-    "--weight-mode", "weight_mode", type=click.Choice(["exact", "paper-approx"]),
+    "--weight-mode", "weight_mode", type=_Choice(["exact", "paper-approx"]),
     default=None, help="Override the scenario file's weight mode.",
 )
 
 
 def _emit(table: Table, fmt: str, out: Path | None) -> None:
-    """Render the table straight into stdout or the --out file, as the same bytes."""
-    if out is None:
-        render(table, fmt, sys.stdout)
-        return
+    """Render the table straight into stdout or the --out file, as the same bytes.
+
+    A closed pipe (EPIPE) is left to click, which exits 1 with nothing on stderr."""
     try:
+        if out is None:
+            render(table, fmt, sys.stdout)
+            sys.stdout.flush()
+            return
         with out.open("w") as stream:
             render(table, fmt, stream)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        if out is None:  # what stdout still buffers goes to the null device, so the flush at exit succeeds
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise DomainError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 class _Commands(click.Group):
@@ -174,7 +192,7 @@ def cmd_mp(sf: ScenarioFile, sizes_arg: str | None) -> Table:
 
 
 @_table_command("dist", _WEIGHT_MODE, click.option(
-    "--under", type=click.Choice(["event", "normal"]), default="event",
+    "--under", type=_Choice(["event", "normal"]), default="event",
     show_default=True, help="Hypothesis for the alarm law."))
 def cmd_dist(sf: ScenarioFile, under: str) -> Table:
     """Dump the exact score distribution for debugging."""

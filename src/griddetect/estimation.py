@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 LOG_FIELDS = ("condition", "trial", "class_index", "detected", "responded")
+_detected, _responded = attrgetter("detected"), attrgetter("responded")
 
 
 class Condition(Enum):
@@ -64,10 +67,11 @@ class TrialLog:
     records: tuple[SensorRecord, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+        if type(self.records) is not tuple:
+            object.__setattr__(self, "records", tuple(self.records))
         if not self.records:
             raise DomainError("a trial log needs at least one sensor record")
-        if self.condition is Condition.NORMAL and any(r.detected for r in self.records):
+        if self.condition is Condition.NORMAL and any(map(_detected, self.records)):
             raise DomainError("normal-condition records cannot carry detections")
 
 
@@ -80,12 +84,12 @@ class Estimate:
 
 def _stdev(xs: Sequence[float]) -> float:
     """Sample standard deviation of the exact variance, correctly rounded as statistics.stdev is from 3.11 on."""
-    # as integers over a common power-of-two denominator d, the variance is an exact ratio
-    ratios = [x.as_integer_ratio() for x in xs]
-    d = max(den for _, den in ratios)
-    ints = [num * (d // den) for num, den in ratios]
-    n, total = len(ints), sum(ints)
-    num, den = n * sum(x * x for x in ints) - total * total, d * d * n * (n - 1)
+    # as integers over a common power-of-two denominator d (each distinct proportion once), the variance is exact
+    ratios = [(x.as_integer_ratio(), m) for x, m in Counter(xs).items()]
+    d = max(den for (_, den), _ in ratios)
+    ints = [(num * (d // den), m) for (num, den), m in ratios]
+    n, total = len(xs), sum(x * m for x, m in ints)
+    num, den = n * sum(x * x * m for x, m in ints) - total * total, d * d * n * (n - 1)
     # round the root to odd at 55 or more bits (109 of the ratio), then correctly to a float
     shift = max(0, -((num.bit_length() - den.bit_length() - 109) // 2))
     num <<= 2 * shift
@@ -134,9 +138,7 @@ def estimate_detection(
 def estimate_false_response(logs: Sequence[TrialLog]) -> Estimate:
     """Estimate the false alarm rate p_w from normal-condition logs."""
     _require_condition(logs, Condition.NORMAL, "false-response estimation")
-    proportions = [
-        sum(r.responded for r in log.records) / len(log.records) for log in logs
-    ]
+    proportions = [sum(map(_responded, log.records)) / len(log.records) for log in logs]
     return _summarize(proportions)
 
 
@@ -151,9 +153,13 @@ def estimate_correct_response(logs: Sequence[TrialLog]) -> Estimate:
     _require_condition(logs, Condition.CONTROLLED_EVENT, "correct-response estimation")
     proportions = []
     for log in logs:
-        detected = [r.responded for r in log.records if r.detected]
+        responded = detected = 0  # counts: responded / detected is the float the mean of the responses gives
+        for r in log.records:
+            if r.detected:
+                detected += 1
+                responded += r.responded
         if detected:
-            proportions.append(sum(detected) / len(detected))
+            proportions.append(responded / detected)
     if not proportions:
         raise DomainError("no detections in any log; cannot estimate the correct-response rate")
     return _summarize(proportions)
@@ -205,12 +211,12 @@ def write_log_file(path: str | Path, logs: Iterable[TrialLog]) -> None:
 def read_log_file(path: str | Path) -> list[TrialLog]:
     """Parse a CSV log file; records sharing a trial id form one log.
 
-    A log repeats few distinct trial ids and (condition, class_index,
-    detected, responded) rows, so each is validated and built once, on
-    first sight, and shared by every row that repeats it.
+    A log repeats few distinct trial id texts and (condition, class_index, detected, responded) fields,
+    so each is validated and built once, on first sight: a repeated row takes one lookup for its shared
+    record and one for its trial's (condition, records) entry.
     """
     trials: dict[int, tuple[Condition, list[SensorRecord]]] = {}
-    trial_ids: dict[str, int] = {}
+    by_text: dict[str, tuple[Condition, list[SensorRecord]]] = {}  # trial id text -> its entry in trials
     parsed: dict[tuple[str, str, str, str], tuple[Condition, SensorRecord]] = {}
     try:
         with open(path, newline="") as fh:
@@ -221,25 +227,26 @@ def read_log_file(path: str | Path) -> list[TrialLog]:
                     f"log file must start with header {','.join(LOG_FIELDS)!r}, got {header!r}"
                 )
             for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(LOG_FIELDS):
-                    raise DomainError(f"line {lineno}: expected {len(LOG_FIELDS)} fields, got {len(row)}")
-                c, t, ci, d, r = row
-                entry, trial_id = parsed.get((c, ci, d, r)), trial_ids.get(t)
-                if entry is None or trial_id is None:
+                try:
+                    c, t, ci, d, r = row
+                except ValueError:
+                    if not row:
+                        continue
+                    raise DomainError(f"line {lineno}: expected {len(LOG_FIELDS)} fields, got {len(row)}") from None
+                entry, trial = parsed.get((c, ci, d, r)), by_text.get(t)
+                if entry is None or trial is None:
                     try:  # checked in column order, so a row with several bad fields names the first
                         condition = Condition(c.strip()) if entry is None else entry[0]
-                        trial_id = trial_ids[t] = int(t)
+                        trial_id = int(t)
                         if entry is None:
                             entry = parsed[c, ci, d, r] = (condition, SensorRecord(int(ci), int(d), int(r)))
                     except (ValueError, DomainError) as exc:
                         raise DomainError(f"line {lineno}: {exc}") from exc
-                condition, record = entry
-                known = trials.setdefault(trial_id, (condition, []))
-                if known[0] is not condition:
-                    raise DomainError(f"line {lineno}: trial {trial_id} mixes conditions")
-                known[1].append(record)
+                    if trial is None:
+                        trial = by_text[t] = trials.setdefault(trial_id, (condition, []))
+                if trial[0] is not entry[0]:
+                    raise DomainError(f"line {lineno}: trial {int(t)} mixes conditions")
+                trial[1].append(entry[1])
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"cannot read log file {path}: {exc}") from exc
     if not trials:

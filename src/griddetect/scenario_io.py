@@ -38,7 +38,8 @@ collections; the schema's deepest legal document has four. A collection
 opens at an indicator of its own (``[ { - : ?``), so a text with at most
 ``MAX_YAML_DEPTH`` of these characters skips that pass (each shipped scenario has 28).
 
-``load_scenario`` reads its file on every call, then looks up the path, the
+``load_scenario`` reads its file on every call, refusing anything but a
+regular file of at most ``MAX_SCENARIO_BYTES``, then looks up the path, the
 text and the loader in a memo of the last ``MEMO_FILES`` successful loads, so
 a process that runs several commands on one file parses it once. A load that
 fails is not kept: an invalid file raises its error, naming its path, on
@@ -49,7 +50,10 @@ from __future__ import annotations
 
 import functools
 import io
+import locale
+import os
 import reprlib
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -80,6 +84,9 @@ WEIGHT_MODES = ("exact", "paper_approx")
 MAX_YAML_DEPTH = 32
 MAX_SHOWN_CHARS = 200
 MEMO_FILES = 8  # scenario files load_scenario keeps parsed
+MAX_SCENARIO_BYTES = 1 << 20  # the shipped files are under 1 KB
+_FILE_KINDS = {stat.S_IFDIR: "a directory", stat.S_IFIFO: "a FIFO", stat.S_IFCHR: "a character device",
+               stat.S_IFBLK: "a block device", stat.S_IFSOCK: "a socket"}
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -371,10 +378,29 @@ def load_scenario(path: str | Path) -> ScenarioFile:
     """Load and validate a scenario file from disk: read on each call, parsed unless the memo holds its text."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     return _load(path, text, _LOADER)
+
+
+def _read_text(path: Path) -> str:
+    """The text Path.read_text gives, of a regular file of at most MAX_SCENARIO_BYTES; reads at most one byte more.
+
+    stat comes before open, so a FIFO or a device is refused without blocking on it or reading from it."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        kind = _FILE_KINDS.get(stat.S_IFMT(st.st_mode), "of an unknown kind")
+        raise ScenarioError(f"cannot read scenario file {path}: it is {kind}, not a regular file")
+    with open(path, "rb") as fh:
+        raw = fh.read(min(st.st_size, MAX_SCENARIO_BYTES) + 1)  # not a MiB buffer for a file of a few hundred bytes
+        if len(raw) > st.st_size:  # it grew after stat
+            raw += fh.read(MAX_SCENARIO_BYTES + 1 - len(raw))
+    if len(raw) > MAX_SCENARIO_BYTES:
+        raise ScenarioError(f"cannot read scenario file {path}: larger than {MAX_SCENARIO_BYTES} bytes")
+    # decoded as text mode decodes: the locale's encoding, then universal newlines
+    text = raw.decode(locale.getpreferredencoding(False))
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 @functools.lru_cache(maxsize=MEMO_FILES)

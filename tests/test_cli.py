@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,29 @@ from cases import YAML_LOADERS
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GOOD = str(SCENARIOS / "good_network.yaml")
 WEAK = str(SCENARIOS / "weak_network.yaml")
+ESTIMATE_LOG = str(Path(__file__).resolve().parent / "golden" / "estimate_log.csv")
+# one run of each command that writes a table, as a process
+PROCESS_COMMANDS = {
+    "errors": ["errors", "--scenario", GOOD],
+    "bayes": ["bayes", "--scenario", GOOD],
+    "mp": ["mp", "--scenario", GOOD],
+    "dist": ["dist", "--scenario", GOOD, "--format", "csv"],
+    "simulate": ["simulate", "--scenario", GOOD, "--trials", "200"],
+    "estimate": ["estimate", ESTIMATE_LOG],
+}
+
+
+def run_process(args, stdout, buffered=True) -> subprocess.CompletedProcess:
+    """griddetect as a new process from this source tree, its stdout given and its stderr captured.
+
+    Buffered, stdout's last bytes are written by the flush at exit, after the command returns."""
+    src = str(Path(g.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "griddetect.cli"] + args, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120, env=env)
 
 
 @pytest.fixture
@@ -463,14 +489,23 @@ class TestInvalidInputs:
             ("estimate", "long.csv",
              b"condition,trial,class_index,detected,responded\nnormal,1,0,0," + b"0" * 131073 + b"\n",
              "field larger than field limit"),
+            ("errors", "long.yaml", b"#" * scenario_io.MAX_SCENARIO_BYTES + b"\n", "larger than 1048576 bytes"),
         ],
-        ids=["mixed-key-types", "non-utf8-scenario", "non-utf8-log", "overlong-csv-field"],
+        ids=["mixed-key-types", "non-utf8-scenario", "non-utf8-log", "overlong-csv-field", "oversized-scenario"],
     )
     def test_unreadable_input(self, runner, tmp_path, command, name, body, text):
         path = tmp_path / name
         path.write_bytes(body)
         args = [command, str(path)] if command == "estimate" else [command, "--scenario", str(path)]
         self.assert_one_error_line(runner.invoke(main, args), text)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_scenario_is_refused_without_opening_it(self, tmp_path):
+        fifo = tmp_path / "scenario.yaml"
+        os.mkfifo(fifo)
+        result = run_process(["errors", "--scenario", str(fifo)], subprocess.PIPE)  # a blocked open times out
+        assert (result.returncode, result.stderr) == (
+            1, f"error: cannot read scenario file {fifo}: it is a FIFO, not a regular file\n")
 
     def test_yaml_syntax_error_is_one_line(self, runner, tmp_path, monkeypatch):
         path = tmp_path / "broken.yaml"
@@ -583,6 +618,23 @@ class TestOutputStreams:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write /dev/full: "), result.stderr
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", sorted(PROCESS_COMMANDS))
+    def test_failed_stdout_write_is_one_error_line(self, command, buffered):
+        with open("/dev/full", "w") as full:
+            result = run_process(PROCESS_COMMANDS[command], full, buffered)
+        assert (result.returncode, result.stderr) == (1, "error: cannot write stdout: No space left on device\n")
+
+    @pytest.mark.parametrize("command", ["dist", "estimate"])
+    def test_closed_pipe_exits_1_in_silence(self, command):
+        # click turns EPIPE into exit 1; `| head` must not print an error
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "w") as closed:
+            result = run_process(PROCESS_COMMANDS[command], closed)
+        assert (result.returncode, result.stderr) == (1, "")
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("command", ["dist", "errors"])

@@ -4,6 +4,8 @@ import statistics
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import griddetect as g
 from griddetect import Condition, DomainError, SensorRecord, TrialLog
@@ -12,6 +14,7 @@ from griddetect.model import TOPOLOGY_KINDS
 from griddetect.simulator import _block_rows, trial_rng
 
 from cases import GOOD_CHANNEL, good_scenario, weak_scenario
+from log_reader_reference import read_log_file as reference_read_log_file
 
 LOG_HEADER = "condition,trial,class_index,detected,responded\n"
 
@@ -274,6 +277,52 @@ class TestLogFileFormat:
         path.write_text("condition,trial,class_index,detected,responded\n")
         with pytest.raises(DomainError, match="no records"):
             g.read_log_file(path)
+
+
+# Trial id texts, several naming one trial as integers; a trial's condition follows its integer's parity.
+TRIAL_TEXTS = ("0", "1", "2", "3", "01", " 1", "1 ", "+2", "0_3")
+CONDITION_TEXTS = {"event": ("event", " event", "event "), "normal": ("normal", "normal ")}
+BAD_ROWS = (  # one of each error class, after the good rows or among them; the last fails on its first field
+    ("evnt", "0", "0", "1", "1"), ("event", "x", "0", "1", "1"), ("event", "0", "-1", "1", "1"),
+    ("event", "0", "y", "1", "1"), ("event", "0", "0", "7", "1"), ("event", "0", "0", "1", "2"),
+    ("normal", "0", "0", "0", "0"), ("event", "01", "0", "0", "0"), ("normal", "1", "0", "1", "0"),
+    ("event", "0", "0", "1"), ("event", "0", "0", "1", "1", "1"), ("evnt", "x", "0", "7", "1"),
+)
+
+
+@st.composite
+def log_files(draw) -> bytes:
+    """A calibration log: good rows over interleaved trial ids, padded, quoted or blank, then maybe one bad row."""
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        t = draw(st.sampled_from(TRIAL_TEXTS))
+        condition = "event" if int(t) % 2 == 0 else "normal"
+        detected = draw(st.sampled_from(("0", "1", " 1"))) if condition == "event" else "0"
+        rows.append((draw(st.sampled_from(CONDITION_TEXTS[condition])), t, draw(st.sampled_from(("0", "1", "2", " 2"))),
+                     detected, draw(st.sampled_from(("0", "1", "1 ")))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BAD_ROWS)))
+    lines = []
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 1)))  # blank lines still count toward line numbers
+        lines.append(",".join(f'"{f}"' if draw(st.integers(0, 5)) == 0 else f for f in row))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join([LOG_HEADER.strip()] + lines + [""]).encode()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=log_files())
+def test_reader_matches_the_reference_reader(tmp_path, body):
+    path = tmp_path / "log.csv"
+    path.write_bytes(body)
+    try:
+        want = reference_read_log_file(path)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as info:
+            g.read_log_file(path)
+        assert str(info.value) == str(exc)
+    else:
+        assert g.read_log_file(path) == want
 
 
 def _proportion_samples():

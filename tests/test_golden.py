@@ -4,7 +4,7 @@ Each case in out/ runs the command `make reproduce` runs for that file (a
 step of tools/reproduce.py), through griddetect.cli.main, and compares the
 written file with the golden copy. The `dist` and `estimate` tables, which
 `make reproduce` does not write, are compared with copies in tests/golden/;
-the estimate log is regenerated at a fixed seed.
+the estimate log is regenerated at a fixed seed, and equals its copy there.
 """
 
 import importlib.util
@@ -70,6 +70,12 @@ def test_golden_dist(tmp_path, network, under, mode, ext):
     golden = GOLDEN / f"dist_{network}_{under}_{mode}.{ext}"
     args = ["dist", "--scenario", _scenario(network), "--under", under, "--weight-mode", mode]
     assert _run(args, tmp_path / golden.name, ext) == golden.read_bytes()
+
+
+def test_golden_estimate_log(tmp_path):
+    # `make check` runs `estimate` on the committed copy
+    write_estimate_log(tmp_path / "estimate_log.csv")
+    assert (tmp_path / "estimate_log.csv").read_bytes() == (GOLDEN / "estimate_log.csv").read_bytes()
 
 
 @pytest.mark.parametrize("ext", ["txt", "csv"])

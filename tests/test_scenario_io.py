@@ -2,6 +2,7 @@ import json
 import os
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -429,6 +430,104 @@ class TestLoadMemo:
         assert [sf.simulation.master_seed for sf in loaded] == list(range(len(paths)))
         assert scenario_io._load.cache_info().currsize == scenario_io.MEMO_FILES
         assert g.load_scenario(paths[-1]) is loaded[-1] and g.load_scenario(paths[0]) is not loaded[0]
+
+
+class _CountingFile:
+    """A file opened by load_scenario that records how many bytes each read returns."""
+
+    def __init__(self, fh, reads: list) -> None:
+        self.fh, self.reads = fh, reads
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.fh.read(size)
+        self.reads.append(len(data))
+        return data
+
+
+def _outcome(load) -> tuple:
+    try:
+        return ("loaded", load())
+    except ScenarioError as exc:
+        return ("refused", str(exc))
+
+
+class TestBoundedRead:
+    """load_scenario reads a regular file only, and at most MAX_SCENARIO_BYTES + 1 bytes of it."""
+
+    BOUND = scenario_io.MAX_SCENARIO_BYTES
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        scenario_io._load.cache_clear()
+
+    @pytest.fixture
+    def reads(self, monkeypatch) -> list:
+        reads = []
+        monkeypatch.setattr(scenario_io, "open", lambda *a, **kw: _CountingFile(open(*a, **kw), reads), raising=False)
+        return reads
+
+    def test_a_file_at_the_bound_loads_and_one_byte_more_is_refused(self, tmp_path):
+        path = tmp_path / "padded.yaml"
+        padding = self.BOUND - len(GOOD_YAML) - 1
+        path.write_text(GOOD_YAML + "#" * padding + "\n")
+        assert path.stat().st_size == self.BOUND
+        assert g.load_scenario(path) == parse(GOOD_YAML)
+        path.write_text(GOOD_YAML + "#" * (padding + 1) + "\n")
+        with pytest.raises(ScenarioError) as info:
+            g.load_scenario(path)
+        assert str(info.value) == f"cannot read scenario file {path}: larger than {self.BOUND} bytes"
+
+    def test_reads_one_byte_past_the_bound(self, tmp_path, reads):
+        path = tmp_path / "huge.yaml"
+        with open(path, "wb") as fh:
+            fh.truncate(4 * self.BOUND)
+        with pytest.raises(ScenarioError, match="larger than"):
+            g.load_scenario(path)
+        assert sum(reads) == self.BOUND + 1
+
+    @pytest.mark.parametrize("size, outcome", [(BOUND // 2, "loaded"), (2 * BOUND, "refused")], ids=["under", "over"])
+    def test_a_file_that_grows_after_stat_is_read_to_the_bound(self, tmp_path, reads, monkeypatch, size, outcome):
+        path = tmp_path / "growing.yaml"
+        path.write_text(GOOD_YAML + "#" * (size - len(GOOD_YAML) - 1) + "\n")
+        stat = path.stat()  # as if stat ran while the file held its first line only
+        stat = os.stat_result(stat[:6] + (GOOD_YAML.index("\n", 1) + 1,) + stat[7:])
+        monkeypatch.setattr(scenario_io, "os", SimpleNamespace(stat=lambda p: stat))
+        assert _outcome(lambda: g.load_scenario(path))[0] == outcome
+        assert sum(reads) == min(size, self.BOUND + 1)
+
+    @pytest.mark.parametrize("kind", ["directory", "character device"])
+    def test_a_path_that_is_not_a_regular_file_is_refused_before_open(self, tmp_path, reads, kind):
+        path = tmp_path if kind == "directory" else Path("/dev/null")
+        if not path.exists():
+            pytest.skip(f"no {path}")
+        with pytest.raises(ScenarioError) as info:
+            g.load_scenario(path)
+        assert str(info.value) == f"cannot read scenario file {path}: it is a {kind}, not a regular file"
+        assert reads == []
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("body", [GOOD_YAML.encode(), b"schema: 1\n", b"schema: [1\nchannel: 2\n",
+                                      b"schema: 1\nchannel: {p_c: 0.9}  # \xe9\n"],
+                             ids=["good", "missing-keys", "syntax-error", "not-utf8"])
+    def test_same_data_and_messages_as_a_text_mode_read(self, tmp_path, bom, newline, body):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(bom + body.replace(b"\n", newline))
+
+        def text_mode_load():
+            try:
+                text = path.read_text()
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+            return scenario_io._load.__wrapped__(path, text, scenario_io._LOADER)
+
+        assert _outcome(lambda: g.load_scenario(path)) == _outcome(text_mode_load)
 
 
 INDICATORS = "[{-:?"
