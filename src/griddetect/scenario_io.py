@@ -12,7 +12,9 @@ Schema (version 1)::
     topology:
       kind: interior_square          # or corner_square, edge_square,
       detect_probs: [0.9, 0.5, 0.3]  # hexagon_interior, custom
-      # kind: custom takes classes: [{label: center, count: 1, p_detect: 0.9}, ...]
+      # kind: custom takes classes: [{label: center, count: 1, p_detect: 0.9}, ...];
+      # a label is one non-empty line (a number or date gives its text) that no other
+      # class has, and a missing or null one is class-<n>, n the class's place from 1
     prior: {p_e: [0.1, 0.2, 0.3]}    # scalar or list; optional
     loss_ratio: [5, 20]              # scalar or list; optional
     sizes: [0.1, 0.05, 0.025, 0.01]  # optional
@@ -20,7 +22,7 @@ Schema (version 1)::
     approx:                          # required iff weight_mode: paper_approx
       weights: [5, 3, 2]
       alarm_probs: [0.8, 0.5, 0.35]  # optional; defaults to the exact values
-    simulation: {n_trials: 100000, master_seed: 1}   # optional
+    simulation: {n_trials: 100000, master_seed: 0}   # optional; these are the defaults
 
 The ``approx`` lists give one value per class in validated order, by
 descending ``p_detect`` (``model.validate``), not in the order a custom
@@ -190,8 +192,9 @@ def _require_mapping(node, path: str) -> dict:
     return node
 
 
-def _take(node: dict, path: str, allowed: dict[str, bool]) -> dict:
-    """Check required/unknown keys; ``allowed`` maps key -> required?"""
+def _take(node, path: str, allowed: dict[str, bool]) -> dict:
+    """Check that ``node`` is a mapping, then its unknown and required keys; ``allowed`` maps key -> required?"""
+    node = _require_mapping(node, path)
     unknown = sorted(set(node) - set(allowed), key=str)
     if unknown:
         raise ScenarioError(f"{_ctx(path)}: unknown key(s) {', '.join(map(_shown, unknown))}")
@@ -199,6 +202,11 @@ def _take(node: dict, path: str, allowed: dict[str, bool]) -> dict:
     if missing:
         raise ScenarioError(f"{_ctx(path)}: missing required key(s) {', '.join(map(repr, missing))}")
     return node
+
+
+def _section(root: dict, key: str, allowed: dict[str, bool]) -> dict:
+    """The checked mapping under the top-level ``key``, or an empty one when the file has no such key."""
+    return _take(root[key], key, allowed) if key in root else {}
 
 
 def _number(node, path: str) -> float:
@@ -233,16 +241,22 @@ def _parse_topology(node, path: str) -> Topology:
         if not isinstance(classes_node, list) or not classes_node:
             raise ScenarioError(f"{path}.classes: expected a non-empty list")
         classes = []
+        seen: dict[str, int] = {}  # label -> index of the class that has it
         for i, cnode in enumerate(classes_node):
             cpath = f"{path}.classes[{i}]"
-            cnode = _require_mapping(cnode, cpath)
-            _take(cnode, cpath, {"label": False, "count": True, "p_detect": True})
-            label = cnode.get("label", f"class-{i + 1}")
+            cnode = _take(cnode, cpath, {"label": False, "count": True, "p_detect": True})
+            label = cnode.get("label")
             if isinstance(label, (list, dict)):  # str() of an aliased one can be huge or too deep
                 raise ScenarioError(f"{cpath}.label: expected a string, got {_shown(label)}")
+            label = f"class-{i + 1}" if label is None else str(label)
+            if label.splitlines() != [label]:  # empty, or more than one table row
+                raise ScenarioError(f"{cpath}.label: expected one non-empty line, got {_shown(label)}")
+            if label in seen:
+                raise ScenarioError(f"{cpath}.label: {_shown(label)} repeats {path}.classes[{seen[label]}].label")
+            seen[label] = i
             classes.append(
                 SensorClass(
-                    label=str(label),
+                    label=label,
                     count=_int(cnode["count"], f"{cpath}.count"),
                     detect_prob=_number(cnode["p_detect"], f"{cpath}.p_detect"),
                 )
@@ -259,9 +273,8 @@ def _parse_topology(node, path: str) -> Topology:
 
 def parse_scenario(data: dict) -> ScenarioFile:
     """Validate a parsed YAML document into a ScenarioFile."""
-    root = _require_mapping(data, "")
-    _take(
-        root,
+    root = _take(
+        data,
         "",
         {
             "schema": True,
@@ -280,7 +293,7 @@ def parse_scenario(data: dict) -> ScenarioFile:
     if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ScenarioError(f"schema: expected version {SCHEMA_VERSION}, got {_shown(schema)}")
 
-    channel_node = _take(_require_mapping(root["channel"], "channel"), "channel", {"p_c": True, "p_w": True})
+    channel_node = _section(root, "channel", {"p_c": True, "p_w": True})
     with _field("channel"):
         channel = ChannelModel(
             p_c=_number(channel_node["p_c"], "channel.p_c"),
@@ -289,10 +302,7 @@ def parse_scenario(data: dict) -> ScenarioFile:
     with _field("topology"):
         topology = _parse_topology(root["topology"], "topology")
 
-    event_priors: tuple[float, ...] = ()
-    if "prior" in root:
-        prior_node = _take(_require_mapping(root["prior"], "prior"), "prior", {"p_e": True})
-        event_priors = _number_list(prior_node["p_e"], "prior.p_e")
+    event_priors = _number_list(_section(root, "prior", {"p_e": True}).get("p_e"), "prior.p_e")
     loss_ratios = _number_list(root.get("loss_ratio"), "loss_ratio")
     for name, values, check in (("prior.p_e", event_priors, Prior), ("loss_ratio", loss_ratios, LossRatio)):
         for i, v in enumerate(values):
@@ -306,32 +316,21 @@ def parse_scenario(data: dict) -> ScenarioFile:
     weight_mode = root.get("weight_mode", "exact")
     if weight_mode not in WEIGHT_MODES:
         raise ScenarioError(f"weight_mode: expected one of {WEIGHT_MODES}, got {_shown(weight_mode)}")
-    approx_weights = approx_alarm_probs = None
-    if "approx" in root:
-        approx_node = _take(
-            _require_mapping(root["approx"], "approx"), "approx", {"weights": True, "alarm_probs": False}
-        )
-        approx_weights = _number_list(approx_node["weights"], "approx.weights")
-        if "alarm_probs" in approx_node:
-            approx_alarm_probs = _number_list(approx_node["alarm_probs"], "approx.alarm_probs")
+    approx = _section(root, "approx", {"weights": True, "alarm_probs": False})
+    approx_weights = _number_list(approx["weights"], "approx.weights") if "weights" in approx else None
+    approx_alarm_probs = _number_list(approx["alarm_probs"], "approx.alarm_probs") if "alarm_probs" in approx else None
     if weight_mode == "paper_approx" and approx_weights is None:
         raise ScenarioError("weight_mode paper_approx requires an approx: block with weights")
 
-    simulation = SimulationSettings()
-    if "simulation" in root:
-        sim_node = _take(
-            _require_mapping(root["simulation"], "simulation"),
-            "simulation",
-            {"n_trials": False, "master_seed": False},
-        )
-        simulation = SimulationSettings(
-            n_trials=_int(sim_node.get("n_trials", DEFAULT_N_TRIALS), "simulation.n_trials"),
-            master_seed=_int(sim_node.get("master_seed", 0), "simulation.master_seed"),
-        )
-        if simulation.n_trials < 1:
-            raise ScenarioError(f"simulation.n_trials: must be positive, got {simulation.n_trials}")
-        with _field("simulation.master_seed"):
-            _check_master_seed(simulation.master_seed)
+    sim_node = _section(root, "simulation", {"n_trials": False, "master_seed": False})
+    simulation = SimulationSettings(
+        n_trials=_int(sim_node.get("n_trials", SimulationSettings.n_trials), "simulation.n_trials"),
+        master_seed=_int(sim_node.get("master_seed", SimulationSettings.master_seed), "simulation.master_seed"),
+    )
+    if simulation.n_trials < 1:
+        raise ScenarioError(f"simulation.n_trials: must be positive, got {simulation.n_trials}")
+    with _field("simulation.master_seed"):
+        _check_master_seed(simulation.master_seed)
 
     with _field("topology"):
         scenario = validate(channel, topology)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import random
+from pathlib import Path
 
 import yaml
+from hypothesis import strategies as st
 
 import griddetect as g
 
@@ -66,3 +69,74 @@ class FixedCoin:
 
     def random(self) -> float:
         return self._values.pop(0)
+
+
+# Generated scenario documents: the shipped files and a small custom cell, a few fields changed.
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SMALL_CUSTOM = {
+    "schema": 1,
+    "channel": {"p_c": 0.8, "p_w": 0.2},
+    "topology": {
+        "kind": "custom",
+        "classes": [
+            {"label": "near", "count": 2, "p_detect": 0.9},
+            {"label": "far", "count": 3, "p_detect": 0.4},
+        ],
+    },
+    "prior": {"p_e": [0.2]},
+    "loss_ratio": 5,
+    "sizes": [0.1],
+    "weight_mode": "paper_approx",
+    "approx": {"weights": [3, 1], "alarm_probs": [0.7, 0.4]},
+    "simulation": {"n_trials": 10, "master_seed": 3},
+}
+BASES = [
+    yaml.safe_load((SCENARIOS / name).read_text())
+    for name in ("good_network.yaml", "weak_network.yaml")
+] + [SMALL_CUSTOM]
+KEYS = sorted(
+    {"schema", "channel", "topology", "prior", "loss_ratio", "sizes", "weight_mode", "approx",
+     "simulation", "p_c", "p_w", "kind", "detect_probs", "classes", "label", "count", "p_detect",
+     "p_e", "weights", "alarm_probs", "n_trials", "master_seed"}
+)
+# small counts keep every count-tuple grid tiny; the extremes hit the caps
+small_ints = st.integers(-3, 12) | st.sampled_from([10**20, 2**64, -(2**64)])
+# priors and loss ratios whose products and quotients underflow or overflow
+float_extremes = st.sampled_from([0.9999999999999999, 1e-300, 1e-10, 1e308, 5e-324])
+scalars = (
+    st.none() | st.booleans() | small_ints | st.floats(0, 1) | st.floats() | float_extremes | st.text(max_size=6)
+    | st.sampled_from(["custom", "interior_square", "hexagon_interior", "exact", "paper_approx"])
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+keys = st.sampled_from(KEYS) | st.integers(-2, 2) | st.booleans() | st.none() | st.floats() | st.text(max_size=4)
+
+
+def _containers(node):
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+@st.composite
+def scenario_documents(draw):
+    """A shipped or small scenario with a few fields replaced, added or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(list(_containers(doc))))
+        slots = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["set", "add", "delete"]))
+        if action == "add" or not slots:
+            if isinstance(node, dict):
+                node.update(draw(st.dictionaries(keys, values, min_size=1, max_size=3)))
+            else:
+                node.append(draw(values))
+        elif action == "set":
+            node[draw(st.sampled_from(slots))] = draw(values)
+        else:
+            del node[draw(st.sampled_from(slots))]
+    return doc

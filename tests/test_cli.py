@@ -600,6 +600,23 @@ class TestInvalidInputs:
         )
         self.assert_one_error_line(runner.invoke(main, ["errors", "--scenario", str(path)]), text)
 
+    @pytest.mark.parametrize(
+        "labels, text",
+        [
+            (["near", "near"], "topology.classes[1].label: 'near' repeats topology.classes[0].label"),
+            (["near\nfar", "far"], "topology.classes[0].label: expected one non-empty line, got 'near\\nfar'"),
+            (["class-2", None], "topology.classes[1].label: 'class-2' repeats topology.classes[0].label"),
+        ],
+        ids=["repeated", "two-lines", "default-taken"],
+    )
+    def test_label_that_would_break_a_table_row(self, runner, tmp_path, labels, text):
+        classes = [{"label": label, "count": 2, "p_detect": p} for label, p in zip(labels, (0.9, 0.4))]
+        path = tmp_path / "labels.yaml"
+        path.write_text(yaml.safe_dump(
+            {"schema": 1, "channel": {"p_c": 0.9, "p_w": 0.1}, "topology": {"kind": "custom", "classes": classes}}
+        ))
+        self.assert_one_error_line(runner.invoke(main, ["errors", "--scenario", str(path)]), text)
+
     def test_out_into_missing_directory(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.txt"
         result = runner.invoke(main, ["mp", "--scenario", GOOD, "--out", str(out)])

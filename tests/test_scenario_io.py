@@ -1,3 +1,5 @@
+import copy
+import datetime
 import json
 import os
 from dataclasses import replace
@@ -6,13 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import griddetect as g
 from griddetect import ScenarioError, decision_tests, scenario_io
 
-from cases import YAML_LOADERS
+import scenario_parser_reference as reference
+from cases import YAML_LOADERS, scenario_documents
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -318,6 +321,131 @@ class TestRejections:
         with pytest.raises(ScenarioError) as info:
             g.parse_scenario(data)
         assert str(info.value) == f"schema: expected version 1, got {data['schema']!r}"
+
+
+def custom_cell(*classes: str) -> str:
+    """A scenario text on a custom cell; each class is the inside of its flow mapping, without p_detect."""
+    rows = "".join(f"\n    - {{{c}, p_detect: {p}}}" for c, p in zip(classes, (0.9, 0.6, 0.3)))
+    return f"schema: 1\nchannel: {{p_c: 0.8, p_w: 0.2}}\ntopology:\n  kind: custom\n  classes:{rows}\n"
+
+
+class TestLabels:
+    def test_missing_and_null_labels_are_the_default(self):
+        sf = parse(custom_cell("count: 1", "label: null, count: 2", "label: far, count: 3"))
+        assert sf.scenario.topology.labels == ("class-1", "class-2", "far")
+
+    def test_numbers_dates_and_escapes_give_their_text(self):
+        sf = parse(custom_cell("label: 7, count: 1", "label: 2001-12-14, count: 2", 'label: "\\e[31mred", count: 3'))
+        assert sf.scenario.topology.labels == ("7", "2001-12-14", "\x1b[31mred")
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            (("label: '', count: 1", "count: 2"), "topology.classes[0].label: expected one non-empty line, got ''"),
+            (("label: near, count: 1", 'label: "a\\nb", count: 2'),
+             "topology.classes[1].label: expected one non-empty line, got 'a\\nb'"),
+            (('label: "near\\n", count: 1', "count: 2"),
+             "topology.classes[0].label: expected one non-empty line, got 'near\\n'"),
+            (('label: "a\\u2028b", count: 1', "count: 2"),
+             "topology.classes[0].label: expected one non-empty line, got 'a\\u2028b'"),
+            (("label: near, count: 1", "label: far, count: 2", "label: near, count: 3"),
+             "topology.classes[2].label: 'near' repeats topology.classes[0].label"),
+            (("label: class-2, count: 1", "count: 2"),
+             "topology.classes[1].label: 'class-2' repeats topology.classes[0].label"),
+            (("count: 1", "label: class-1, count: 2"),
+             "topology.classes[1].label: 'class-1' repeats topology.classes[0].label"),
+            (("label: 1, count: 1", "label: '1', count: 2"),
+             "topology.classes[1].label: '1' repeats topology.classes[0].label"),
+        ],
+        ids=["empty", "two-lines", "trailing-newline", "line-separator", "repeated", "default-taken", "takes-default",
+             "number-and-text"],
+    )
+    def test_refused_label_named(self, classes, message):
+        with pytest.raises(ScenarioError) as info:
+            parse(custom_cell(*classes))
+        assert str(info.value) == message
+
+    def test_refused_before_the_count_of_its_class(self):
+        with pytest.raises(ScenarioError, match=r"classes\[1\]\.label"):
+            parse(custom_cell("label: near, count: 1", "label: near, count: -1"))
+
+
+labels = (
+    st.none() | st.integers(0, 3) | st.just(datetime.date(2001, 12, 14))
+    | st.text("ab-1\n\r\x0b\x1b\u2028", max_size=3) | st.sampled_from(["near", "far", "class-1", "class-2", "near\n"])
+)
+
+
+@st.composite
+def custom_documents(draw) -> dict:
+    """A valid custom cell, labelled or not, with each optional section left out, partial or whole."""
+    probs = draw(st.lists(st.sampled_from([0.9, 0.6, 0.3, 0.1]), min_size=1, max_size=4, unique=True))
+    classes = [{"count": draw(st.integers(1, 3)), "p_detect": p} for p in probs]
+    for cls in classes:
+        if draw(st.booleans()):
+            cls["label"] = draw(labels)
+    doc = {"schema": 1, "channel": {"p_c": 0.8, "p_w": 0.2}, "topology": {"kind": "custom", "classes": classes}}
+    optional = {
+        "prior": {"p_e": [0.1, 0.3]},
+        "loss_ratio": 5,
+        "sizes": [0.1],
+        "weight_mode": draw(st.sampled_from(["exact", "paper_approx"])),
+        "approx": {
+            "weights": list(range(len(probs), 0, -1)),
+            "alarm_probs": [0.9 - 0.2 * i for i in range(len(probs))],
+        },
+        "simulation": {"n_trials": 10, "master_seed": 3},
+    }
+    for key, value in optional.items():
+        if draw(st.booleans()):
+            dropped = draw(st.sets(st.sampled_from(sorted(value)))) if isinstance(value, dict) else set()
+            doc[key] = {k: v for k, v in value.items() if k not in dropped} if dropped else value
+    return doc
+
+
+REFUSED = ["refused label"]
+
+
+def reference_document(doc) -> tuple[object, str | None]:
+    """``doc`` as the reference parser must see it to follow the label rules, and the path of the label they refuse.
+
+    Missing and null labels get their default text. The first label the rules refuse becomes a list, which the
+    reference parser refuses at the same point in its checks, with its own message.
+    """
+    doc = copy.deepcopy(doc)
+    topology = doc.get("topology") if isinstance(doc, dict) else None
+    classes = topology.get("classes") if isinstance(topology, dict) and topology.get("kind") == "custom" else None
+    if not isinstance(classes, list):
+        return doc, None
+    seen = set()
+    for i, cnode in enumerate(classes):
+        if not isinstance(cnode, dict) or isinstance(cnode.get("label"), (list, dict)):
+            break
+        if cnode.get("label") is None:
+            cnode["label"] = f"class-{i + 1}"
+        label = str(cnode["label"])
+        if label.splitlines() != [label] or label in seen:
+            cnode["label"] = list(REFUSED)
+            return doc, f"topology.classes[{i}].label"
+        seen.add(label)
+    return doc, None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=scenario_documents() | custom_documents())
+def test_parser_matches_the_reference_parser(doc):
+    ref_doc, refused = reference_document(doc)
+    try:
+        want = reference.parse_scenario(ref_doc)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            g.parse_scenario(doc)
+        if refused is not None and str(exc) == f"{refused}: expected a string, got {REFUSED!r}":
+            assert type(info.value) is ScenarioError and str(info.value).startswith(f"{refused}: ")
+        else:
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        assert repr(g.parse_scenario(doc)) == repr(want)
 
 
 class TestLoadScenario:
