@@ -9,8 +9,12 @@ GRIDDETECT = $(RUN) -m griddetect.cli
 
 .PHONY: install test check acceptance reproduce pairs record clean
 
+# --no-build-isolation skips pyproject's setuptools>=68, so the installed setuptools must build the
+# editable wheel itself: 70.1 and later ship bdist_wheel, earlier ones need the wheel package
 install:
-	pip install -e . --no-build-isolation
+	@$(PYTHON) -c "import importlib.util, setuptools, sys; v = tuple(int(p) for p in setuptools.__version__.split('.')[:2]); sys.exit(v < (70, 1) and importlib.util.find_spec('wheel') is None)" \
+	  || { echo "make install: needs setuptools >= 70.1 or the wheel package to build an editable install; every other make target runs from src/ without an install" >&2; exit 1; }
+	$(PYTHON) -m pip install -e . --no-build-isolation
 
 test:
 	$(RUN) -m pytest -q

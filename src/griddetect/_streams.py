@@ -36,6 +36,18 @@ at 250 rows). They live and die with the thread's last block shape, like
 its other arrays. The jump constants of ``_jumps`` stay (2, draws, 1)
 columns, shared by every shape: widened to the block's rows they cost more
 at 4096 rows than they saved at 250.
+
+The first ``uniforms`` call in a process checks the kernel: it computes
+the first three draws of two trials, one with a one-word seed and a small
+index and one with a seed and an index past 2**32, and raises a DomainError
+naming numpy's version if any bit differs from ``_PINNED_DRAWS``, the draws
+numpy's own generator gives. The check uses a workspace of its own and takes
+about 0.2 ms, once; later calls only read the flag it sets. It compares with
+recorded draws rather than running numpy's generator, because importing
+``numpy.random`` (and the ``hashlib`` it imports) adds 6 MB to a process
+that does not otherwise use it. NEP 19 lets numpy change a Generator's
+stream between releases; tests/test_simulator.py compares the pinned draws
+with the installed numpy's generator.
 """
 
 from __future__ import annotations
@@ -45,6 +57,8 @@ import math
 import threading
 
 import numpy as np
+
+from .model import DomainError
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -296,6 +310,26 @@ class _Workspace(threading.local):
 
 
 _workspace = _Workspace()
+# the first three random() values of Generator(PCG64(SeedSequence((master_seed, index)))) under numpy 2.4.6,
+# keyed on (master_seed, index): the draws the first uniforms call in a process requires of this module
+_PINNED_DRAWS = {
+    (12345, 7): (0.9649993313711044, 0.4550254143263811, 0.9564295527021338),
+    (2**63 + 12345, 2**40 + 3): (0.770589685891149, 0.7389304103357326, 0.675359968130809),
+}
+_checked = False
+
+
+def _check_streams() -> None:
+    """Raise a DomainError unless this module draws _PINNED_DRAWS bit for bit."""
+    global _checked
+    ws = _Workspace().fit(1, 3)  # not this thread's workspace, which stays fitted to the caller's block
+    for (master_seed, index), pinned in _PINNED_DRAWS.items():
+        _seed(master_seed, np.array([index], dtype="<u8"), ws)
+        if _draws(3, ws)[0].tobytes() != np.array(pinned).tobytes():
+            raise DomainError(f"under numpy {np.__version__} the simulator's stream kernel does not draw "
+                              f"numpy's PCG64 stream (master seed {master_seed}, trial {index}), so simulated "
+                              "numbers would not be the pinned ones")
+    _checked = True
 
 
 def uniforms(master_seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
@@ -305,6 +339,8 @@ def uniforms(master_seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     result is a view of this thread's workspace, overwritten by the next
     call on the same thread.
     """
+    if not _checked:
+        _check_streams()
     idx = np.ascontiguousarray(indices, dtype="<u8")
     ws = _workspace.fit(len(idx), n_draws)
     _seed(master_seed, idx, ws)

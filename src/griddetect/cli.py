@@ -12,6 +12,7 @@ Any other exception is a bug and propagates with its traceback.
 
 from __future__ import annotations
 
+import copy
 import os
 import sys
 from pathlib import Path
@@ -90,8 +91,44 @@ def _emit(table: Table, fmt: str, out: Path | None) -> None:
         raise DomainError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
 
 
-class _Commands(click.Group):
+class _Command(click.Command):
+    """A command whose parameter list and option parser are built on its first parse and reused after that.
+
+    Each is stored with the context settings click reads to build it, so a parse under other settings
+    (``main.main(..., help_option_names=[...])``) builds afresh. Each parse gets a copy of the stored
+    parser bound to its own context; a parse only reads the option tables the copies share."""
+
+    _params = _parser = (None, None)
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        """The help option under ctx's names; click >= 8.1.8 keeps its first one whatever the names."""
+        names = self.get_help_option_names(ctx)
+        return click.help_option(*names)(click.Command(None)).params[0] if names and self.add_help_option else None
+
+    def get_params(self, ctx: click.Context) -> list[click.Parameter]:
+        names = tuple(ctx.help_option_names)
+        key, params = self._params
+        if key != names:
+            params = super().get_params(ctx)
+            self._params = (names, params)
+        return params
+
+    def make_parser(self, ctx: click.Context):
+        settings = (tuple(ctx.help_option_names), ctx.token_normalize_func,
+                    ctx.allow_interspersed_args, ctx.ignore_unknown_options)
+        key, parser = self._parser
+        if key != settings:
+            parser = super().make_parser(ctx)
+            self._parser = (settings, parser)
+        parser = copy.copy(parser)
+        parser.ctx = ctx
+        return parser
+
+
+class _Commands(_Command, click.Group):
     """The command group: the one place a DomainError becomes ``error: ...`` and exit 1."""
+
+    command_class = _Command
 
     def invoke(self, ctx: click.Context):
         try:

@@ -3,18 +3,22 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import click
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
 import griddetect as g
-from griddetect import decision_tests, scenario_io
+from griddetect import _streams, decision_tests, scenario_io
 from griddetect.cli import main
 from griddetect.tables import format_cell
 
 from cases import YAML_LOADERS
+from test_cli_help import GOLDEN as HELP_GOLDEN, help_text
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 GOOD = str(SCENARIOS / "good_network.yaml")
@@ -284,6 +288,16 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--scenario", str(path)])
         assert result.exit_code == 1
         assert "prior" in result.output
+
+    def test_stream_kernel_that_numpy_disagrees_with(self, runner, monkeypatch):
+        # the first uniforms call in a process compares the kernel's draws with numpy's, pinned
+        pinned = {key: (*draws[:2], np.nextafter(draws[2], 1.0)) for key, draws in _streams._PINNED_DRAWS.items()}
+        monkeypatch.setattr(_streams, "_checked", False)
+        monkeypatch.setattr(_streams, "_PINNED_DRAWS", pinned)
+        result = runner.invoke(main, ["simulate", "--scenario", GOOD, "--trials", "20"])
+        TestInvalidInputs().assert_one_error_line(
+            result, f"under numpy {np.__version__} the simulator's stream kernel does not draw numpy's PCG64 stream")
+        assert not _streams._checked
 
     @pytest.mark.parametrize("mode", ["exact", "paper-approx"])
     def test_solves_each_mp_size_once(self, runner, monkeypatch, mode):
@@ -708,3 +722,73 @@ class TestVersion:
         result = invoke(runner, "--version")
         assert result.exit_code == 0
         assert "0.1.0" in result.output
+
+
+class TestStoredParse:
+    """Each command's parameter list and option parser are built once per process and reused."""
+
+    MP = ["mp", "--scenario", GOOD]
+
+    def test_help_twice_is_unchanged(self):
+        assert help_text() == help_text() == HELP_GOLDEN.read_text()
+
+    def test_usage_error_after_a_good_parse(self, runner):
+        good = invoke(runner, *self.MP)
+        assert good.exit_code == 0
+        result = runner.invoke(main, ["mp", "--bogus"], prog_name="griddetect")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == ("Usage: griddetect mp [OPTIONS]\n"
+                                 "Try 'griddetect mp --help' for help.\n\n"
+                                 "Error: No such option '--bogus'. Did you mean '--out'?\n")
+        assert invoke(runner, *self.MP).output == good.output
+
+    def test_version_after_a_command(self, runner):
+        assert invoke(runner, *self.MP).exit_code == 0
+        result = invoke(runner, "--version")
+        assert (result.exit_code, result.output) == (0, "griddetect, version 0.1.0\n")
+
+    def test_other_help_option_names(self, runner, capsys):
+        def default_parse():
+            result = runner.invoke(main, ["mp", "-h"])
+            assert result.exit_code == 2
+            assert "No such option '-h'." in result.stderr
+
+        default_parse()
+        assert main.main(["mp", "-h"], prog_name="griddetect", help_option_names=["-h"], standalone_mode=False) == 0
+        assert capsys.readouterr().out.startswith("Usage: griddetect mp [OPTIONS]\n")
+        default_parse()
+        assert invoke(runner, "mp", "--help").exit_code == 0
+
+    def test_each_thread_gets_its_own_parser(self):
+        command = main.commands["mp"]
+        contexts = [click.Context(command, info_name="mp", parent=click.Context(main)) for _ in range(2)]
+        parsers = [None, None]
+
+        def parse(i):
+            parsers[i] = command.make_parser(contexts[i])
+
+        threads = [threading.Thread(target=parse, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert parsers[0] is not parsers[1]
+        assert all(parser.ctx is ctx for parser, ctx in zip(parsers, contexts))
+
+    def test_each_command_builds_its_parser_once(self, monkeypatch, capsys):
+        # help option names no other test uses, so that the first invocation must build
+        builds = {"make_parser": [], "get_params": []}
+
+        def counting(hook):
+            inner = getattr(click.Command, hook)
+            return lambda self, ctx: builds[hook].append(self.name) or inner(self, ctx)
+
+        for hook in builds:
+            monkeypatch.setattr(click.Command, hook, counting(hook))
+        for name in main.commands:
+            for _ in range(3):
+                assert main.main([name, "-?"], help_option_names=["-?"], standalone_mode=False) == 0
+        capsys.readouterr()
+        want = sorted([main.name, *main.commands])
+        assert {hook: sorted(names) for hook, names in builds.items()} == {"make_parser": want, "get_params": want}

@@ -463,6 +463,31 @@ class TestWorkspace:
         full = g.run_trials(sc, prior, tests, n, 12)
         assert (bare.n_event, bare.class_stats) == (full.n_event, full.class_stats)
 
+    def test_pinned_draws_are_numpys(self):
+        # the draws the first uniforms call requires of the kernel, against the installed numpy's generator:
+        # one trial of a one-word seed and a small index, one of a seed and an index past 2**32
+        small, wide = _streams._PINNED_DRAWS
+        assert max(small) < 2**32 <= min(wide)
+        for (seed, index), pinned in _streams._PINNED_DRAWS.items():
+            assert trial_rng(g.derive_trial_seed(seed, index)).random(3).tobytes() == np.array(pinned).tobytes()
+
+    def test_first_call_checks_the_kernel_once(self, monkeypatch):
+        # in a fresh thread, whose workspace must end fitted to the caller's block, not the check's
+        check, calls, shapes = _streams._check_streams, [], []
+        monkeypatch.setattr(_streams, "_checked", False)
+        monkeypatch.setattr(_streams, "_check_streams", lambda: calls.append(1) or check())
+
+        def work():
+            for _ in range(2):
+                block = _streams.uniforms(5, np.arange(4, dtype=np.uint64), 25)
+                shapes.append((block.shape, _streams._workspace.shape))
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60)
+        assert (calls, shapes) == ([1], [((4, 25), (4, 25))] * 2)
+        assert _streams._checked
+
     def test_keeps_only_the_last_block_shape(self):
         # a fresh thread, so that a workspace left by earlier tests cannot hide what this one keeps
         traced = []
