@@ -238,8 +238,7 @@ def cmd_dist(sf: ScenarioFile, under: str) -> Table:
                           "(an alarm is conclusive); use --weight-mode paper-approx")
     weights, event_law = _mp_law(sf.scenario, **sf.mp_overrides())
     dist = score_distribution(weights, event_law if under == "event" else sf.scenario.derived().normal_law)
-    # cumsum adds the masses one by one, as a running sum does
-    cells = (dist.values, dist.probs, np.cumsum(dist.probs), np.diff(dist.starts, append=len(dist.order)))
+    cells = (dist.values, dist.probs, dist.cum, np.diff(dist.starts, append=len(dist.order)))
     return Table(
         title=f"score-distribution under {under} ({sf.weight_mode})",
         columns=("value", "prob", "cumulative", "n_count_tuples"),
@@ -317,8 +316,6 @@ def cmd_estimate(log_file: Path, fmt: str, out: Path | None) -> None:
     if normal_logs:
         est = estimate_false_response(normal_logs)
         rows.append(("p_w", est.value, est.std_error, est.n_logs))
-    if not rows:
-        raise DomainError("log file contains no usable records")
     _emit(Table.from_rows("parameter-estimates", ("parameter", "estimate", "std_error", "n_logs"), rows), fmt, out)
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Protocol
 import numpy as np
 
 from .model import ClassAlarmLaw, DomainError, LossRatio, Prior, ValidatedScenario
-from .score_dist import atom_tolerance, cell_ranking, ranked_sum, score_law_walk, tuple_scores
+from .score_dist import ScoreDistribution, atom_tolerance, cell_ranking, ranked_sum, score_law_walk, tuple_scores
 from .score_dist import score_distribution  # not called here; the benchmark traces decision_tests.score_distribution
 
 __all__ = [
@@ -200,17 +200,18 @@ def _mp_law(scenario: ValidatedScenario, weights: Iterable[float] | None = None,
     return w, law if event_alarm_probs is None else ClassAlarmLaw(law.counts, event_alarm_probs)
 
 
-def _walk_to_threshold(values: np.ndarray, probs: np.ndarray, cum: np.ndarray, size: float) -> tuple[float, ...]:
-    """Find the unique atom v with P(X < v) <= size < P(X <= v), given the running sum ``cum`` of the masses.
+def _walk_to_threshold(dist: ScoreDistribution, size: float) -> tuple[float, ...]:
+    """Find the unique atom v with P(X < v) <= size < P(X <= v), given the running sum ``dist.cum`` of the masses.
 
     Returns (threshold, boundary_prob, exact size). The boundary
     probability absorbs whatever part of the size the strict region does
     not reach, so P(X < v) + boundary_prob * P(X = v) equals the size.
     """
+    cum = dist.cum
     i = min(int(cum.searchsorted(size, "right")), len(cum) - 1)
-    below, prob = (float(cum[i - 1]) if i else 0.0), float(probs[i])
+    below, prob = (float(cum[i - 1]) if i else 0.0), float(dist.probs[i])
     k = min(1.0, max(0.0, (size - below) / prob))
-    return float(values[i]), k, below + k * prob
+    return float(dist.values[i]), k, below + k * prob
 
 
 def solve_mp_test(
@@ -255,9 +256,9 @@ def solve_mp_tests(
         else:
             if h0 is None:
                 w, law = _mp_law(scenario, weights, event_alarm_probs)
-                # the atoms, cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it, and the ranked scores
-                *h0, scores = score_law_walk(w, law)
-            threshold, k, exact_size = _walk_to_threshold(*h0, size)
+                # the atoms with cum[i], P(X < v_i) + P(X = v_i) as a sequential sum rounds it, and the ranked scores
+                h0, scores = score_law_walk(w, law)
+            threshold, k, exact_size = _walk_to_threshold(h0, size)
         form = _threshold_form(w, threshold, k, degenerate)
         power = _rejection_rates(counts, form, stats.normal_law, scores=scores)[0]
         tests.append(MPTest(weights=w, class_counts=counts, threshold=threshold, boundary_prob=k,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -99,7 +98,7 @@ def _stdev(xs: Sequence[float]) -> float:
 
 def _summarize(proportions: Sequence[float]) -> Estimate:
     n = len(proportions)
-    value = statistics.fmean(proportions)
+    value = math.fsum(proportions) / n  # statistics.fmean's sum, without importing statistics
     se = _stdev(proportions) / math.sqrt(n) if n > 1 else 0.0
     return Estimate(value=value, std_error=se, n_logs=n)
 

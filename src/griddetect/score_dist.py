@@ -8,11 +8,12 @@ each tuple's probability under a law (:func:`cell_masses`). Its score
 (:func:`tuple_scores`) is the one definition that atoms, decision rules and
 the simulator all compare. :func:`cell_ranking` sorts a cell's tuples by
 score once per weight vector and merges near-equal scores into atoms;
-:func:`score_distribution` reads a law's masses in that order and adds
-them up per atom (:func:`score_law_walk` adds their running sum, which a
-most-powerful walk searches). A score law is held as arrays: atom values and
-masses, the grid rows in score order and each atom's first row. The count
-tuples in that order and ``ScoreAtom`` objects are built on request.
+:func:`score_law_walk` reads a law's masses in that order and adds
+them up per atom; :func:`score_distribution` is its first part. A score law
+is held as arrays: atom values and masses, their running sum ``cum`` (which
+a most-powerful walk searches), the grid rows in score order and each atom's
+first row. The count tuples in that order and ``ScoreAtom`` objects are built
+on request.
 
 One thread-safe least-recently-used store of ``STORE_BYTES`` keeps read-only
 arrays of four kinds, each in one entry keyed by its builder's name and
@@ -118,14 +119,16 @@ class ScoreAtom:
 class ScoreDistribution:
     """Atoms of the score in ascending order; probabilities sum to one.
 
-    Atom i has value ``values[i]`` and mass ``probs[i]``; its count tuples
-    are ``tuples[starts[i]:starts[i + 1]]``. ``order`` lists the rows of
-    the grid of ``counts`` of positive mass, sorted by score; ``tuples``
+    Atom i has value ``values[i]`` and mass ``probs[i]``, and ``cum[i]`` is
+    ``np.cumsum(probs)[i]``, the masses up to it added one by one; its count
+    tuples are ``tuples[starts[i]:starts[i + 1]]``. ``order`` lists the rows
+    of the grid of ``counts`` of positive mass, sorted by score; ``tuples``
     gathers them.
     """
 
     values: np.ndarray
     probs: np.ndarray
+    cum: np.ndarray
     starts: np.ndarray
     order: np.ndarray
     counts: tuple[int, ...]
@@ -315,7 +318,7 @@ def _assemble(ranking: tuple[np.ndarray, ...], masses: np.ndarray, counts: tuple
         multi = np.flatnonzero(np.diff(bounds) > 1)
         probs = masses[starts]
         probs[multi] = _atom_sums(masses, zip(bounds[multi].tolist(), bounds[multi + 1].tolist()))
-    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, counts=counts)
+    return ScoreDistribution(values, probs, np.cumsum(probs), starts, order, counts)
 
 
 def _atom_sums(masses: np.ndarray, spans: Iterable[tuple[int, int]]) -> list[float]:
@@ -326,39 +329,32 @@ def _atom_sums(masses: np.ndarray, spans: Iterable[tuple[int, int]]) -> list[flo
 
 def score_distribution(weights: Iterable[float], law: ClassAlarmLaw) -> ScoreDistribution:
     """Exact score distribution over all prod(counts[i] + 1) count tuples of ``law``."""
-    weights = tuple(float(w) for w in weights)
-    _check_weights(weights, law.counts)
-    ranking = cell_ranking(law.counts, weights)
-    masses = _ranked_law(law.counts, law.alarm_probs, weights)[0]
-    if np.count_nonzero(masses) < masses.size:  # merged afresh on each call, not kept
-        return _assemble(ranking, masses, law.counts)
-    order, _, starts, values = ranking
-    probs = _law_walk(law.counts, law.alarm_probs, weights)[0] if len(starts) < len(order) else masses
-    return ScoreDistribution(values=values, probs=probs, starts=starts, order=order, counts=law.counts)
+    return score_law_walk(weights, law)[0]
 
 
-def score_law_walk(weights: Iterable[float], law: ClassAlarmLaw) -> tuple[np.ndarray, ...]:
-    """(values, probs, cum, scores): score_distribution's atom values and masses and their np.cumsum, which the
-    most-powerful walk reads, kept once for a law of positive masses, and the cell's ranked scores."""
+def score_law_walk(weights: Iterable[float], law: ClassAlarmLaw) -> tuple[ScoreDistribution, np.ndarray]:
+    """(score distribution, the cell's ranked scores): a law of positive masses reads its per-atom masses and their
+    running sum from one kept walk, which the most-powerful walk searches; one with zero masses is summed afresh."""
     key = law.counts, law.alarm_probs, tuple(float(w) for w in weights)
     walk = _law_walk(*key)  # first: it checks the weights before any ranking under them is read
-    ranking = cell_ranking(key[0], key[2])
-    if isinstance(walk, list):  # zero masses: summed afresh
-        return *walk, ranking[1]
-    return ranking[3], walk[0] if len(walk) == 2 else _ranked_law(*key)[0], walk[-1], ranking[1]
+    order, scores, starts, values = cell_ranking(key[0], key[2])
+    if isinstance(walk, list):
+        return walk[0], scores
+    probs = walk[0] if len(walk) == 2 else _ranked_law(*key)[0]
+    return ScoreDistribution(values, probs, walk[-1], starts, order, law.counts), scores
 
 
 @_in_store
-def _law_walk(counts, alarm_probs, weights) -> tuple[np.ndarray, ...] | list[np.ndarray]:
+def _law_walk(counts, alarm_probs, weights) -> tuple[np.ndarray, ...] | list[ScoreDistribution]:
     """(mass per atom, running sum) of a law of positive masses, the first left out where the law is not tied;
-    checks the weights, so a kept walk needs none. A law with zero masses gives [values, probs, cum], not kept."""
+    checks the weights, so a kept walk needs none. A law with zero masses gives [its distribution], not kept."""
     _check_weights(weights, counts)
-    ranking, masses = cell_ranking(counts, weights), _ranked_law(counts, alarm_probs, weights)[0]
+    ranking = cell_ranking(counts, weights)  # first, so that its temporaries are not built while masses are held
+    masses = _ranked_law(counts, alarm_probs, weights)[0]
     dist = _assemble(ranking, masses, counts)
-    cum = np.cumsum(dist.probs)
-    if np.count_nonzero(masses) < masses.size:
-        return [dist.values, dist.probs, cum]
-    return (dist.probs, cum) if len(dist.starts) < len(masses) else (cum,)
+    if len(dist.order) < len(masses):
+        return [dist]
+    return (dist.probs, dist.cum) if len(dist.starts) < len(masses) else (dist.cum,)
 
 
 def ranked_sum(law: ClassAlarmLaw, weights: tuple[float, ...], i: int, j: int = 0, k: float = 0.0) -> float:

@@ -29,6 +29,24 @@ INTERIOR_COUNTS = (1, 4, 4)
 YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 
+def minimal_document(**fields: str) -> str:
+    """A scenario file of the required sections, each field given in flow style replacing or adding one."""
+    doc = {"schema": "1", "channel": "{p_c: 0.9, p_w: 0.1}",
+           "topology": "{kind: interior_square, detect_probs: [0.9, 0.5, 0.3]}", **fields}
+    return "".join(f"{key}: {value}\n" for key, value in doc.items())
+
+
+# (fields, message): scenario refusals, each with its full text
+REFUSED_FIELDS = [
+    ({"weight_mode": "bogus"}, "weight_mode: expected one of ('exact', 'paper_approx'), got 'bogus'"),
+    ({"simulation": "{n_trials: 0}"}, "simulation.n_trials: must be positive, got 0"),
+    ({"topology": "{kind: interior_square, detect_probs: 0.5}"}, "topology.detect_probs: expected a list, got 0.5"),
+    ({"channel": "{p_c: .nan, p_w: 0.1}"}, "channel: p_c must be finite, got nan"),
+    # nested past the shown depth of four: the fifth level is cut
+    ({"sizes": "[[[[[{a: 1}]]]]]"}, "sizes[0]: expected a number, got [[[[{...}]]]]"),
+]
+
+
 def make_scenario(detect, channel) -> g.ValidatedScenario:
     p_c, p_w = channel
     return g.validate(g.ChannelModel(p_c=p_c, p_w=p_w), g.builtin_topology("interior_square", detect))

@@ -17,7 +17,7 @@ from griddetect import _streams, decision_tests, scenario_io
 from griddetect.cli import main
 from griddetect.tables import format_cell
 
-from cases import YAML_LOADERS
+from cases import REFUSED_FIELDS, YAML_LOADERS, minimal_document
 from test_cli_help import GOLDEN as HELP_GOLDEN, help_text
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -352,6 +352,15 @@ class TestEstimateCommand:
         assert result.exit_code == 1
         assert "header" in result.output
 
+    @pytest.mark.parametrize("body, text", [
+        ("", "log file contains no records"),
+        ("event,1,0,0,0\nevent,2,1,0,1\n", "no detections in any log; cannot estimate the correct-response rate"),
+    ], ids=["header-only", "no-detections"])
+    def test_log_that_estimates_nothing(self, runner, tmp_path, body, text):
+        path = tmp_path / "log.csv"
+        path.write_text("condition,trial,class_index,detected,responded\n" + body)
+        result = runner.invoke(main, ["estimate", str(path)])
+        assert (result.exit_code, result.output) == (1, f"error: {text}\n")
 
     def test_missing_log_file(self, runner, tmp_path):
         path = tmp_path / "absent.csv"
@@ -427,6 +436,13 @@ class TestInvalidInputs:
         )
         result = runner.invoke(main, [command, "--scenario", str(path)])
         self.assert_one_error_line(result, "topology: class 'class-1': alarm probability 5e-324")
+
+    @pytest.mark.parametrize("fields, message", REFUSED_FIELDS, ids=[m.split(":")[0] for _, m in REFUSED_FIELDS])
+    def test_refused_field(self, runner, tmp_path, fields, message):
+        path = tmp_path / "refused.yaml"
+        path.write_text(minimal_document(**fields))
+        result = runner.invoke(main, ["errors", "--scenario", str(path)])
+        assert (result.exit_code, result.output) == (1, f"error: {path}: {message}\n")
 
     @pytest.mark.parametrize("command", ["bayes", "mp", "dist"])
     def test_oversized_cell(self, runner, tmp_path, command):

@@ -189,6 +189,11 @@ class TestBlockLogs:
         with pytest.raises(DomainError, match="321 sensors; log generation is capped"):
             g.generate_trial_logs(sc, Condition.NORMAL, 1, 0)
 
+    def test_n_logs_must_be_positive(self):
+        with pytest.raises(DomainError) as info:
+            g.generate_trial_logs(good_scenario(), Condition.NORMAL, 0, 0)
+        assert str(info.value) == "n_logs must be positive, got 0"
+
 
 class TestLogFileFormat:
     def test_round_trip(self, tmp_path):

@@ -553,7 +553,8 @@ def test_cached_arrays_are_read_only(monkeypatch):
         assert masses.all() and masses.tobytes() == score_dist.cell_masses(law)[ranking[0]].tobytes()
         cached += [masses, limbs]
     for weights in (sc.derived().weights, _int_weights(sc.derived().weights)):  # per-atom masses under the second
-        cached += score_dist.score_law_walk(weights, sc.derived().event_law)
+        dist, scores = score_dist.score_law_walk(weights, sc.derived().event_law)
+        cached += [dist.values, dist.probs, dist.cum, dist.starts, dist.order, scores]
     assert len(_stored()) == 4 + 1 + 1 + 1  # the integer ranking, ranked law, and walk with per-atom masses
     for limbs in _streams._jumps(25):
         cached.extend(limbs)

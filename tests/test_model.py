@@ -68,6 +68,16 @@ class TestTopology:
         with pytest.raises(DomainError):
             g.Topology(())
 
+    def test_builtin_kind_refuses_counts(self):
+        with pytest.raises(DomainError) as info:
+            g.builtin_topology("interior_square", [0.9, 0.5, 0.3], counts=[1, 4, 4])
+        assert str(info.value) == "topology kind 'interior_square' fixes its class counts; do not pass counts"
+
+    def test_alarm_law_needs_a_class(self):
+        with pytest.raises(DomainError) as info:
+            g.ClassAlarmLaw((), ())
+        assert str(info.value) == "alarm law needs at least one class"
+
 
 class TestValidate:
     def test_reorders_descending(self):

@@ -48,6 +48,18 @@ def test_light_modules_load_no_numpy():
     assert out == "[]\n"
 
 
+def test_cli_loads_no_statistics():
+    # statistics brings fractions and decimal with it; estimation takes its mean with math.fsum instead
+    out = run_fresh(
+        """
+        import sys
+        import griddetect.cli
+        print(sorted(m for m in ("statistics", "fractions", "decimal") if m in sys.modules))
+        """
+    )
+    assert out == "[]\n"
+
+
 def test_bare_import_resolves_every_submodule():
     out = run_fresh(
         f"""

@@ -15,7 +15,7 @@ import griddetect as g
 from griddetect import ScenarioError, decision_tests, scenario_io
 
 import scenario_parser_reference as reference
-from cases import YAML_LOADERS, scenario_documents
+from cases import REFUSED_FIELDS, YAML_LOADERS, minimal_document, scenario_documents
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -310,6 +310,12 @@ class TestRejections:
             """,
             "channel.p_c",
         )
+
+    @pytest.mark.parametrize("fields, message", REFUSED_FIELDS, ids=[m.split(":")[0] for _, m in REFUSED_FIELDS])
+    def test_refused_field_text(self, fields, message):
+        with pytest.raises(ScenarioError) as info:
+            parse(minimal_document(**fields))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "value",

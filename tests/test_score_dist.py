@@ -271,18 +271,19 @@ class TestScoreLawPrefix:
         assert (len(starts) < len(order)) == (case != "one-row")  # tied: atoms of several rows
         monkeypatch.setattr(score_dist, "_store", OrderedDict())  # cold: the walk builds what it reads
         monkeypatch.setattr(score_dist, "_store_bytes", 0)
-        cold, warm = (score_law_walk(weights, law) for _ in range(2))
+        (cold, cold_scores), (warm, warm_scores) = (score_law_walk(weights, law) for _ in range(2))
         dist = g.score_distribution(weights, law)
-        whole = (dist.values, dist.probs, np.cumsum(dist.probs))
-        for got in (cold, warm):
-            assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in whole]
-            assert got[3] is cell_ranking(law.counts, weights)[1]
+        whole = (dist.values, dist.probs, np.cumsum(dist.probs), dist.starts, dist.order)
+        for got in (cold, warm, dist):
+            assert [a.tobytes() for a in (got.values, got.probs, got.cum, got.starts, got.order)] == [
+                a.tobytes() for a in whole]
+        assert cold_scores is warm_scores is cell_ranking(law.counts, weights)[1]
         # a positive law's walk is summed once and kept; one with zero masses is summed afresh, not kept
         walks = [key for key in score_dist._store if key[0] == "_law_walk"]
         if case == "zero-mass":
-            assert walks == [] and warm[2] is not cold[2]
+            assert walks == [] and warm.cum is not cold.cum
         else:
-            assert walks == [("_law_walk", law.counts, law.alarm_probs, weights)] and warm[2] is cold[2]
+            assert walks == [("_law_walk", law.counts, law.alarm_probs, weights)] and warm.cum is cold.cum
 
 
 def _crafted(n: int, kind: str) -> np.ndarray:

@@ -163,6 +163,11 @@ class TestSimulateTrial:
         backward = [g.simulate_trial(sc, prior, g.derive_trial_seed(7, i)) for i in reversed(range(10))]
         assert forward == list(reversed(backward))
 
+    def test_negative_trial_index_refused(self):
+        with pytest.raises(DomainError) as info:
+            g.derive_trial_seed(5, -1)
+        assert str(info.value) == "trial index must be non-negative, got -1"
+
 
 class TestRunTrials:
     def test_bit_reproducible(self):
